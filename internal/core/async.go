@@ -1,45 +1,53 @@
-// Asynchronous bounded-staleness scheduler: the round-barrier worker pool
-// of parallel.go stalls all W workers on the round's slowest evaluation,
-// so one straggling build wastes W-1 workers' virtual time. This file
-// removes that barrier with an event-driven scheduler over the simulated
-// substrate: a virtual event queue ordered by (finish-time, worker-index)
-// hands the next proposal to a worker the moment its previous evaluation
-// completes.
+// The session scheduler: the §3.1 platform evaluates configurations on
+// many worker VMs concurrently. This file implements that as one
+// event-driven scheduler over the simulated substrate: a virtual event
+// queue hands the next proposal to a worker the moment its previous
+// evaluation completes, so one straggling build does not stall the pool.
+// A sequential session is this scheduler with one worker; a round-barrier
+// session is it with staleness bound 0.
 //
-// Determinism is preserved by the same discipline as the synchronous
-// scheduler, with one replacement rule:
+// Determinism is the design constraint: a session must be reproducible
+// for a fixed (Seed, Workers, Staleness) triple regardless of goroutine
+// scheduling. Four rules make that hold:
 //
 //  1. Private worker state — each worker owns its clock (merged by
-//     vm.WallClock), its rng stream (rng.WorkerSeed derivation), its speed
-//     factor, and its §3.1 skip digests. The shared artifact store is
-//     consulted by the coordinator only, at planning time (pipeline.go);
-//     worker goroutines touch nothing shared.
-//  2. Virtual-time dispatch — placement is dynamic (the next proposal
-//     goes to whichever worker frees first in *virtual* time), but the
-//     completion order is a pure function of virtual finish times with
-//     worker index as the tie-break, never of goroutine scheduling. The
-//     coordinator pops exactly one completion event per step, measures
-//     and Observes it, and refills workers through the same
-//     search.BatchSearcher pending-set protocol the round scheduler uses
-//     (natively for Grid/Bayesian/DeepTune, via the AsBatch adapter
-//     otherwise).
+//     vm.WallClock), its rng stream (rng.WorkerSeed derivation; worker 0
+//     draws from the session seed itself), its speed factor, and its §3.1
+//     skip digests. The shared artifact store is consulted by the
+//     coordinator only, at planning time (pipeline.go); worker goroutines
+//     touch nothing shared.
+//  2. Virtual-time dispatch — placement and completion order are pure
+//     functions of virtual time with worker index as the tie-break, never
+//     of goroutine scheduling. The coordinator pops exactly one
+//     completion event per step, measures it on the evaluating worker's
+//     noise stream, and Observes it. Proposals come from the
+//     search.BatchSearcher pending-set protocol (Grid, Bayesian, and
+//     DeepTune batch natively — Bayesian via constant-liar fantasized
+//     observations, DeepTune via diversity-penalized pool ranking — and
+//     the AsBatch adapter wraps the rest), so later slots of a batch
+//     condition on earlier picks.
 //  3. Bounded staleness — Options.Staleness caps how many unobserved
 //     in-flight evaluations may exist when a proposal batch is drawn, so
 //     no proposal conditions on a history more than S evaluations behind
-//     the frontier. S=0 is the full barrier (handled by the round
-//     scheduler); S ≥ W-1 (or negative) is full asynchrony, since one
+//     the frontier. S ≥ W-1 (or negative) is full asynchrony, since one
 //     evaluation per worker bounds in-flight work at W anyway.
+//  4. The barrier — with bound 0 (every session that is not Async with
+//     W > 1 and S ≠ 0) three rules make each batch a synchronous round:
+//     nothing is dispatched, retries included, while any evaluation is in
+//     flight; after a batch every worker stalls to the batch's slowest
+//     evaluation (charged as idle time) and, with W > 1, RoundBarrier is
+//     emitted; completions are popped in iteration order, not completion
+//     order. Iteration i prefers worker i mod W, so which configurations
+//     share a worker's noise stream, clock, and caches is a pure function
+//     of the iteration index.
 //
-// A session is therefore byte-reproducible for a fixed (Seed, Workers,
-// Staleness) triple, and the report's history is ordered by virtual
-// completion time — the order the searcher actually observed.
-//
-// The stepwise restructuring maps one-to-one onto the old loop body:
-// dispatch-refill, pop the earliest completion event, record. The loop's
-// locals (in-flight table, busy count, frontier, exhaustion) are now
-// Session fields, which is what makes an async session interruptible and
-// serializable between observations — in-flight evaluations are finished
-// virtual work awaiting observation, and snapshot as such.
+// The report's history is ordered by observation — virtual completion
+// time under a staleness bound, iteration order under the barrier — the
+// order the searcher actually observed. The scheduler's state (in-flight
+// table, busy count, frontier, exhaustion) is Session data, which is what
+// makes a session interruptible and serializable between observations:
+// in-flight evaluations are finished virtual work awaiting observation,
+// and snapshot as such.
 //
 // Host-side concurrency note: evaluations within one dispatch batch run
 // on goroutines, but in the unbounded steady state a batch refills a
@@ -55,8 +63,16 @@ import (
 	"wayfinder/internal/configspace"
 )
 
+// dispatchSlot is one slot of a dispatch batch: a fresh proposal or the
+// re-dispatch of a fault-lost iteration.
+type dispatchSlot struct {
+	iter    int
+	attempt int
+	cfg     *configspace.Config
+}
+
 // stepAsync refills idle workers (staleness bound permitting), pops the
-// earliest completion event, and records it. Under a fault schedule a
+// next completion event, and records it. Under a fault schedule a
 // dispatch may produce no in-flight work (everything killed, or the
 // session waiting out a backoff or a host outage with an advanced
 // frontier); the loop re-dispatches until an event exists or the
@@ -71,15 +87,17 @@ func (s *Session) stepAsync() bool {
 			return false
 		}
 	}
-	// Pop the earliest completion event: minimum virtual finish time,
-	// lowest worker index on ties. Strict < keeps the first (lowest index)
-	// candidate on equal finish times.
+	// Pop the next completion event: the lowest iteration under the
+	// barrier, otherwise the minimum virtual finish time with the lowest
+	// worker index on ties. Strict < keeps the first (lowest index)
+	// candidate on equal keys.
 	sel := -1
 	for i, ev := range s.inflight {
 		if ev == nil {
 			continue
 		}
-		if sel < 0 || ev.res.EndSec < s.inflight[sel].res.EndSec {
+		if sel < 0 || (s.staleBound == 0 && ev.iter < s.inflight[sel].iter) ||
+			(s.staleBound > 0 && ev.res.EndSec < s.inflight[sel].res.EndSec) {
 			sel = i
 		}
 	}
@@ -93,7 +111,7 @@ func (s *Session) stepAsync() bool {
 	if !res.Crashed {
 		// The worker is quiescent between completion and observation, so
 		// its noise stream sits exactly past this evaluation's stage
-		// jitters — the same position the round scheduler measures from.
+		// jitters.
 		res.Metric = s.eng.Metric.Measure(s.eng.Model, s.eng.App, ev.cfg, s.workers[sel].noise)
 	}
 	s.record(res)
@@ -116,6 +134,10 @@ func (s *Session) stepAsync() bool {
 // event to pop) — so stepAsync knows when the session truly cannot move.
 func (s *Session) dispatchAsync() bool {
 	e, o := s.eng, &s.opts
+	barrier := s.staleBound == 0
+	if barrier && s.busy > 0 {
+		return false
+	}
 	s.advanceFaults(s.frontier)
 	w := len(s.workers)
 	idle := make([]int, 0, w)
@@ -142,9 +164,9 @@ func (s *Session) dispatchAsync() bool {
 	// Ready retries dispatch first; they are re-dispatches of proposals
 	// the searcher already conditioned on, so the staleness bound does not
 	// gate them.
-	slots := make([]roundSlot, 0, len(idle))
+	slots := make([]dispatchSlot, 0, len(idle))
 	for _, r := range s.takeReadyRetries(s.frontier, len(idle)) {
-		slots = append(slots, roundSlot{iter: r.iter, attempt: r.attempt, cfg: r.cfg})
+		slots = append(slots, dispatchSlot{iter: r.iter, attempt: r.attempt, cfg: r.cfg})
 		s.report.Retries++
 	}
 	if fresh := len(idle) - len(slots); fresh > 0 && !s.exhausted && s.busy <= s.staleBound {
@@ -166,10 +188,11 @@ func (s *Session) dispatchAsync() bool {
 				cfgs = append(cfgs, s.batcher.ProposeBatch(want)...)
 			}
 			if len(cfgs) == 0 {
+				// The strategy produced nothing at all; never re-ask.
 				s.exhausted = true
 			}
 			for _, cfg := range cfgs {
-				slots = append(slots, roundSlot{iter: s.next, cfg: cfg})
+				slots = append(slots, dispatchSlot{iter: s.next, cfg: cfg})
 				s.next++
 			}
 		}
@@ -178,35 +201,23 @@ func (s *Session) dispatchAsync() bool {
 		if s.busy > 0 {
 			return false // an event is pending; popping it advances the frontier
 		}
-		// Idle session: jump the frontier to the next actionable instant —
-		// the earliest backoff deadline or host revival strictly ahead.
-		target, ok := 0.0, false
-		if at, has := s.earliestRetry(); has && at > s.frontier {
-			target, ok = at, true
-		}
-		if at, has := s.nextRevival(s.frontier); has && at > s.frontier && (!ok || at < target) {
-			target, ok = at, true
-		}
-		if ok {
-			s.frontier = target
-			return true
-		}
-		return false
+		return s.idleForward()
 	}
 	// Plan builds in dispatch order (coordinator-only store access,
 	// pipeline.go), then execute the batch. An in-flight build from an
 	// earlier dispatch is already resolved — its goroutines joined before
 	// this dispatch — so an awaiter planned here reads a settled ticket;
 	// same-batch duplicates run in runBatch's second wave. Placement draws
-	// from the idle live workers (ascending index statically; the locality
-	// policy may reorder to chase image digests).
+	// from the idle live workers (iteration mod W under the barrier, the
+	// lowest index otherwise; the locality policy may reorder to chase
+	// image digests).
 	avail := make([]bool, w)
 	for _, i := range idle {
 		avail[i] = true
 	}
 	batch := make([]*batchEval, 0, len(slots))
 	for _, sl := range slots {
-		wi := s.placeSlot(avail, sl.iter, sl.cfg, false)
+		wi := s.placeSlot(avail, sl.iter, sl.cfg, barrier)
 		if wi < 0 {
 			break
 		}
@@ -224,5 +235,61 @@ func (s *Session) dispatchAsync() bool {
 		s.inflight[ev.st.worker] = ev
 		s.busy++
 	}
+	if barrier {
+		// Every worker waits for the batch's slowest evaluation (killed
+		// evaluations were already rolled back to their kill instant), so
+		// the next batch starts causally after all of this one and the
+		// wait shows up in ElapsedSec/IdleSec.
+		roundMax := s.wall.Now()
+		s.stallAll(roundMax)
+		if w > 1 {
+			s.round++
+			s.emit(RoundBarrier{Round: s.round, Size: len(batch), WallSec: roundMax})
+		}
+	}
 	return true
+}
+
+// idleForward handles a dispatch that found nothing to run and nothing in
+// flight: it jumps the frontier to the next instant at which something
+// may become dispatchable — a backoff deadline or a host revival — and
+// reports false when there is none or the budget is spent. The barrier
+// waits as a synchronous round does: for the next revival while the whole
+// fleet is down, otherwise for the earliest backoff deadline, with every
+// worker idling forward to it.
+func (s *Session) idleForward() bool {
+	if b := s.opts.TimeBudgetSec; b > 0 && s.frontier >= b {
+		return false
+	}
+	retryAt, retry := s.earliestRetry()
+	upAt, up := s.nextRevival(s.frontier)
+	barrier := s.staleBound == 0
+	if barrier {
+		live := len(s.liveWorkers(s.frontier)) > 0
+		retry, up = retry && live, up && !live
+	}
+	target, ok := 0.0, false
+	if retry && retryAt > s.frontier {
+		target, ok = retryAt, true
+	}
+	if up && upAt > s.frontier && (!ok || upAt < target) {
+		target, ok = upAt, true
+	}
+	if !ok {
+		return false
+	}
+	if barrier {
+		s.stallAll(target)
+	} else {
+		s.frontier = target
+	}
+	return true
+}
+
+// stallAll idles every worker forward to t, which becomes the frontier.
+func (s *Session) stallAll(t float64) {
+	for i := range s.workers {
+		s.wall.Stall(i, t)
+	}
+	s.frontier = t
 }

@@ -31,28 +31,27 @@ type Options struct {
 	// configuration).
 	WarmStart bool
 	// Workers is the number of concurrent evaluators (§3.1's parallel
-	// worker VMs). 0 or 1 preserves the sequential engine exactly; W > 1
-	// evaluates W configurations concurrently per round, with per-worker
-	// virtual clocks merged into a wall-clock (max over workers) and
-	// deterministic per-worker noise streams, so a session is reproducible
-	// for a fixed (Seed, Workers) pair.
+	// worker VMs; 0 or 1 = one evaluator). W > 1 evaluates W
+	// configurations concurrently per round, with per-worker virtual
+	// clocks merged into a wall-clock (max over workers) and deterministic
+	// per-worker noise streams, so a session is reproducible for a fixed
+	// (Seed, Workers) pair.
 	Workers int
-	// Async replaces the round-barrier worker pool with the event-driven
-	// asynchronous scheduler: a virtual event queue ordered by
-	// (finish-time, worker-index) refills each worker the moment its
-	// previous evaluation completes, so one slow build no longer stalls
-	// the whole pool. Dispatch order is a pure function of virtual finish
-	// times, never goroutine scheduling, so sessions stay byte-reproducible
-	// for a fixed (Seed, Workers, Staleness) triple. Only meaningful with
-	// Workers > 1.
+	// Async lifts the round barrier: the scheduler's virtual event queue,
+	// ordered by (finish-time, worker-index), refills each worker the
+	// moment its previous evaluation completes, so one slow build no
+	// longer stalls the whole pool. Dispatch order is a pure function of
+	// virtual finish times, never goroutine scheduling, so sessions stay
+	// byte-reproducible for a fixed (Seed, Workers, Staleness) triple.
+	// Only meaningful with Workers > 1 and a non-zero Staleness.
 	Async bool
 	// Staleness bounds the asynchrony: a proposal may be drawn only while
 	// at most Staleness already-dispatched evaluations remain unobserved,
 	// so no proposal conditions on a history more than Staleness
-	// evaluations behind the frontier. 0 degenerates to the synchronous
-	// round scheduler (every proposal batch sees a fully-observed
-	// history); negative (or ≥ Workers-1) means unbounded — full
-	// asynchrony. Ignored unless Async is set.
+	// evaluations behind the frontier. 0 is the round barrier (every
+	// proposal batch sees a fully-observed history); negative (or
+	// ≥ Workers-1) means unbounded — full asynchrony. Ignored unless Async
+	// is set.
 	Staleness int
 	// WorkerSpeedFactors models heterogeneous worker hardware: the virtual
 	// duration of every task (build, boot, benchmark) on worker i is
@@ -177,7 +176,8 @@ func (o *Options) Validate() error {
 // Dispatch policy names (Options.Dispatch).
 const (
 	// DispatchStatic is the historical placement: iteration i prefers
-	// worker i mod W (round scheduler) or the first idle worker (async).
+	// worker i mod W (staleness 0) or the first idle worker (bounded
+	// staleness).
 	DispatchStatic = "static"
 	// DispatchLocality prefers a live worker already holding the image —
 	// its own disk first, then a worker whose host store has the digest —
@@ -269,10 +269,10 @@ type Result struct {
 	// partition, paying the cross-host transfer term.
 	CacheRemote bool `json:"cache_remote,omitempty"`
 	// StartSec/EndSec are virtual timestamps on the evaluating worker's
-	// clock (in a sequential session, the session clock).
+	// clock.
 	StartSec float64 `json:"start_sec"`
 	EndSec   float64 `json:"end_sec"`
-	// Worker is the evaluating worker's index (always 0 sequentially).
+	// Worker is the evaluating worker's index.
 	Worker int `json:"worker"`
 	// Host is the simulated host the evaluating worker belongs to.
 	Host int `json:"host"`
@@ -314,20 +314,19 @@ type Report struct {
 	// parallel workers, the maximum over per-worker clocks.
 	ElapsedSec float64 `json:"elapsed_sec"`
 	// ComputeSec is the aggregate virtual compute time summed over
-	// workers — the cost-accounting figure. Equals the session's clock
-	// advance for a sequential run.
+	// workers — the cost-accounting figure.
 	ComputeSec float64 `json:"compute_sec"`
 	// IdleSec is the aggregate virtual idle time summed over workers: the
-	// wall-clock wasted waiting (round barriers behind a straggler, the
-	// end-of-session drain) rather than evaluating. Always 0 sequentially.
+	// wall-clock wasted waiting (round barriers behind a straggler, retry
+	// backoffs, the end-of-session drain) rather than evaluating.
 	IdleSec float64 `json:"idle_sec"`
 	// Utilization is ComputeSec / (ComputeSec + IdleSec) — the fraction of
 	// worker-time spent evaluating.
 	Utilization float64 `json:"utilization"`
 	// Workers is the worker count the session ran with.
 	Workers int `json:"workers"`
-	// Async reports whether the event-driven asynchronous scheduler ran
-	// the session (false for sequential and round-barrier sessions).
+	// Async reports whether the session ran with a staleness bound above
+	// 0 (Workers > 1, Async, and Staleness ≠ 0 in its options).
 	Async bool `json:"async,omitempty"`
 	// Staleness is the effective staleness bound of an async session: the
 	// maximum number of unobserved in-flight evaluations a proposal may
@@ -538,9 +537,8 @@ type Engine struct {
 	Searcher search.Searcher
 	Clock    *vm.Clock
 
-	enc   *configspace.Encoder
-	noise *rng.RNG
-	seed  uint64
+	enc  *configspace.Encoder
+	seed uint64
 }
 
 // NewEngine assembles an engine. The clock may be shared across engines
@@ -553,7 +551,6 @@ func NewEngine(model *simos.Model, app *simos.App, metric Metric, s search.Searc
 		Searcher: s,
 		Clock:    clock,
 		enc:      configspace.NewEncoder(model.Space),
-		noise:    rng.New(seed ^ noiseSalt),
 		seed:     seed,
 	}
 }
@@ -568,11 +565,10 @@ type evalState struct {
 	worker int
 	host   int
 	clock  *vm.Clock
-	// wall is the session wall-clock in parallel/async sessions (nil
-	// sequentially); the build stage stalls against it while waiting on
-	// another worker's in-flight build, so the wait is charged as idle
-	// time. Stall touches only this worker's slice of the wall-clock, so
-	// concurrent evaluations stay race-free.
+	// wall is the session wall-clock; the build stage stalls against it
+	// while waiting on another worker's in-flight build, so the wait is
+	// charged as idle time. Stall touches only this worker's slice of the
+	// wall-clock, so concurrent evaluations stay race-free.
 	wall  *vm.WallClock
 	noise *rng.RNG
 	speed float64 // virtual-duration multiplier; 0 reads as nominal 1
@@ -604,10 +600,8 @@ func (st *evalState) jitter(base, frac float64) float64 {
 
 // Run executes the core loop of §3.1: 1) build and boot an image for the
 // proposed configuration, 2) benchmark the application, 3) ask the search
-// algorithm for the next configuration — until the budget is exhausted.
-// With Options.Workers > 1 the loop is executed by the round-barrier
-// worker-pool scheduler, or — with Options.Async and a non-zero staleness
-// bound — by the event-driven asynchronous scheduler.
+// algorithm for the next configuration — until the budget is exhausted —
+// on Options.Workers evaluators at once (async.go).
 //
 // Run is the blocking convenience wrapper over the stepwise Session state
 // machine (session.go); callers that need to observe, interleave, cancel,
@@ -620,33 +614,8 @@ func (e *Engine) Run(opts Options) (*Report, error) {
 	return s.Run(context.Background())
 }
 
-// runParallel forces the round-barrier scheduler regardless of the worker
-// count — the W=1 ≡ sequential equivalence tests' entry point.
-func (e *Engine) runParallel(opts Options) (*Report, error) {
-	return e.newSession(opts, modeRound).Run(context.Background())
-}
-
-// runAsync forces the event-driven asynchronous scheduler.
-func (e *Engine) runAsync(opts Options) (*Report, error) {
-	return e.newSession(opts, modeAsync).Run(context.Background())
-}
-
-// newReport initializes a report's session-constant fields.
-func (e *Engine) newReport(opts Options, workers int) *Report {
-	return &Report{
-		Searcher: e.Searcher.Name(),
-		Metric:   e.Metric.Name(),
-		Unit:     e.Metric.Unit(),
-		Maximize: e.Metric.Maximize(),
-		Workers:  workers,
-		Hosts:    opts.effHosts(),
-	}
-}
-
-// evaluate — the staged Build → Boot → Measure pipeline every scheduler
-// (sequential, round-barrier, async) runs one configuration through —
-// lives in pipeline.go, together with the coordinator-side build planning
-// that consults the shared artifact store. The schedulers themselves are
-// the Session state machine: session.go holds the shared stepwise loop and
-// the sequential scheduler, parallel.go the round-barrier scheduler,
-// async.go the bounded-staleness scheduler.
+// evaluate — the staged Build → Boot → Measure pipeline the scheduler
+// runs every configuration through — lives in pipeline.go, together with
+// the coordinator-side build planning that consults the shared artifact
+// store. The scheduler itself is the Session state machine: session.go
+// holds the stepwise loop, async.go the dispatch and completion rules.

@@ -1,10 +1,10 @@
 // Typed session events: one shared sink fed from the Session's record
-// path, so every scheduler emits the identical event sequence for the
-// identical observation sequence — events are as deterministic as the
-// report itself (only the wall-time DecisionCost fields inside carried
-// Results vary between runs). Observers run synchronously on the session
-// goroutine in registration order; the public API layers a channel on top
-// for consumers that want to range over a stream instead.
+// path, so the identical observation sequence always emits the identical
+// event sequence — events are as deterministic as the report itself (only
+// the wall-time DecisionCost fields inside carried Results vary between
+// runs). Observers run synchronously on the session goroutine in
+// registration order; the public API layers a channel on top for
+// consumers that want to range over a stream instead.
 package core
 
 import "wayfinder/internal/fault"
@@ -43,9 +43,9 @@ type CacheEvent struct {
 	Source string
 }
 
-// RoundBarrier is emitted by the round-barrier scheduler when a dispatch
-// round's evaluations complete and every worker stalls to the round
-// maximum — before the round's observations are recorded.
+// RoundBarrier is emitted by a multi-worker session with staleness bound
+// 0 when a dispatch round's evaluations complete and every worker stalls
+// to the round maximum — before the round's observations are recorded.
 type RoundBarrier struct {
 	// Round is the 1-based completed-round count.
 	Round int
@@ -68,7 +68,7 @@ type Progress struct {
 	Best *Result
 	// ElapsedSec is the session's virtual wall-clock position.
 	ElapsedSec float64
-	// Utilization is the workers' compute fraction so far (1 sequentially).
+	// Utilization is the workers' compute fraction so far.
 	Utilization float64
 	// CacheHits and BuildsSaved mirror the report counters.
 	CacheHits   int
@@ -213,20 +213,14 @@ func (s *Session) emitObservation(res Result, improved bool, prevBest *Result) {
 		s.emit(NewBest{Result: res, PrevBest: prevBest})
 	}
 	rep := s.report
-	p := Progress{
+	s.emit(Progress{
 		Observed:    s.observed,
 		Iterations:  s.opts.Iterations,
 		Crashes:     rep.Crashes,
 		Best:        rep.Best,
-		Utilization: 1,
+		ElapsedSec:  s.wall.Now(),
+		Utilization: utilization(s.wall.ComputeSec(), s.wall.IdleSec()),
 		CacheHits:   rep.CacheHits,
 		BuildsSaved: rep.BuildsSaved,
-	}
-	if s.wall != nil {
-		p.ElapsedSec = s.wall.Now()
-		p.Utilization = utilization(s.wall.ComputeSec(), s.wall.IdleSec())
-	} else {
-		p.ElapsedSec = s.eng.Clock.Now()
-	}
-	s.emit(p)
+	})
 }

@@ -20,7 +20,7 @@
 //     genuinely spent. An iteration that exhausts its attempt budget is
 //     recorded as a crash at the synthetic "fault" stage.
 //   - The retry queue holds lost iterations (ascending iteration order)
-//     until their backoff deadline; the schedulers drain it ahead of
+//     until their backoff deadline; the scheduler drains it ahead of
 //     fresh proposals. Retries keep their iteration index, so the report
 //     history still covers every proposed iteration exactly once unless
 //     the budget ends first (Report.LostObservations counts that).
@@ -221,7 +221,7 @@ func (s *Session) injectFor(iter, attempt int) simos.Stage {
 // placeSlot picks the worker for one dispatch slot. avail is the
 // availability mask (live/idle and not yet taken this dispatch); the
 // static preference is the cyclic scan from iter mod W when preferMod is
-// set (round scheduler) or the lowest available index otherwise (async).
+// set (the staleness-0 barrier) or the lowest available index otherwise.
 // Under locality dispatch the slot instead prefers an available worker
 // already holding the image — its own disk first, then a worker whose
 // host store has the digest — falling back to the static choice, and
@@ -313,7 +313,7 @@ type killInfo struct {
 // schedule: evaluations overlapping a kill are unwound and
 // lost-then-retried (or recorded as fault crashes once their attempt
 // budget is gone), injected stage failures are retried the same way, and
-// everything else survives to observation. Called by every scheduler
+// everything else survives to observation. Called by the scheduler
 // immediately after runBatch joins, in dispatch order — builders precede
 // their same-batch awaiters by planBuild construction, so a single pass
 // cascades correctly. Returns the surviving evaluations in dispatch
@@ -403,19 +403,14 @@ func (s *Session) killEval(ev *batchEval, kind fault.Kind, killAt float64) bool 
 		res.CacheHit, res.CacheRemote, res.BuildSkipped = false, false, false
 	}
 	st.bootKey, st.haveBoot = 0, false
-	if st.wall != nil {
-		// The only in-evaluation stall is the await at build-stage start;
-		// roll the stall accounting back to the portion that elapsed
-		// before the kill, then pin the clock to the kill instant.
-		evStall := st.wall.WorkerStallSec(st.worker) - ev.preStall
-		inEval := killAt - res.StartSec
-		if evStall > inEval {
-			evStall = inEval
-		}
-		st.wall.RestoreWorker(st.worker, killAt, ev.preStall+evStall)
-	} else {
-		st.clock.Rewind(killAt)
+	// The only in-evaluation stall is the await at build-stage start; roll
+	// the stall accounting back to the portion that elapsed before the
+	// kill, then pin the clock to the kill instant.
+	evStall := st.wall.WorkerStallSec(st.worker) - ev.preStall
+	if inEval := killAt - res.StartSec; evStall > inEval {
+		evStall = inEval
 	}
+	st.wall.RestoreWorker(st.worker, killAt, ev.preStall+evStall)
 	failures := ev.attempt + 1
 	s.emit(FaultInjected{Kind: kind, Iter: ev.iter, Attempt: failures,
 		Worker: st.worker, Host: st.host, AtSec: killAt})

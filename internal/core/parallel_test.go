@@ -66,31 +66,6 @@ func parallelRun(t *testing.T, kind string, seed uint64, opts Options) *Report {
 	return rep
 }
 
-func TestParallelWorkersOneMatchesSequential(t *testing.T) {
-	// The worker-pool scheduler with a single worker must reproduce the
-	// sequential engine bit-for-bit: worker 0's noise stream, clock, and
-	// build caches are definitionally the sequential ones, and the batch
-	// protocol degenerates to propose-evaluate-observe.
-	for _, kind := range []string{"random", "grid", "bayesian"} {
-		m := smallLinux(t)
-		app := apps.Nginx()
-		seqEng := NewEngine(m, app, &PerfMetric{App: app}, newSearcher(m, kind, 42), &vm.Clock{}, 42)
-		seq, err := seqEng.Run(Options{Iterations: 40, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2 := smallLinux(t)
-		parEng := NewEngine(m2, app, &PerfMetric{App: app}, newSearcher(m2, kind, 42), &vm.Clock{}, 42)
-		par, err := parEng.runParallel(Options{Iterations: 40, Seed: 42, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if canonicalJSON(t, seq) != canonicalJSON(t, par) {
-			t.Fatalf("%s: one-worker parallel session diverged from the sequential engine", kind)
-		}
-	}
-}
-
 func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	// Same seed + same worker count ⇒ byte-identical report, regardless of
 	// goroutine scheduling. Random exercises the pool cheaply; bayesian is

@@ -1,7 +1,5 @@
-// Staged evaluation pipeline: every scheduler — sequential, round-barrier
-// worker pool, async bounded-staleness — runs a configuration through the
-// same three explicit stages (Build → Boot → Measure) instead of the old
-// monolithic evaluate. The build stage is where the §3.1 image reuse
+// Staged evaluation pipeline: the scheduler runs every configuration
+// through the same three explicit stages (Build → Boot → Measure). The build stage is where the §3.1 image reuse
 // generalizes from "my previous image" to a fleet-wide content-addressed
 // cache:
 //
@@ -127,8 +125,8 @@ func (s *Session) planBuild(cfg *configspace.Config, st *evalState) evalPlan {
 
 // evaluate runs one configuration through the staged pipeline against the
 // worker state and returns the result. Measurement itself (Metric.Measure)
-// is the caller's job: the engine defers it so parallel sessions can
-// measure in canonical observation order, keeping stateful metrics
+// is the caller's job: the engine defers it so sessions measure in
+// canonical observation order, keeping stateful metrics
 // deterministic.
 func (e *Engine) evaluate(iter int, cfg *configspace.Config, st *evalState, plan evalPlan) Result {
 	res := Result{
@@ -206,9 +204,7 @@ func (e *Engine) stageBuild(res *Result, st *evalState, plan evalPlan, stage sim
 		// this worker's wall-clock slice, so concurrent awaiters race on
 		// nothing.
 		t := plan.ticket
-		if st.wall != nil {
-			st.wall.Stall(st.worker, t.endSec)
-		}
+		st.wall.Stall(st.worker, t.endSec)
 		if t.ok {
 			remote := plan.action == buildAwaitRemote
 			e.chargeFetch(st, remote)

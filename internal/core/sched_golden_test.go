@@ -60,7 +60,10 @@ const retryIdleSchedule = "preempt:0@400,preempt:0@700,retry:3/900/2"
 
 // schedGolden holds each case's {report, event stream} digests per
 // searcher, captured from the sequential, round-barrier, and async
-// schedulers before they became one.
+// schedulers before they became one. The one re-pinned case is
+// sequential-retry-idle: the sequential loop booked its wait for a retry
+// deadline as compute, the one scheduler books it as idle time
+// (TestRetryIdleHistory pins its unchanged history).
 var schedGolden = map[string]map[string][2]string{
 	"sequential-faults": {
 		"random": {"4723a6a6ef9b7e2005e3ed772cedc6fa90b5210d8538c368e58145ef5701c5de",
@@ -223,12 +226,12 @@ var schedGolden = map[string]map[string][2]string{
 			"58e373fbab56122e121c170deff91e11c0708f14b315dde2fa4287fd097de553"},
 	},
 	"sequential-retry-idle": {
-		"random": {"c98feb09e761fef9e3c06b79c671ead54ff2093012e258f1a476e2a147f7d58f",
-			"a4187ca4bb99a4c7a56b94e6be55a0cc0e47bf0bb7c0b72ae03252b24496c8ae"},
-		"bayesian": {"5801f018ca5ae632c4ca6786fb943d91f0206df7f97a6b360071772f310e4b25",
-			"13ab8c52a6adcb30a7e7d8c0c1a85d88dde9f76859b3512c14b1f626c14573fc"},
-		"deeptune": {"8e5dfe47163c3d22e1a9fdc623d74734455109723cf3f66be777b4b70a61169f",
-			"fd6da99577a00235a41214a88b42b9cba01a6014b41c94b865a4bf38853514c8"},
+		"random": {"82ab093cad309299dc79788fc9e64143a1d2dcee85560ea4e8ca74ea526156be",
+			"1a1ec4df4de1136ec32765254a06a24f3ffc11b4f63e2a1de410ab23c0d1f700"},
+		"bayesian": {"62565fec7f73f10a54f18bfcc70db474e329c4e668216b6721ce1617c23d7fc2",
+			"58bd73ad9d31d9d8a93da492eded45255ff7b4e510ee5f8b3347abdcb78fac5f"},
+		"deeptune": {"f534708eddfd171553edd88ccbf55dba3c6c633322021ca8d54ffa619529b610",
+			"07b0d1870e6c56b77740e1f65b4ec3bcf09be5a86b36c9cece8164ee9bedf210"},
 	},
 }
 
@@ -277,6 +280,27 @@ func TestSchedulerGolden(t *testing.T) {
 			if got[1] != want[1] {
 				t.Errorf("%s/%s: event-stream hash %s, want %s", tc.name, kind, got[1], want[1])
 			}
+		}
+	}
+}
+
+// TestRetryIdleHistory: a one-worker session that runs out of fresh
+// proposals while a retry waits out its backoff evaluates exactly what
+// the sequential loop did (history digests captured from it), and books
+// the wait as idle time, not compute.
+func TestRetryIdleHistory(t *testing.T) {
+	want := map[string]string{
+		"random":   "0d74f11dd0697f4ad17a676cc787a40e6755ebbc94aa5e880a2d0d4fc8c3ed80",
+		"bayesian": "13c48bd433f84747b744aa12a443138889a683eb94906a6defa3f0c7abe3e746",
+		"deeptune": "78d69c176fc646a8290f5e1e621f4dda335174b61cf8f8efde93950afc386e5a",
+	}
+	for _, kind := range []string{"random", "bayesian", "deeptune"} {
+		rep, _ := goldenRun(t, kind, Options{Iterations: 12, Seed: 4}, retryIdleSchedule)
+		if got := reportHash(t, &Report{History: rep.History}); got != want[kind] {
+			t.Errorf("%s: history hash %s, want %s", kind, got, want[kind])
+		}
+		if rep.IdleSec <= 0 || rep.Utilization >= 1 {
+			t.Errorf("%s: idle %.2fs, utilization %.3f — the backoff wait was not booked as idle", kind, rep.IdleSec, rep.Utilization)
 		}
 	}
 }

@@ -1,8 +1,7 @@
-// Stepwise session state machine: the three run-to-completion scheduler
-// loops the engine historically ran (sequential, round-barrier, async
-// bounded-staleness) restructured into one first-class Session object that
-// advances by exactly one recorded observation per step. That single
-// primitive is what the public API's whole v2 lifecycle is built from:
+// Stepwise session state machine: one specialization session as a
+// first-class Session object that advances by exactly one recorded
+// observation per step. That single primitive is what the public API's
+// whole v2 lifecycle is built from:
 //
 //   - Run(ctx) is a step loop with a cancellation check at every
 //     observation boundary, so interruption always leaves a consistent
@@ -11,17 +10,15 @@
 //     interleave many sessions over one process (the daemon primitive) or
 //     implement custom stopping rules.
 //   - Typed events (events.go) are emitted from the one shared record
-//     path, in deterministic observation order, regardless of scheduler.
+//     path, in deterministic observation order.
 //   - Snapshot/Restore (snapshot.go) serialize the machine's explicit
 //     state — worker clocks and RNG streams, cache and in-flight builds,
-//     undelivered scheduler buffers, searcher checkpoints — because the
-//     state is now data in this struct rather than local variables of
-//     three bespoke loops.
+//     unobserved in-flight evaluations, searcher checkpoints.
 //
-// Reproducibility is unchanged from the loop implementations: every step
-// performs the same proposals, evaluations, stalls, and observations in
-// the same order the old loops did, so a session remains a pure function
-// of (Seed, Workers, Staleness, Hosts) — the equivalence tests pin Run,
+// Every session steps with the one event-driven scheduler of async.go: a
+// sequential session is that scheduler with one worker, a round-barrier
+// session is it with staleness bound 0. A session is a pure function of
+// (Seed, Workers, Staleness, Hosts) — the golden tests pin Run,
 // Step-driven, and snapshot/resume sessions to byte-identical reports.
 package core
 
@@ -38,31 +35,6 @@ import (
 	"wayfinder/internal/vm"
 )
 
-// schedMode selects which scheduler a session steps with.
-type schedMode int
-
-const (
-	// modeSequential is the single-evaluator loop.
-	modeSequential schedMode = iota
-	// modeRound is the round-barrier worker pool (parallel.go).
-	modeRound
-	// modeAsync is the event-driven bounded-staleness scheduler (async.go).
-	modeAsync
-)
-
-// modeFor maps options to the scheduler Engine.Run historically chose:
-// Staleness 0 means every proposal batch must see a fully-observed history
-// — exactly the synchronous round scheduler.
-func modeFor(opts Options) schedMode {
-	if opts.Workers > 1 {
-		if opts.Async && opts.Staleness != 0 {
-			return modeAsync
-		}
-		return modeRound
-	}
-	return modeSequential
-}
-
 // Session is one specialization session as an explicit, steppable state
 // machine. It is not safe for concurrent use: Step, Run, and Snapshot
 // must be called from one goroutine at a time. AddObserver is the
@@ -72,12 +44,10 @@ func modeFor(opts Options) schedMode {
 type Session struct {
 	eng  *Engine
 	opts Options
-	mode schedMode
 
-	report   *Report
-	recorder search.Searcher      // observation sink: the batcher in parallel modes, the searcher itself sequentially
-	batcher  search.BatchSearcher // batch-protocol view (nil in sequential mode)
-	cache    *sessionCache
+	report  *Report
+	batcher search.BatchSearcher // the searcher's batch-protocol view; every proposal and observation goes through it
+	cache   *sessionCache
 	// observers is guarded by obsMu so AddObserver (the public Events()
 	// hookup) is safe while another goroutine drives Run; the list is
 	// copy-on-write and emit iterates a snapshot.
@@ -85,7 +55,7 @@ type Session struct {
 	observers []func(Event)
 
 	base    float64
-	wall    *vm.WallClock // nil in sequential mode
+	wall    *vm.WallClock
 	workers []*evalState
 
 	next     int // next iteration index to propose/dispatch
@@ -100,13 +70,9 @@ type Session struct {
 	// session — the third axis of the Usage quantum accounting.
 	decisionNS time.Duration
 
-	// Round-barrier scheduler state: the current round's evaluated-but-
-	// unrecorded results, drained one observation per step.
-	buf   []*batchEval
-	round int
-
-	// Async scheduler state (the old loop's locals, now resumable data).
+	// Scheduler state (async.go).
 	staleBound int
+	round      int          // completed staleness-0 barriers (RoundBarrier.Round)
 	inflight   []*batchEval // per worker; nil = idle
 	busy       int          // dispatched-but-unobserved evaluations
 	exhausted  bool         // the strategy stopped producing
@@ -137,7 +103,7 @@ func (e *Engine) NewSession(opts Options) (*Session, error) {
 	if err := e.applySurrogateWindow(opts); err != nil {
 		return nil, err
 	}
-	s := e.newSession(opts, modeFor(opts))
+	s := e.newSession(opts)
 	if err := s.resolveCorpus(); err != nil {
 		return nil, err
 	}
@@ -160,27 +126,43 @@ func (e *Engine) applySurrogateWindow(opts Options) error {
 	return w.SetSurrogateWindow(opts.SurrogateWindow)
 }
 
-// newSession assembles a session with a forced scheduler mode (the
-// equivalence tests step the round scheduler at W=1 against the sequential
-// one; NewSession always routes through modeFor).
-func (e *Engine) newSession(opts Options, mode schedMode) *Session {
+// newSession assembles a session in its initial state: a wall clock over
+// the worker clocks and a private noise stream per worker. Only a session
+// with more than one worker, Async set, and a non-zero Staleness runs
+// with a staleness bound above 0; every other session steps with the
+// barrier rules (async.go).
+func (e *Engine) newSession(opts Options) *Session {
+	w := opts.effWorkers()
+	bound := 0
+	if w > 1 && opts.Async && opts.Staleness != 0 {
+		bound = opts.Staleness
+		if bound < 0 || bound > w-1 {
+			bound = w - 1
+		}
+	}
+	now := e.Clock.Now()
 	s := &Session{
 		eng:   e,
 		opts:  opts,
-		mode:  mode,
 		cache: newSessionCache(opts),
-		base:  e.Clock.Now(),
+		base:  now,
+		report: &Report{
+			Searcher:  e.Searcher.Name(),
+			Metric:    e.Metric.Name(),
+			Unit:      e.Metric.Unit(),
+			Maximize:  e.Metric.Maximize(),
+			Workers:   w,
+			Hosts:     opts.effHosts(),
+			Async:     bound > 0,
+			Staleness: bound,
+		},
+		wall:       vm.NewWallClock(w, now),
+		workers:    make([]*evalState, w),
+		batcher:    search.AsBatch(e.Searcher),
+		staleBound: bound,
+		inflight:   make([]*batchEval, w),
+		frontier:   now,
 	}
-	if mode == modeSequential {
-		s.report = e.newReport(opts, 1)
-		s.workers = []*evalState{{clock: e.Clock, noise: e.noise, speed: opts.workerSpeed(0)}}
-		s.recorder = e.Searcher
-		return s
-	}
-	w := opts.effWorkers()
-	s.report = e.newReport(opts, w)
-	s.wall = vm.NewWallClock(w, s.base)
-	s.workers = make([]*evalState, w)
 	for i := range s.workers {
 		s.workers[i] = &evalState{
 			worker: i,
@@ -190,19 +172,6 @@ func (e *Engine) newSession(opts Options, mode schedMode) *Session {
 			noise:  rng.New(rng.WorkerSeed(e.seed, i) ^ noiseSalt),
 			speed:  opts.workerSpeed(i),
 		}
-	}
-	s.batcher = search.AsBatch(e.Searcher)
-	s.recorder = s.batcher
-	if mode == modeAsync {
-		bound := opts.Staleness
-		if bound < 0 || bound > w-1 {
-			bound = w - 1
-		}
-		s.staleBound = bound
-		s.report.Async = true
-		s.report.Staleness = bound
-		s.inflight = make([]*batchEval, w)
-		s.frontier = s.base
 	}
 	return s
 }
@@ -270,14 +239,7 @@ func (s *Session) stepOnce() bool {
 		return false
 	}
 	s.announceCorpus()
-	switch s.mode {
-	case modeRound:
-		return s.stepRound()
-	case modeAsync:
-		return s.stepAsync()
-	default:
-		return s.stepSequential()
-	}
+	return s.stepAsync()
 }
 
 // markDone transitions the session to its terminal state and notifies
@@ -292,71 +254,13 @@ func (s *Session) markDone() {
 	s.emit(SessionDone{Report: s.report})
 }
 
-// stepSequential is one iteration of the single-evaluator loop: budget
-// check, propose (or re-dispatch a fault-lost iteration), evaluate,
-// measure, record. The loop repeats — without recording — when a
-// dispatch is lost to a scheduled fault, so a step still means exactly
-// one recorded observation.
-func (s *Session) stepSequential() bool {
-	e, o := s.eng, &s.opts
-	for {
-		now := e.Clock.Now()
-		s.advanceFaults(now)
-		if o.TimeBudgetSec > 0 && now >= o.TimeBudgetSec {
-			return false
-		}
-		var iter, attempt int
-		var cfg *configspace.Config
-		if ready := s.takeReadyRetries(now, 1); len(ready) > 0 {
-			r := ready[0]
-			iter, attempt, cfg = r.iter, r.attempt, r.cfg
-			s.report.Retries++
-		} else if o.Iterations <= 0 || s.next < o.Iterations {
-			iter = s.next
-			if o.WarmStart && s.next == 0 {
-				cfg = e.Model.Space.Default()
-			} else if len(s.seeds) > 0 {
-				cfg, s.seeds = s.seeds[0], s.seeds[1:]
-			} else {
-				cfg = e.Searcher.Propose()
-			}
-			s.next++
-		} else if at, ok := s.earliestRetry(); ok {
-			// Fresh proposals are spent, but lost iterations are still
-			// waiting out their backoff: idle forward to the deadline.
-			if at > now {
-				e.Clock.Advance(at - now)
-			}
-			continue
-		} else {
-			return false
-		}
-		st := s.workers[0]
-		plan := s.planBuild(cfg, st)
-		plan.inject = s.injectFor(iter, attempt+1)
-		ev := &batchEval{iter: iter, cfg: cfg, st: st, plan: plan, attempt: attempt,
-			preImageKey: st.imageKey, preHaveImage: st.haveImage, preBuilds: st.builds}
-		ev.res = e.evaluate(iter, cfg, st, plan)
-		kept := s.resolveFaults([]*batchEval{ev})
-		if len(kept) == 0 {
-			continue // lost to a fault; its retry is queued
-		}
-		res := kept[0].res
-		if !res.Crashed {
-			res.Metric = e.Metric.Measure(e.Model, e.App, cfg, st.noise)
-		}
-		s.record(res)
-		return true
-	}
-}
-
 // record appends one result to the report, maintains best/crash
 // accounting, publishes the evaluation's image to the shared artifact
 // store (commitArtifact — in observation order, so store state is a pure
-// function of the observation sequence), reports the observation back to
-// the recorder (the batch adapter in parallel sessions, so pending-set
-// bookkeeping sees it and decision costs are read with batch semantics),
-// and emits the observation's events.
+// function of the observation sequence), reports the observation back
+// through the batch view (so pending-set bookkeeping sees it and decision
+// costs are read with batch semantics), and emits the observation's
+// events.
 func (s *Session) record(res Result) {
 	e, report := s.eng, s.report
 	s.commitArtifact(report, &res)
@@ -374,14 +278,14 @@ func (s *Session) record(res Result) {
 		report.BestTimeSec = res.EndSec
 		improved = true
 	}
-	s.recorder.Observe(search.Observation{
+	s.batcher.Observe(search.Observation{
 		Config:  res.Config,
 		X:       e.enc.Encode(res.Config),
 		Metric:  res.Metric,
 		Crashed: res.Crashed,
 		Stage:   res.Stage,
 	})
-	dc := s.recorder.DecisionCost()
+	dc := s.batcher.DecisionCost()
 	report.History[len(report.History)-1].DecisionCost = dc
 	s.decisionNS += dc
 	// Grid adopts improvements as its sweep base.
@@ -394,25 +298,18 @@ func (s *Session) record(res Result) {
 
 // finalize recomputes the report's aggregate fields for the session's
 // current position. It is idempotent, so partial reports are always valid,
-// and — for parallel sessions — folds any new wall-clock advance onto the
-// engine clock exactly once, keeping engines that share a clock
-// (sequential experiment chains) consistent with the historical behavior.
+// and folds any new wall-clock advance onto the engine clock exactly once,
+// keeping engines that share a clock (sequential experiment chains)
+// consistent.
 func (s *Session) finalize() {
 	rep := s.report
-	if s.wall == nil {
-		now := s.eng.Clock.Now()
-		rep.ElapsedSec = now
-		rep.ComputeSec = now - s.base
-		rep.Utilization = utilization(rep.ComputeSec, 0)
-	} else {
-		rep.ElapsedSec = s.wall.Now()
-		rep.ComputeSec = s.wall.ComputeSec()
-		rep.IdleSec = s.wall.IdleSec()
-		rep.Utilization = utilization(rep.ComputeSec, rep.IdleSec)
-		if adv := s.wall.Now() - s.base - s.folded; adv > 0 {
-			s.eng.Clock.Advance(adv)
-			s.folded += adv
-		}
+	rep.ElapsedSec = s.wall.Now()
+	rep.ComputeSec = s.wall.ComputeSec()
+	rep.IdleSec = s.wall.IdleSec()
+	rep.Utilization = utilization(rep.ComputeSec, rep.IdleSec)
+	if adv := s.wall.Now() - s.base - s.folded; adv > 0 {
+		s.eng.Clock.Advance(adv)
+		s.folded += adv
 	}
 	rep.Builds = 0
 	for _, st := range s.workers {

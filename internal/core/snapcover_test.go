@@ -15,7 +15,6 @@ func TestSessionSnapshotCoverage(t *testing.T) {
 	snapcover.Pair(t, reflect.TypeFor[Session](), reflect.TypeFor[sessionSnapshot](), snapcover.Spec{
 		Covered: map[string]string{
 			"opts":      "Options",
-			"mode":      "Mode",
 			"report":    "Report",
 			"base":      "BaseSec",
 			"folded":    "FoldedSec",
@@ -23,7 +22,6 @@ func TestSessionSnapshotCoverage(t *testing.T) {
 			"observed":  "Observed",
 			"done":      "Done",
 			"round":     "Round",
-			"buf":       "Buffer",
 			"inflight":  "Inflight",
 			"exhausted": "Exhausted",
 			"frontier":  "Frontier",
@@ -34,11 +32,9 @@ func TestSessionSnapshotCoverage(t *testing.T) {
 			// clock; workers carry the rest of the evaluator state.
 			"wall":    "Workers",
 			"workers": "Workers",
-			// The recorder is the searcher (or its batch view); its dynamic
-			// state is the searcher checkpoint, the adapter's pending
-			// multiset rides separately.
-			"recorder": "SearcherState",
-			"batcher":  "AdapterPending",
+			// The batch view wraps the searcher; its dynamic state is the
+			// searcher checkpoint.
+			"batcher": "SearcherState",
 			// Recomputed on restore by summing Report.History decision costs.
 			"decisionNS": "Report",
 			// Corpus warm-start state: the unconsumed seed queue and the
@@ -57,10 +53,11 @@ func TestSessionSnapshotCoverage(t *testing.T) {
 			"corpusAnnounced": "event bookkeeping: a restored warm session harmlessly re-announces its warm start to its (re-registered) observers",
 		},
 		Synthesized: map[string]string{
-			"Version":      "snapshot format tag",
-			"SearcherName": "validation: checked against the restore engine's searcher",
-			"MetricName":   "validation: checked against the restore engine's metric",
-			"MetricState":  "the engine metric's CheckpointMetric payload; the metric lives on the (excluded) engine",
+			"Version":        "snapshot format tag",
+			"SearcherName":   "validation: checked against the restore engine's searcher",
+			"MetricName":     "validation: checked against the restore engine's metric",
+			"MetricState":    "the engine metric's CheckpointMetric payload; the metric lives on the (excluded) engine",
+			"AdapterPending": "the batch adapter's pending multiset, read through batcher; native batchers carry theirs in SearcherState",
 		},
 	})
 }

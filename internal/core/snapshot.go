@@ -1,11 +1,11 @@
 // Session serialization: Snapshot captures the state machine's complete
 // state — options, report, worker clocks and RNG streams, artifact-store
-// contents and in-flight build tickets, undelivered scheduler buffers, the
-// searcher's checkpoint (search.Checkpointable), and any stateful metric —
-// and RestoreSession rebuilds a Session that continues byte-identically to
-// the uninterrupted run. Snapshots are taken between steps (any
-// observation boundary, including mid-round: a buffered round is finished
-// virtual work, and serializes as such).
+// contents and in-flight build tickets, unobserved in-flight evaluations,
+// the searcher's checkpoint (search.Checkpointable), and any stateful
+// metric — and RestoreSession rebuilds a Session that continues
+// byte-identically to the uninterrupted run. Snapshots are taken between
+// steps (any observation boundary, including mid-batch: an in-flight
+// evaluation is finished virtual work, and serializes as such).
 //
 // The format is JSON for inspectability; exactness is preserved because
 // Go's JSON round-trips float64 (shortest-representation encoding) and
@@ -25,8 +25,9 @@ import (
 	"wayfinder/internal/search"
 )
 
-// snapshotVersion guards the serialization format.
-const snapshotVersion = 1
+// snapshotVersion guards the serialization format. Version 2 dropped the
+// per-scheduler mode and round buffer when the schedulers became one.
+const snapshotVersion = 2
 
 // workerSnap is one worker's serialized evaluation state.
 type workerSnap struct {
@@ -56,8 +57,8 @@ type cacheSnap struct {
 	Building []ticketSnap    `json:"building,omitempty"`
 }
 
-// evalSnap is one evaluated-but-unrecorded evaluation (a buffered round
-// slot or an async in-flight completion event).
+// evalSnap is one evaluated-but-unrecorded evaluation (an in-flight
+// completion event).
 type evalSnap struct {
 	Iter   int    `json:"iter"`
 	Worker int    `json:"worker"`
@@ -84,7 +85,6 @@ type retrySnap struct {
 // sessionSnapshot is the serialized session.
 type sessionSnapshot struct {
 	Version      int     `json:"version"`
-	Mode         int     `json:"mode"`
 	Options      Options `json:"options"`
 	SearcherName string  `json:"searcher"`
 	MetricName   string  `json:"metric"`
@@ -99,9 +99,9 @@ type sessionSnapshot struct {
 	Frontier  float64 `json:"frontier,omitempty"`
 
 	// Fault runtime state: the queued re-dispatches of fault-lost
-	// iterations and the schedule-timeline cursor. Pending evaluations
-	// need nothing extra — a buffered or in-flight evaluation is already
-	// fault-resolved (resolveFaults runs before anything is buffered).
+	// iterations and the schedule-timeline cursor. In-flight evaluations
+	// need nothing extra — they are already fault-resolved (resolveFaults
+	// runs before anything enters the in-flight table).
 	Retries     []retrySnap `json:"retries,omitempty"`
 	FaultCursor int         `json:"fault_cursor,omitempty"`
 
@@ -109,9 +109,7 @@ type sessionSnapshot struct {
 	Workers []workerSnap `json:"workers"`
 	Cache   *cacheSnap   `json:"cache,omitempty"`
 
-	// Buffer is the round scheduler's undrained results; Inflight the
-	// async scheduler's per-worker unobserved completions (null = idle).
-	Buffer   []evalSnap  `json:"buffer,omitempty"`
+	// Inflight is the per-worker unobserved completions (null = idle).
 	Inflight []*evalSnap `json:"inflight,omitempty"`
 
 	SearcherState  json.RawMessage `json:"searcher_state"`
@@ -163,7 +161,6 @@ func (s *Session) Snapshot() ([]byte, error) {
 	}
 	snap := sessionSnapshot{
 		Version:       snapshotVersion,
-		Mode:          int(s.mode),
 		Options:       s.opts,
 		SearcherName:  s.eng.Searcher.Name(),
 		MetricName:    s.eng.Metric.Name(),
@@ -190,8 +187,9 @@ func (s *Session) Snapshot() ([]byte, error) {
 	snap.WarmDTM = json.RawMessage(s.warmDTM)
 	snap.Workers = make([]workerSnap, len(s.workers))
 	for i, st := range s.workers {
-		ws := workerSnap{
+		snap.Workers[i] = workerSnap{
 			ClockSec:  st.clock.Now(),
+			StallSec:  s.wall.WorkerStallSec(i),
 			RNG:       st.noise.State(),
 			ImageKey:  st.imageKey,
 			HaveImage: st.haveImage,
@@ -199,10 +197,6 @@ func (s *Session) Snapshot() ([]byte, error) {
 			HaveBoot:  st.haveBoot,
 			Builds:    st.builds,
 		}
-		if s.wall != nil {
-			ws.StallSec = s.wall.WorkerStallSec(i)
-		}
-		snap.Workers[i] = ws
 	}
 	if c := s.cache; c != nil && c.store != nil {
 		cs := &cacheSnap{Store: c.store.Snapshot()}
@@ -217,19 +211,14 @@ func (s *Session) Snapshot() ([]byte, error) {
 		}
 		snap.Cache = cs
 	}
-	for _, ev := range s.buf {
-		snap.Buffer = append(snap.Buffer, s.snapEval(ev))
-	}
-	if s.mode == modeAsync {
-		snap.Inflight = make([]*evalSnap, len(s.inflight))
-		for i, ev := range s.inflight {
-			if ev != nil {
-				es := s.snapEval(ev)
-				snap.Inflight[i] = &es
-			}
+	snap.Inflight = make([]*evalSnap, len(s.inflight))
+	for i, ev := range s.inflight {
+		if ev != nil {
+			es := s.snapEval(ev)
+			snap.Inflight[i] = &es
 		}
 	}
-	if pc, ok := s.recorder.(pendingCheckpointer); ok {
+	if pc, ok := s.batcher.(pendingCheckpointer); ok {
 		if pending := pc.PendingSnapshot(); len(pending) > 0 {
 			snap.AdapterPending = pending
 		}
@@ -306,16 +295,12 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	if snap.Report == nil {
 		return nil, fmt.Errorf("core: session snapshot has no report")
 	}
-	mode := schedMode(snap.Mode)
-	if mode != modeSequential && mode != modeRound && mode != modeAsync {
-		return nil, fmt.Errorf("core: session snapshot has unknown scheduler mode %d", snap.Mode)
-	}
 	if now := e.Clock.Now(); now > snap.BaseSec {
 		return nil, fmt.Errorf("core: engine clock at %.3fs is past the snapshot baseline %.3fs", now, snap.BaseSec)
 	}
 	e.Clock.Advance(snap.BaseSec - e.Clock.Now())
 
-	s := e.newSession(snap.Options, mode)
+	s := e.newSession(snap.Options)
 	// The surrogate window must be in place before the searcher checkpoint
 	// is restored: a windowed GP restore keeps its packed factor windowed,
 	// and a windowed DeepTune restore replays its history through the same
@@ -351,24 +336,18 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	// Workers: clocks, stall accounting, noise streams, skip digests.
 	for i, ws := range snap.Workers {
 		st := s.workers[i]
-		if s.wall != nil {
-			s.wall.RestoreWorker(i, ws.ClockSec, ws.StallSec)
-		} else if ws.ClockSec > e.Clock.Now() {
-			e.Clock.Advance(ws.ClockSec - e.Clock.Now())
-		}
+		s.wall.RestoreWorker(i, ws.ClockSec, ws.StallSec)
 		st.noise.SetState(ws.RNG)
 		st.imageKey, st.haveImage = ws.ImageKey, ws.HaveImage
 		st.bootKey, st.haveBoot = ws.BootKey, ws.HaveBoot
 		st.builds = ws.Builds
 	}
-	// A parallel session's wall-clock advance up to the snapshot was
-	// already folded onto the original engine's clock (finalize); bring
-	// this engine's clock to the same virtual position, so chains sharing
-	// the clock resume exactly where the uninterrupted run would be.
-	if s.wall != nil {
-		if target := snap.BaseSec + snap.FoldedSec; target > e.Clock.Now() {
-			e.Clock.Advance(target - e.Clock.Now())
-		}
+	// The session's wall-clock advance up to the snapshot was already
+	// folded onto the original engine's clock (finalize); bring this
+	// engine's clock to the same virtual position, so chains sharing the
+	// clock resume exactly where the uninterrupted run would be.
+	if target := snap.BaseSec + snap.FoldedSec; target > e.Clock.Now() {
+		e.Clock.Advance(target - e.Clock.Now())
 	}
 
 	// Cache: store contents and the in-flight registry.
@@ -397,28 +376,19 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 			iter: rs.Iter, cfg: cfg, attempt: rs.Attempt, notBefore: rs.NotBeforeSec,
 		})
 	}
-	for i := range snap.Buffer {
-		ev, err := s.restoreEval(&snap.Buffer[i])
+	if len(snap.Inflight) != wantWorkers {
+		return nil, fmt.Errorf("core: snapshot has %d inflight slots, options imply %d", len(snap.Inflight), wantWorkers)
+	}
+	for i, es := range snap.Inflight {
+		if es == nil {
+			continue
+		}
+		ev, err := s.restoreEval(es)
 		if err != nil {
 			return nil, err
 		}
-		s.buf = append(s.buf, ev)
-	}
-	if mode == modeAsync {
-		if len(snap.Inflight) != wantWorkers {
-			return nil, fmt.Errorf("core: snapshot has %d inflight slots, options imply %d", len(snap.Inflight), wantWorkers)
-		}
-		for i, es := range snap.Inflight {
-			if es == nil {
-				continue
-			}
-			ev, err := s.restoreEval(es)
-			if err != nil {
-				return nil, err
-			}
-			s.inflight[i] = ev
-			s.busy++
-		}
+		s.inflight[i] = ev
+		s.busy++
 	}
 
 	// Corpus warm-start state: the remaining seed queue, and the warm
@@ -457,7 +427,7 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 		return nil, err
 	}
 	if len(snap.AdapterPending) > 0 {
-		pc, ok := s.recorder.(pendingCheckpointer)
+		pc, ok := s.batcher.(pendingCheckpointer)
 		if !ok {
 			return nil, fmt.Errorf("core: snapshot carries batch-adapter state but the session has no adapter")
 		}

@@ -691,18 +691,10 @@ func (ps *poolScores) penalize(picked int) {
 
 // Propose generates a candidate pool (Fig 3 step 1: random permutations,
 // plus mutations of the incumbent), predicts each candidate (step 2),
-// ranks them (step 3), and returns the winner (step 4).
+// ranks them (step 3), and returns the winner (step 4). It is
+// ProposeBatch(1, nil): a cold model explores by a uniform pool draw.
 func (s *Selector) Propose() *configspace.Config {
-	pool := s.generatePool()
-	if s.model.Trained() == 0 {
-		// Cold start: pure exploration.
-		return pool[s.rng.Intn(len(pool))]
-	}
-	bestIdx := s.pick(pool, s.scorePool(pool), nil)
-	if bestIdx < 0 {
-		bestIdx = s.rng.Intn(len(pool))
-	}
-	return pool[bestIdx]
+	return s.ProposeBatch(1, nil)[0]
 }
 
 // ProposeBatch generates one shared candidate pool, runs the DTM over it
@@ -721,16 +713,22 @@ func (s *Selector) ProposeBatch(n int, skip func(*configspace.Config) bool) []*c
 	// Hash each candidate once and evaluate the caller's skip predicate
 	// once per batch: the pending set is fixed for the duration of the
 	// call (the wrapper updates it from the returned batch), so only the
-	// chosen set changes between slots.
-	hashes := make([]uint64, len(pool))
-	skipped := make([]bool, len(pool))
-	for i, c := range pool {
-		hashes[i] = c.Hash()
-		skipped[i] = skip != nil && skip(c)
-	}
+	// chosen set changes between slots. A single slot with nothing to skip
+	// can block no candidate, so it hashes nothing.
+	var hashes []uint64
+	var skipped []bool
 	chosen := map[uint64]bool{}
-	blocked := func(i int) bool {
-		return skipped[i] || chosen[hashes[i]]
+	blocked := func(int) bool { return false }
+	if skip != nil || n > 1 {
+		hashes = make([]uint64, len(pool))
+		skipped = make([]bool, len(pool))
+		for i, c := range pool {
+			hashes[i] = c.Hash()
+			skipped[i] = skip != nil && skip(c)
+		}
+		blocked = func(i int) bool {
+			return skipped[i] || chosen[hashes[i]]
+		}
 	}
 	// fallback draws a pool index at random, re-rolling while the slot is
 	// blocked for at most batchRetryAttempts tries (mirroring the batch
@@ -754,10 +752,12 @@ func (s *Selector) ProposeBatch(n int, skip func(*configspace.Config) bool) []*c
 		if idx < 0 {
 			idx = fallback()
 		}
-		if ps != nil && slot < n-1 {
-			ps.penalize(idx)
+		if slot < n-1 {
+			if ps != nil {
+				ps.penalize(idx)
+			}
+			chosen[hashes[idx]] = true
 		}
-		chosen[hashes[idx]] = true
 		out = append(out, pool[idx])
 	}
 	return out

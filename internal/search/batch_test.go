@@ -136,7 +136,7 @@ func TestAsBatchPassthrough(t *testing.T) {
 func TestBatchProposeSingleIsPlainPropose(t *testing.T) {
 	// With batch size 1 and an empty pending set, the adapter consults the
 	// strategy exactly once per round — the property that makes a
-	// one-worker parallel session identical to the sequential engine.
+	// one-worker session propose exactly what a plain Propose loop would.
 	space := batchSpace(t)
 	s := &countingSearcher{Searcher: NewRandom(space, 5)}
 	b := AsBatch(s)

@@ -697,9 +697,11 @@ func (s *DeepTune) Propose() *configspace.Config {
 // best-effort basis — the adapter's dedup policy.
 func (s *DeepTune) ProposeBatch(n int) []*configspace.Config {
 	defer accrue(&s.cost)()
-	out := s.sel.ProposeBatch(n, func(c *configspace.Config) bool {
-		return s.pending[c.Hash()] > 0
-	})
+	var skip func(*configspace.Config) bool
+	if len(s.pending) > 0 {
+		skip = func(c *configspace.Config) bool { return s.pending[c.Hash()] > 0 }
+	}
+	out := s.sel.ProposeBatch(n, skip)
 	for _, c := range out {
 		s.pending[c.Hash()]++
 	}
@@ -721,8 +723,9 @@ func (s *DeepTune) Pending() int {
 func (s *DeepTune) Observe(o Observation) {
 	defer accrue(&s.cost)()
 	if o.Config != nil {
-		if h := o.Config.Hash(); s.pending[h] > 0 {
-			s.pending[h]--
+		h := o.Config.Hash()
+		if s.pending[h]--; s.pending[h] <= 0 {
+			delete(s.pending, h)
 		}
 	}
 	s.xs = append(s.xs, o.X)

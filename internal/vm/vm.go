@@ -41,16 +41,6 @@ func (c *Clock) Advance(seconds float64) {
 	}
 }
 
-// Rewind moves the clock backwards to the given time (a no-op when the
-// clock is at or before it). It exists for the fault runtime: a killed
-// evaluation's remaining virtual work was never delivered, so the engine
-// refunds it by rewinding the evaluator's clock to the kill point.
-func (c *Clock) Rewind(to float64) {
-	if to < c.now {
-		c.now = to
-	}
-}
-
 // WallClock merges the per-worker virtual clocks of a parallel evaluation
 // session into a shared wall-clock notion: workers evaluate configurations
 // concurrently, so the session's virtual wall time is the maximum over the

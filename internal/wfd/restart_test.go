@@ -2,6 +2,7 @@ package wfd
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -149,6 +150,74 @@ func TestRestartResumesFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitAll(t, d2, id)
+}
+
+// TestRestartStaleSnapshotFromScratch: a journaled snapshot in an older
+// format is unusable, so recovery restarts the job from its spec — and the
+// from-scratch run still ends byte-identical to an uninterrupted one.
+func TestRestartStaleSnapshotFromScratch(t *testing.T) {
+	spec := JobSpec{Tenant: "a", Searcher: "random", Seed: 7, Iterations: 400, Workers: 3}
+	reference := runToCompletion(t, Config{Steppers: 1, Quantum: 4}, []JobSpec{spec})
+
+	state := t.TempDir()
+	cfg := Config{StateDir: state, Steppers: 1, Quantum: 4, JournalEvery: 8, Logf: t.Logf}
+	d1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := d1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if st, err := d1.JobStatusByID(id); err == nil && st.Observed >= 40 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never progressed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	d1.Kill()
+	if st, _ := d1.JobStatusByID(id); st.State == "done" {
+		t.Fatal("job finished before the kill; nothing was in flight")
+	}
+	// Rewrite the journaled snapshot as the version-1 format, which still
+	// carried the scheduler mode.
+	path := filepath.Join(state, "jobs", id, "snap.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no snapshot journaled: %v", err)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap["version"], snap["mode"] = json.RawMessage("1"), json.RawMessage("1")
+	if raw, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Kill()
+	if st := d2.Status(); st.Recovered != 1 || st.Resumed != 0 {
+		t.Fatalf("recovered=%d resumed=%d, want 1/0 (from scratch)", st.Recovered, st.Resumed)
+	}
+	waitAll(t, d2, id)
+	got, err := d2.ReportJSON(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, reference[id]) {
+		t.Error("report after a stale-snapshot restart differs from the uninterrupted run")
+	}
 }
 
 // TestRestartUnicornFromScratch: a non-checkpointable searcher cannot be

@@ -2,8 +2,7 @@
 // constructed with functional options, then driven through an explicit
 // lifecycle — run to completion under a context, stepped one observation
 // at a time, observed through a typed event stream, snapshotted to bytes,
-// and resumed byte-identically. The blocking Specialize helpers remain as
-// deprecated wrappers over it.
+// and resumed byte-identically.
 package wayfinder
 
 import (
@@ -125,11 +124,10 @@ func WithWorkers(n int) Option {
 	return func(c *sessionConfig) { c.opts.Workers = n; c.topologySet = true }
 }
 
-// WithAsync enables the event-driven bounded-staleness scheduler with the
-// given staleness bound: a proposal may be drawn only while at most
-// `staleness` dispatched evaluations remain unobserved. Negative means
-// unbounded asynchrony; 0 degenerates to synchronous rounds. Only
-// meaningful with WithWorkers(n > 1).
+// WithAsync lifts the round barrier with the given staleness bound: a
+// proposal may be drawn only while at most `staleness` dispatched
+// evaluations remain unobserved. Negative means unbounded asynchrony; 0
+// keeps synchronous rounds. Only meaningful with WithWorkers(n > 1).
 func WithAsync(staleness int) Option {
 	return func(c *sessionConfig) {
 		c.opts.Async = true

@@ -1,5 +1,5 @@
-// Public Session API tests: the v2 lifecycle against the deprecated
-// blocking entry points, the functional-option surface, and the
+// Public Session API tests: the v2 lifecycle against the core engine it
+// wraps, the functional-option surface, and the
 // snapshot/resume path as library callers drive it. The exhaustive
 // byte-equivalence matrix (all schedulers × all Checkpointable searchers ×
 // Step/cancel/resume) lives in internal/core/session_test.go; these tests
@@ -11,7 +11,9 @@ import (
 	"encoding/json"
 	"testing"
 
+	"wayfinder/internal/core"
 	"wayfinder/internal/simos"
+	"wayfinder/internal/vm"
 )
 
 // testModel is a reduced Linux profile for fast public-API tests.
@@ -41,9 +43,10 @@ func reportJSON(t *testing.T, rep *Report) string {
 	return string(data)
 }
 
-// TestSessionMatchesSpecialize: the deprecated one-liner and the Session
-// lifecycle are the same session, byte for byte, across schedulers.
-func TestSessionMatchesSpecialize(t *testing.T) {
+// TestSessionMatchesEngineRun: the public Session lifecycle adds nothing
+// to the core engine's session — the same report, byte for byte, with one
+// worker, the round barrier, and bounded staleness.
+func TestSessionMatchesEngineRun(t *testing.T) {
 	optsMatrix := []SessionOptions{
 		{Iterations: 24, Seed: 5},
 		{Iterations: 24, Seed: 5, Workers: 8},
@@ -52,7 +55,8 @@ func TestSessionMatchesSpecialize(t *testing.T) {
 	for i, opts := range optsMatrix {
 		m1 := testModel()
 		app := AppNginx()
-		legacy, err := Specialize(m1, app, NewRandomSearcher(m1.Space, 5), opts)
+		eng := core.NewEngine(m1, app, &core.PerfMetric{App: app}, NewRandomSearcher(m1.Space, 5), &vm.Clock{}, opts.Seed)
+		direct, err := eng.Run(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,8 +72,8 @@ func TestSessionMatchesSpecialize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reportJSON(t, legacy) != reportJSON(t, rep) {
-			t.Fatalf("case %d: Session.Run diverged from Specialize", i)
+		if reportJSON(t, direct) != reportJSON(t, rep) {
+			t.Fatalf("case %d: Session.Run diverged from Engine.Run", i)
 		}
 	}
 }

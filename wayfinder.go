@@ -71,10 +71,11 @@
 // Sessions parallelize across simulated worker VMs, as the paper's
 // platform does: WithWorkers(W) evaluates W configurations concurrently
 // with deterministic per-worker noise streams and per-worker virtual
-// clocks merged into a wall-clock. WithAsync(staleness) replaces the round
-// barrier with the event-driven bounded-staleness scheduler (one slow
-// build no longer stalls the pool), and WithHosts(H) splits the fleet
-// across hosts sharing per-host artifact-store partitions with a
+// clocks merged into a wall-clock. By default each batch is a synchronous
+// round; WithAsync(staleness) lifts that barrier, refilling a worker as
+// soon as it frees up while at most staleness evaluations are unobserved
+// (one slow build no longer stalls the pool). WithHosts(H) splits the
+// fleet across hosts sharing per-host artifact-store partitions with a
 // cross-host transfer cost:
 //
 //	session, err := wayfinder.New(model, app,
@@ -98,8 +99,6 @@
 package wayfinder
 
 import (
-	"context"
-
 	"wayfinder/internal/apps"
 	"wayfinder/internal/configspace"
 	"wayfinder/internal/core"
@@ -273,30 +272,6 @@ func NewUnicornSearcher(space *Space, maximize bool, seed uint64) *search.Unicor
 
 // ParseJob parses a YAML job file (§3.1, §3.4).
 func ParseJob(src string) (*Job, error) { return configspace.ParseJobYAML(src) }
-
-// Specialize runs one search session with the application's own benchmark
-// metric, on a fresh virtual clock, and returns the report.
-//
-// Deprecated: Specialize is the v1 blocking entry point, kept working as a
-// thin wrapper over the Session API. New code should construct a session —
-// wayfinder.New(model, app, WithSearcher(s), WithOptions(opts)) — and call
-// Run(ctx), which adds cancellation, stepping, events, and checkpointing.
-func Specialize(model *Model, app *App, s Searcher, opts SessionOptions) (*Report, error) {
-	return SpecializeMetric(model, app, &core.PerfMetric{App: app}, s, opts)
-}
-
-// SpecializeMetric is Specialize with an explicit optimization metric
-// (memory footprint, throughput–memory score, ...).
-//
-// Deprecated: like Specialize, kept as a wrapper over the Session API. Use
-// wayfinder.New with WithMetric and WithSearcher instead.
-func SpecializeMetric(model *Model, app *App, metric Metric, s Searcher, opts SessionOptions) (*Report, error) {
-	session, err := New(model, app, WithMetric(metric), WithSearcher(s), WithOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return session.Run(context.Background())
-}
 
 // CozartDebloat applies the Cozart-style compile-time debloater to a
 // model: it traces the workload, derives a reduced baseline configuration,
