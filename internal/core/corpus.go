@@ -5,8 +5,9 @@
 //
 //   - Resolution happens exactly once, in Engine.NewSession. A restored
 //     session never re-queries the corpus — its snapshot carries the
-//     resolved-but-unconsumed seeds and the applied DTM weights, so resume
-//     replays the original query answer even if the corpus grew since.
+//     resolved-but-unconsumed seeds, and the DeepTune checkpoint the DTM
+//     as trained since its warm start, so resume continues from the
+//     original query answer even if the corpus grew since.
 //   - An empty corpus (or one with nothing for this space) resolves to
 //     nothing and leaves the session byte-identical to a corpusless one.
 //   - Deposit happens on session completion, before SessionDone, and is
@@ -75,7 +76,7 @@ func (s *Session) resolveCorpus() error {
 			if err := dt.Selector().Model().Restore(snap); err != nil {
 				return fmt.Errorf("core: corpus DTM restore: %w", err)
 			}
-			s.warmDTM = append([]byte(nil), ws.DTM...)
+			s.warmDTM = true
 			resolved = true
 		}
 	}
@@ -106,7 +107,7 @@ func (s *Session) announceCorpus() {
 		Kind:  "warmstart",
 		Hash:  s.report.CorpusHash,
 		Seeds: s.report.CorpusSeeds,
-		DTM:   len(s.warmDTM) > 0,
+		DTM:   s.warmDTM,
 	})
 }
 

@@ -209,7 +209,7 @@ func TestCorpusFrozenDeterminism(t *testing.T) {
 // TestCorpusWarmSnapshotResume: a warm-started session snapshotted
 // mid-run — including before its seed queue is drained — and resumed into
 // a fresh engine must finish byte-identical to the uninterrupted run,
-// with the warm DTM weights re-applied before checkpoint replay.
+// with the warm-started DTM carried in the searcher checkpoint.
 func TestCorpusWarmSnapshotResume(t *testing.T) {
 	st, err := corpus.Open("")
 	if err != nil {

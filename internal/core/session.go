@@ -86,11 +86,10 @@ type Session struct {
 
 	// Corpus warm-start state (corpus.go): seed configurations resolved
 	// at construction (or restored from a snapshot), consumed ahead of
-	// searcher proposals; the encoded DeepTune snapshot applied to the
-	// searcher, kept so a restore re-applies it before checkpoint replay;
-	// and whether the lazy warm-start event fired.
+	// searcher proposals; whether corpus weights warm-started the
+	// DeepTune searcher; and whether the lazy warm-start event fired.
 	seeds           []*configspace.Config
-	warmDTM         []byte
+	warmDTM         bool
 	corpusAnnounced bool
 }
 
@@ -112,8 +111,8 @@ func (e *Engine) NewSession(opts Options) (*Session, error) {
 
 // applySurrogateWindow pushes Options.SurrogateWindow onto the engine's
 // searcher. It runs during session assembly — and, on restore, before the
-// searcher checkpoint is replayed, so a windowed DeepTune restore re-trims
-// its history exactly as the live session did.
+// searcher checkpoint is restored, so the restored surrogate keeps sliding
+// its window exactly as the live session did.
 func (e *Engine) applySurrogateWindow(opts Options) error {
 	if opts.SurrogateWindow == 0 {
 		return nil

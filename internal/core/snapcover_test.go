@@ -37,10 +37,10 @@ func TestSessionSnapshotCoverage(t *testing.T) {
 			"batcher": "SearcherState",
 			// Recomputed on restore by summing Report.History decision costs.
 			"decisionNS": "Report",
-			// Corpus warm-start state: the unconsumed seed queue and the
-			// applied DTM weights travel explicitly, so a restored session
-			// replays the original query answer instead of re-asking a
-			// corpus that may have grown since.
+			// Corpus warm-start state: the unconsumed seed queue and
+			// whether DTM weights were applied travel explicitly, so a
+			// restored session replays the original query answer instead
+			// of re-asking a corpus that may have grown since.
 			"seeds":   "CorpusSeedKVs",
 			"warmDTM": "WarmDTM",
 		},

@@ -21,13 +21,15 @@ import (
 
 	"wayfinder/internal/artifact"
 	"wayfinder/internal/configspace"
-	"wayfinder/internal/nn"
 	"wayfinder/internal/search"
 )
 
 // snapshotVersion guards the serialization format. Version 2 dropped the
 // per-scheduler mode and round buffer when the schedulers became one.
-const snapshotVersion = 2
+// Version 3 carries DeepTune's trained model in the searcher state instead
+// of an observation history to replay, and reduces the corpus warm DTM to
+// a flag.
+const snapshotVersion = 3
 
 // workerSnap is one worker's serialized evaluation state.
 type workerSnap struct {
@@ -117,12 +119,13 @@ type sessionSnapshot struct {
 	MetricState    json.RawMessage `json:"metric_state,omitempty"`
 
 	// CorpusSeedKVs are the resolved-but-unconsumed warm-start seed
-	// configurations; WarmDTM the encoded corpus nn.Snapshot the live
-	// session applied to its DeepTune searcher. A restored session
-	// replays the original query answer from these instead of re-asking
-	// a corpus that may have grown since (Options.Corpus is json:"-").
+	// configurations; WarmDTM records that the live session warm-started
+	// its DeepTune searcher from corpus weights (the weights themselves,
+	// as trained since, are in SearcherState). A restored session replays
+	// the original query answer from these instead of re-asking a corpus
+	// that may have grown since (Options.Corpus is json:"-").
 	CorpusSeedKVs []map[string]string `json:"corpus_seed_kvs,omitempty"`
-	WarmDTM       json.RawMessage     `json:"warm_dtm,omitempty"`
+	WarmDTM       bool                `json:"warm_dtm,omitempty"`
 }
 
 // pendingCheckpointer is the batch-adapter state interface (implemented by
@@ -184,7 +187,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 	for _, cfg := range s.seeds {
 		snap.CorpusSeedKVs = append(snap.CorpusSeedKVs, cfg.KV())
 	}
-	snap.WarmDTM = json.RawMessage(s.warmDTM)
+	snap.WarmDTM = s.warmDTM
 	snap.Workers = make([]workerSnap, len(s.workers))
 	for i, st := range s.workers {
 		snap.Workers[i] = workerSnap{
@@ -303,8 +306,8 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	s := e.newSession(snap.Options)
 	// The surrogate window must be in place before the searcher checkpoint
 	// is restored: a windowed GP restore keeps its packed factor windowed,
-	// and a windowed DeepTune restore replays its history through the same
-	// sliding-window trimming the live session applied.
+	// and a windowed DeepTune restore rejects a training window longer than
+	// the bound and keeps trimming at it.
 	if err := e.applySurrogateWindow(snap.Options); err != nil {
 		return nil, err
 	}
@@ -391,11 +394,9 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 		s.busy++
 	}
 
-	// Corpus warm-start state: the remaining seed queue, and the warm
-	// DeepTune weights re-applied to the fresh searcher BEFORE its
-	// checkpoint replays — DeepTune restore replays the observation
-	// history through a fresh selector, and that replay must evolve from
-	// the same warm starting point the live session's training did.
+	// Corpus warm-start state: the remaining seed queue, and whether the
+	// searcher warm-started from corpus weights. The weights need no
+	// re-applying: the searcher state below is the DTM as trained since.
 	for _, kv := range snap.CorpusSeedKVs {
 		cfg, err := space.FromKV(kv)
 		if err != nil {
@@ -403,19 +404,11 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 		}
 		s.seeds = append(s.seeds, cfg)
 	}
-	if len(snap.WarmDTM) > 0 {
-		dt, ok := e.Searcher.(*search.DeepTune)
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot carries corpus DTM weights but searcher %q is not deeptune", snap.SearcherName)
+	if snap.WarmDTM {
+		if _, ok := e.Searcher.(*search.DeepTune); !ok {
+			return nil, fmt.Errorf("core: snapshot records corpus DTM weights but searcher %q is not deeptune", snap.SearcherName)
 		}
-		nnSnap, err := nn.DecodeSnapshot(snap.WarmDTM)
-		if err != nil {
-			return nil, fmt.Errorf("core: corpus DTM snapshot: %w", err)
-		}
-		if err := dt.Selector().Model().Restore(nnSnap); err != nil {
-			return nil, fmt.Errorf("core: corpus DTM restore: %w", err)
-		}
-		s.warmDTM = append([]byte(nil), snap.WarmDTM...)
+		s.warmDTM = true
 	}
 
 	// Searcher, adapter, and metric state.

@@ -13,8 +13,9 @@ import (
 // searchers, on every scheduler. The window (10) is well below the
 // snapshot point (13), so the surrogate is already sliding when the
 // checkpoint is cut: the GP must carry its downdated factor across the
-// snapshot (the replay recipe is gone), and DeepTune must re-trim its
-// replayed history exactly as the live session did.
+// snapshot (the replay recipe is gone), and DeepTune must carry its
+// trained model and keep sliding its restored window exactly as the live
+// session did.
 func TestWindowedSessionSnapshotResume(t *testing.T) {
 	for _, tc := range sessionOptsMatrix {
 		for _, kind := range []string{"bayesian", "deeptune"} {

@@ -487,7 +487,9 @@ type Selector struct {
 	space *configspace.Space
 	enc   *configspace.Encoder
 	model *DTM
-	rng   *rng.RNG
+	// rng is the proposal stream (pool generation, fallback picks); the
+	// DTM's training streams advance only inside Update.
+	rng *rng.RNG
 
 	maximize bool
 	explored [][]float64
@@ -498,6 +500,10 @@ type Selector struct {
 	// (0 = remember everything): on long sessions an unbounded explored
 	// history makes every pool scoring pass O(iterations).
 	window int
+
+	// poolX is scorePool's feature matrix, one row per pool candidate,
+	// grown on demand and reused across proposals.
+	poolX [][]float64
 }
 
 // NewSelector builds a selector for a space/metric direction.
@@ -518,16 +524,6 @@ func (s *Selector) Model() *DTM { return s.model }
 
 // Space exposes the configuration space the selector searches.
 func (s *Selector) Space() *configspace.Space { return s.space }
-
-// RNGState captures the selector's proposal-stream RNG state for session
-// checkpointing. The DTM's own RNGs (minibatch shuffling, dropout) are
-// consumed only inside Update, so their positions are reproduced exactly
-// by replaying the observation sequence; the selector RNG is the one
-// stream interleaved Propose calls advance, and must be restored directly.
-func (s *Selector) RNGState() [4]uint64 { return s.rng.State() }
-
-// SetRNGState restores a proposal-stream RNG state captured by RNGState.
-func (s *Selector) SetRNGState(st [4]uint64) { s.rng.SetState(st) }
 
 // Encoder exposes the feature encoder.
 func (s *Selector) Encoder() *configspace.Encoder { return s.enc }
@@ -612,13 +608,14 @@ type poolScores struct {
 // scorePool runs the DTM over every candidate once and precomputes the
 // ranking state (Fig 3 steps 2–3).
 func (s *Selector) scorePool(pool []*configspace.Config) *poolScores {
+	s.poolX = growMatrix(s.poolX, len(pool), s.enc.Dim())
 	ps := &poolScores{
-		xs:    make([][]float64, len(pool)),
+		xs:    s.poolX[:len(pool)],
 		preds: make([]Prediction, len(pool)),
 		ds:    make([]float64, len(pool)),
 	}
 	for i, c := range pool {
-		ps.xs[i] = s.enc.Encode(c)
+		s.enc.EncodeInto(c, ps.xs[i])
 	}
 	// One matrix-shaped DTM pass over the pool instead of len(pool) scalar
 	// forward chains — bit-identical to the per-candidate loop.

@@ -402,6 +402,47 @@ func TestPredictBatchNoAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestScorePoolReusesFeatureMatrix pins that pool scoring encodes its
+// candidates into the selector-owned matrix: a steady-state pass makes a
+// handful of per-pool allocations, none per candidate, and ranks exactly
+// as freshly encoded vectors would.
+func TestScorePoolReusesFeatureMatrix(t *testing.T) {
+	space := selectorSpace()
+	cfg := DefaultConfig()
+	cfg.Epochs = 2
+	sel := NewSelector(space, true, cfg)
+	r := rng.New(4)
+	var xs [][]float64
+	var ys []float64
+	var crashes []bool
+	for i := 0; i < 6; i++ {
+		c := sel.Propose()
+		x := sel.Encoder().Encode(c)
+		xs, ys, crashes = append(xs, x), append(ys, r.Float64()), append(crashes, false)
+		if err := sel.Observe(c, x, ys[i], false, xs, ys, crashes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool := sel.generatePool()
+	ps := sel.scorePool(pool) // grow the matrix
+	for i, c := range pool {
+		want := sel.Encoder().Encode(c)
+		for d := range want {
+			if math.Float64bits(ps.xs[i][d]) != math.Float64bits(want[d]) {
+				t.Fatalf("candidate %d feature %d: %v, want %v", i, d, ps.xs[i][d], want[d])
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() { sel.scorePool(pool) })
+	t.Logf("scorePool: %.0f allocations per pass", allocs)
+	if allocs >= float64(len(pool)) {
+		t.Fatalf("scorePool allocates %.0f objects per pass of %d candidates: a per-candidate allocation is back", allocs, len(pool))
+	}
+	if allocs > 8 {
+		t.Fatalf("scorePool allocates %.0f objects per pass, want at most 8", allocs)
+	}
+}
+
 func BenchmarkDTMUpdate(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 4

@@ -226,6 +226,13 @@ func (l *Dropout) Forward(x []float64, train bool) []float64 {
 	return l.y
 }
 
+// RNGState captures the position of the layer's mask stream, which every
+// training Forward advances.
+func (l *Dropout) RNGState() [4]uint64 { return l.rng.State() }
+
+// SetRNGState restores a mask-stream position captured by RNGState.
+func (l *Dropout) SetRNGState(st [4]uint64) { l.rng.SetState(st) }
+
 // Backward implements Layer.
 func (l *Dropout) Backward(grad []float64) []float64 {
 	for i := range grad {

@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Optimizer updates parameters from their accumulated gradients.
 type Optimizer interface {
@@ -91,6 +94,58 @@ func (o *Adam) Step(params []*Param) {
 		}
 		p.ZeroGrad()
 	}
+}
+
+// AdamState is the dynamic state of an Adam optimizer over an ordered
+// parameter list: the step count and each parameter's first and second
+// moments, in parameter order. A parameter the optimizer has never
+// stepped has nil moments.
+type AdamState struct {
+	T int   `json:"t"`
+	M []Vec `json:"m"`
+	V []Vec `json:"v"`
+}
+
+// State captures the optimizer's state over params, which must be the
+// list its Steps run on. The moments alias the optimizer's buffers:
+// serialize the state before the next Step.
+func (o *Adam) State(params []*Param) AdamState {
+	st := AdamState{T: o.t, M: make([]Vec, len(params)), V: make([]Vec, len(params))}
+	for i, p := range params {
+		st.M[i], st.V[i] = o.m[p], o.v[p]
+	}
+	return st
+}
+
+// SetState overwrites the optimizer's state with a copy of st, captured
+// by State over the corresponding parameter list. Every moment must be nil
+// or match its parameter's length; on error the optimizer is unchanged.
+func (o *Adam) SetState(params []*Param, st AdamState) error {
+	if st.T < 0 {
+		return fmt.Errorf("nn: adam step count %d is negative", st.T)
+	}
+	if len(st.M) != len(params) || len(st.V) != len(params) {
+		return fmt.Errorf("nn: adam state has %d/%d moments for %d params", len(st.M), len(st.V), len(params))
+	}
+	for i, p := range params {
+		for _, mv := range []Vec{st.M[i], st.V[i]} {
+			if mv != nil && len(mv) != len(p.W) {
+				return fmt.Errorf("nn: adam moment %d has %d entries, parameter wants %d", i, len(mv), len(p.W))
+			}
+		}
+	}
+	o.t = st.T
+	o.m = make(map[*Param][]float64, len(params))
+	o.v = make(map[*Param][]float64, len(params))
+	for i, p := range params {
+		if st.M[i] != nil {
+			o.m[p] = append([]float64(nil), st.M[i]...)
+		}
+		if st.V[i] != nil {
+			o.v[p] = append([]float64(nil), st.V[i]...)
+		}
+	}
+	return nil
 }
 
 // ClipGradients scales gradients down so their global L2 norm is at most

@@ -7,20 +7,13 @@
 // Restore overlays the accumulated state, which keeps checkpoints small
 // and spaces shareable.
 //
-// Two serialization strategies are used, matching how each searcher's
-// state is produced:
-//
-//   - Direct state (Random, RandomMutate, Grid, Bayesian): the dynamic
-//     state is small and explicit — RNG words, seen/pending hashes, ladder
-//     position, the GP's observation list plus its incremental-factor
-//     bookkeeping (gp.State) — so it is serialized verbatim.
-//   - Deterministic replay (DeepTune): the DTM's weights, Adam moments,
-//     and training RNG positions are a pure function of the Observe
-//     sequence (proposal-side randomness lives in a separate stream that
-//     IS serialized), so the checkpoint records the observation history
-//     and Restore replays it through a fresh selector. This trades restore
-//     time — one incremental retrain per historical observation — for not
-//     having to version every optimizer buffer in the network.
+// Every searcher serializes its state directly: RNG words, seen/pending
+// hashes, ladder position, the GP's observation list plus its
+// incremental-factor bookkeeping (gp.State, whose unwindowed form the gp
+// package still refactorizes on restore), and DeepTune's trained model —
+// DTM tensors, Adam moments, training RNG positions, normalization and
+// the training window (deeptune.SelectorState), restored without a single
+// retrain. Float tensors travel as nn.Vec, bit-exact.
 package search
 
 import (
@@ -31,7 +24,9 @@ import (
 	"sort"
 	"strconv"
 
+	"wayfinder/internal/deeptune"
 	"wayfinder/internal/gp"
+	"wayfinder/internal/nn"
 )
 
 // Checkpointable is the optional searcher extension session snapshots use:
@@ -232,71 +227,62 @@ func (s *Bayesian) Restore(data []byte) error {
 	return nil
 }
 
-// deepTuneObs is one replayable observation of a DeepTune checkpoint.
-type deepTuneObs struct {
-	KV      map[string]string `json:"kv"`
-	Metric  float64           `json:"metric"`
-	Crashed bool              `json:"crashed,omitempty"`
-	Stage   string            `json:"stage,omitempty"`
-}
-
-// deepTuneState is the serialized form of DeepTune: the observation
-// history (replayed through a fresh selector to rebuild the DTM's weights,
-// optimizer moments, and training-RNG positions, all pure functions of the
-// Observe sequence) plus the proposal-stream RNG position and the pending
-// multiset, which interleaved Propose calls own.
+// deepTuneState is the serialized form of DeepTune: the selector's
+// complete state (the trained DTM, the proposal stream, the incumbent, and
+// the explored set, which holds the training window's feature vectors),
+// the window's targets and crash labels, and the pending multiset.
 type deepTuneState struct {
-	RNG     [4]uint64      `json:"rng"`
-	Pending map[string]int `json:"pending,omitempty"`
-	Obs     []deepTuneObs  `json:"obs"`
+	Selector *deeptune.SelectorState `json:"selector"`
+	Ys       nn.Vec                  `json:"ys"`
+	Crashes  []bool                  `json:"crashes"`
+	Pending  map[string]int          `json:"pending,omitempty"`
 }
 
 // Checkpoint implements Checkpointable.
 func (s *DeepTune) Checkpoint() ([]byte, error) {
-	if s.unreplayable {
-		return nil, fmt.Errorf("search: deeptune history contains an observation without a Config; cannot checkpoint")
-	}
 	st := deepTuneState{
-		RNG:     s.sel.RNGState(),
-		Pending: encodePending(s.pending),
-		Obs:     make([]deepTuneObs, 0, len(s.obs)),
+		Selector: s.sel.State(),
+		Ys:       s.ys,
+		Crashes:  s.crashes,
+		Pending:  encodePending(s.pending),
 	}
-	st.Obs = append(st.Obs, s.obs...)
+	if len(st.Selector.Explored) != len(s.xs) {
+		return nil, fmt.Errorf("search: deeptune explored set (%d) out of step with its training window (%d)",
+			len(st.Selector.Explored), len(s.xs))
+	}
 	return json.Marshal(st)
 }
 
-// Restore implements Checkpointable. Restoring replays the checkpointed
-// observation sequence through the fresh selector — one incremental DTM
-// retrain per observation, the same Updates the live session ran — then
-// overlays the proposal-stream RNG and pending state.
+// Restore implements Checkpointable: it overlays the checkpointed model,
+// selector and training window directly, with no retraining.
 func (s *DeepTune) Restore(data []byte) error {
-	if len(s.obs) != 0 {
-		return fmt.Errorf("search: deeptune restore onto a used searcher (%d observations)", len(s.obs))
+	if len(s.xs) != 0 {
+		return fmt.Errorf("search: deeptune restore onto a used searcher (%d observations)", len(s.xs))
 	}
 	var st deepTuneState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("search: deeptune checkpoint: %w", err)
 	}
+	if st.Selector == nil {
+		return fmt.Errorf("search: deeptune checkpoint has no selector state")
+	}
+	n := len(st.Selector.Explored)
+	if len(st.Ys) != n || len(st.Crashes) != n {
+		return fmt.Errorf("search: deeptune checkpoint window has %d vectors, %d targets, %d crash labels",
+			n, len(st.Ys), len(st.Crashes))
+	}
 	pending, err := decodePending(st.Pending)
 	if err != nil {
 		return err
 	}
-	space := s.sel.Space()
-	enc := s.sel.Encoder()
-	for i, o := range st.Obs {
-		cfg, err := space.FromKV(o.KV)
-		if err != nil {
-			return fmt.Errorf("search: deeptune checkpoint observation %d: %w", i, err)
-		}
-		s.Observe(Observation{
-			Config:  cfg,
-			X:       enc.Encode(cfg),
-			Metric:  o.Metric,
-			Crashed: o.Crashed,
-			Stage:   o.Stage,
-		})
+	if err := s.sel.RestoreState(st.Selector); err != nil {
+		return fmt.Errorf("search: deeptune checkpoint: %w", err)
 	}
-	s.sel.SetRNGState(st.RNG)
+	s.xs = make([][]float64, n)
+	for i, x := range st.Selector.Explored {
+		s.xs[i] = x
+	}
+	s.ys, s.crashes = st.Ys, st.Crashes
 	s.pending = pending
 	s.cost = 0
 	return nil

@@ -136,7 +136,7 @@ func TestDeepTuneCheckpoint(t *testing.T) {
 	space := checkpointSpace(t)
 	cfg := deeptune.DefaultConfig()
 	cfg.Seed = 7
-	cfg.Epochs = 2 // keep the replay cheap
+	cfg.Epochs = 2 // keep the retraining cheap
 	mk := func() *DeepTune { return NewDeepTune(space, true, cfg) }
 	assertCheckpointContinuity(t, "deeptune", space, mk(), mk(), 8, 4)
 }

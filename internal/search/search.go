@@ -634,7 +634,10 @@ func (s *Bayesian) DecisionCost() time.Duration {
 }
 
 // DeepTune adapts the deeptune.Selector to the Searcher interface,
-// carrying the full history the DTM retrains on.
+// carrying the training window the DTM retrains on. Its checkpoint is the
+// trained model itself — weights, optimizer moments, RNG positions and the
+// window — so a restore costs the size of that state, not one retrain per
+// past observation.
 //
 // DeepTune implements BatchSearcher natively: ProposeBatch ranks one
 // shared candidate pool — one DTM forward pass per candidate, not per
@@ -645,21 +648,15 @@ func (s *Bayesian) DecisionCost() time.Duration {
 type DeepTune struct {
 	sel *deeptune.Selector
 
+	// xs, ys and crashes are the training window; xs holds the same
+	// vectors as the selector's explored set.
 	xs      [][]float64
 	ys      []float64
 	crashes []bool
-	// obs is the replayable observation history (configs in canonical KV
-	// form) the Checkpointable implementation serializes; the DTM's state
-	// is a pure function of it, so a checkpoint need not version network
-	// weights or optimizer buffers.
-	obs          []deepTuneObs
-	unreplayable bool // an observation carried no Config; checkpointing is off
-	cost         time.Duration
-	pending      map[uint64]int
+	cost    time.Duration
+	pending map[uint64]int
 	// window bounds the training history handed to the DTM (0 = full
-	// history). The obs replay log stays complete regardless: a restore
-	// replays every observation through the same trimming, reproducing the
-	// windowed Update sequence exactly.
+	// history).
 	window int
 }
 
@@ -733,17 +730,11 @@ func (s *DeepTune) Observe(o Observation) {
 	s.crashes = append(s.crashes, o.Crashed)
 	if s.window > 0 && len(s.xs) > s.window {
 		// Slide the training window: copy-shift in place so the backing
-		// arrays stop growing with the session. The obs replay log below
-		// stays complete — it is the checkpoint recipe, not training state.
+		// arrays stop growing with the session.
 		drop := len(s.xs) - s.window
 		s.xs = shiftTail(s.xs, drop)
 		s.ys = shiftTail(s.ys, drop)
 		s.crashes = shiftTail(s.crashes, drop)
-	}
-	if o.Config != nil {
-		s.obs = append(s.obs, deepTuneObs{KV: o.Config.KV(), Metric: o.Metric, Crashed: o.Crashed, Stage: o.Stage})
-	} else {
-		s.unreplayable = true
 	}
 	// Selector.Observe never fails with aligned histories, which this
 	// adapter maintains by construction.

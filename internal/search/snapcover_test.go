@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wayfinder/internal/deeptune"
 	"wayfinder/internal/snapcover"
 )
 
@@ -86,38 +87,71 @@ func TestBayesianStateCoverage(t *testing.T) {
 func TestDeepTuneStateCoverage(t *testing.T) {
 	snapcover.Pair(t, reflect.TypeFor[DeepTune](), reflect.TypeFor[deepTuneState](), snapcover.Spec{
 		Covered: map[string]string{
-			"obs":     "Obs",
+			"sel":     "Selector",
+			"ys":      "Ys",
+			"crashes": "Crashes",
 			"pending": "Pending",
-			// The selector's proposal-stream RNG position serializes; its
-			// DTM weights, optimizer moments, and training RNGs are a pure
-			// function of the replayed Obs sequence.
-			"sel": "RNG",
-			// Rebuilt by the Observe replay during Restore, alongside the
-			// selector's training state.
-			"xs":      "Obs",
-			"ys":      "Obs",
-			"crashes": "Obs",
+			// The training window's feature vectors are the selector's
+			// explored set: stored once, there, and shared on restore.
+			"xs": "Selector",
 		},
 		Excluded: map[string]string{
-			"unreplayable": "checkpoint-eligibility flag: true makes Checkpoint fail, so a written checkpoint implies false",
-			"cost":         "accumulating decision stopwatch, reported not replayed; Restore resets it",
-			"window":       "session-level knob: reapplied by the session (SetSurrogateWindow from Options) before Restore replays the history",
+			"cost":   "accumulating decision stopwatch, reported not replayed; Restore resets it",
+			"window": "session-level knob: reapplied by the session (SetSurrogateWindow from Options) before Restore",
 		},
 	})
 }
 
-// TestDeepTuneObsCoverage pins the per-observation replay record against
-// the live Observation it is derived from.
-func TestDeepTuneObsCoverage(t *testing.T) {
-	snapcover.Pair(t, reflect.TypeFor[Observation](), reflect.TypeFor[deepTuneObs](), snapcover.Spec{
+func TestSelectorStateCoverage(t *testing.T) {
+	snapcover.Pair(t, reflect.TypeFor[deeptune.Selector](), reflect.TypeFor[deeptune.SelectorState](), snapcover.Spec{
 		Covered: map[string]string{
-			"Config":  "KV",
-			"Metric":  "Metric",
-			"Crashed": "Crashed",
-			"Stage":   "Stage",
+			"model":    "Model",
+			"rng":      "RNG",
+			"explored": "Explored",
+			"best":     "Best",
+			"bestY":    "BestY",
+			"haveBest": "HaveBest",
 		},
 		Excluded: map[string]string{
-			"X": "re-encoded from the Config by the restore replay",
+			"cfg":      "construction-time hyperparameters",
+			"space":    "construction-time: the restore target is built over the same space",
+			"enc":      "derived from the space at construction",
+			"maximize": "construction-time optimization direction",
+			"window":   "session-level knob: reapplied by the session (SetSurrogateWindow from Options) before Restore",
+			"poolX":    "pool-scoring scratch, re-encoded from every proposal's pool",
+		},
+	})
+}
+
+func TestDTMStateCoverage(t *testing.T) {
+	snapcover.Pair(t, reflect.TypeFor[deeptune.DTM](), reflect.TypeFor[deeptune.State](), snapcover.Spec{
+		Covered: map[string]string{
+			"trunk1":  "Tensors",
+			"trunk2":  "Tensors",
+			"crash":   "Tensors",
+			"perf":    "Tensors",
+			"rbfIn":   "Tensors",
+			"rbfHid":  "Tensors",
+			"drop1":   "Drop1RNG",
+			"drop2":   "Drop2RNG",
+			"opt":     "Opt",
+			"rbfOpt":  "RBFOpt",
+			"rng":     "RNG",
+			"zscorer": "ZScorer",
+			"yStats":  "YStats",
+			"trained": "Trained",
+		},
+		Excluded: map[string]string{
+			"cfg":      "construction-time hyperparameters",
+			"dim":      "construction-time feature dimension",
+			"relu1":    "stateless ReLU: its activation cache is rewritten by every forward pass",
+			"relu2":    "stateless ReLU: its activation cache is rewritten by every forward pass",
+			"lastCost": "wall-clock retrain stopwatch, reported not replayed",
+			"bz":       "PredictBatch scratch, rewritten by every batch",
+			"bh1":      "PredictBatch scratch, rewritten by every batch",
+			"bh2":      "PredictBatch scratch, rewritten by every batch",
+			"bcrash":   "PredictBatch scratch, rewritten by every batch",
+			"bperf":    "PredictBatch scratch, rewritten by every batch",
 		},
 	})
 }

@@ -190,6 +190,16 @@ func RestoreRunning(n int, mean, variance float64) Running {
 	return Running{n: n, mean: mean, m2: variance * float64(n)}
 }
 
+// Raw returns the accumulator's Welford fields: the count, the mean, and
+// the sum of squared deviations. RunningFromRaw inverts it bit-exactly,
+// which RestoreRunning (m2 rebuilt as variance·n) does not.
+func (r *Running) Raw() (n int, mean, m2 float64) { return r.n, r.mean, r.m2 }
+
+// RunningFromRaw rebuilds an accumulator from fields captured by Raw.
+func RunningFromRaw(n int, mean, m2 float64) Running {
+	return Running{n: n, mean: mean, m2: m2}
+}
+
 // Add incorporates one observation.
 func (r *Running) Add(x float64) {
 	r.n++

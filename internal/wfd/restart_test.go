@@ -220,6 +220,76 @@ func TestRestartStaleSnapshotFromScratch(t *testing.T) {
 	}
 }
 
+// TestRestartStaleDeepTuneSnapshotFromScratch: a version-2 DeepTune
+// snapshot carries an observation history to replay where version 3
+// carries the trained model, so recovery must reject it and rebuild the
+// job from its spec — ending byte-identical to an uninterrupted run.
+func TestRestartStaleDeepTuneSnapshotFromScratch(t *testing.T) {
+	spec := JobSpec{Tenant: "a", Searcher: "deeptune", Seed: 3, Iterations: 24, SurrogateWindow: 8}
+	reference := runToCompletion(t, Config{Steppers: 1, Quantum: 4}, []JobSpec{spec})
+
+	state := t.TempDir()
+	cfg := Config{StateDir: state, Steppers: 1, Quantum: 4, JournalEvery: 4, Logf: t.Logf}
+	d1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := d1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if st, err := d1.JobStatusByID(id); err == nil && st.Observed >= 12 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never progressed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	d1.Kill()
+	if st, _ := d1.JobStatusByID(id); st.State == "done" {
+		t.Fatal("job finished before the kill; nothing was in flight")
+	}
+	// Rewrite the journaled snapshot as version 2, whose DeepTune state
+	// was the proposal RNG plus an observation log.
+	path := filepath.Join(state, "jobs", id, "snap.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no snapshot journaled: %v", err)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap["version"] = json.RawMessage("2")
+	snap["searcher_state"] = json.RawMessage(`{"rng":[1,2,3,4],"obs":[{"kv":{},"metric":1}]}`)
+	if raw, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Kill()
+	if st := d2.Status(); st.Recovered != 1 || st.Resumed != 0 {
+		t.Fatalf("recovered=%d resumed=%d, want 1/0 (from scratch)", st.Recovered, st.Resumed)
+	}
+	waitAll(t, d2, id)
+	got, err := d2.ReportJSON(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, reference[id]) {
+		t.Error("report after a stale DeepTune snapshot restart differs from the uninterrupted run")
+	}
+}
+
 // TestRestartUnicornFromScratch: a non-checkpointable searcher cannot be
 // journaled; after a crash its job restarts from zero and still completes
 // with the same bytes as an uninterrupted run.
