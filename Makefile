@@ -102,11 +102,12 @@ bench-cache:
 # Cholesky extension vs the full-refit baseline, the sliding-window add
 # (extend + rank-1 downdate), the batched acquisition paths (batch EI and
 # the DTM pool pass, each with a 0-alloc steady-state assertion), the
-# native constant-liar Bayesian batch proposal, and the DeepTune observe
-# path — so the model side of the search loop gets its own race-detector
+# sequential Bayesian proposal (allocating only the candidate it hands
+# out) and the native constant-liar batch proposal, and the DeepTune
+# observe path — so the model side of the search loop gets its own race-detector
 # smoke on every push.
 bench-search:
-	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|BayesianProposeBatch|DeepTuneObserve' -benchtime=1x -run='^$$' .
+	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|BayesianPropose|DeepTuneObserve' -benchtime=1x -run='^$$' .
 
 # smoke builds and runs the end-to-end example programs with a small
 # budget: quickstart exercises the blocking Session lifecycle, streaming

@@ -155,9 +155,25 @@ func BenchmarkGPWindowedAdd(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*obs), "ns/add")
 }
 
+// linuxEncodings returns n encodings of random runtime-only Linux
+// configurations — the 397-wide, mostly one-hot vectors a Bayesian search
+// of the Linux space scores — drawn from seed.
+func linuxEncodings(n int, seed uint64) [][]float64 {
+	m := simos.NewLinux(simos.DefaultLinuxOptions())
+	m.Space.Favor(configspace.CompileTime, 0)
+	enc := configspace.NewEncoder(m.Space)
+	r := rng.New(seed)
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = enc.Encode(m.Space.Random(r))
+	}
+	return xs
+}
+
 // BenchmarkEIBatch scores a 96-candidate pool against a warm 128-window
 // surrogate with one kernel-matrix build and one batched triangular solve
-// per op — the acquisition inner loop of every Bayesian proposal. Steady
+// per op — the acquisition inner loop of every Bayesian proposal — over
+// Linux-space encodings, where the kernel-matrix build dominates. Steady
 // state must not allocate: the batch scratch is owned by the surrogate.
 func BenchmarkEIBatch(b *testing.B) {
 	const window, pool = 128, 96
@@ -167,17 +183,14 @@ func BenchmarkEIBatch(b *testing.B) {
 	}
 	r := rng.New(2)
 	best := 0.0
-	for i := 0; i < window+window/2; i++ {
+	for _, x := range linuxEncodings(window+window/2, 3) {
 		y := r.Float64() * 100
 		if y > best {
 			best = y
 		}
-		g.Add([]float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}, y)
+		g.Add(x, y)
 	}
-	cands := make([][]float64, pool)
-	for j := range cands {
-		cands[j] = []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}
-	}
+	cands := linuxEncodings(pool, 4)
 	out := make([]float64, pool)
 	if err := g.ExpectedImprovementBatch(cands, best, 0.01, out); err != nil {
 		b.Fatal(err)
@@ -240,6 +253,44 @@ func BenchmarkDTMScorePoolBatch(b *testing.B) {
 		d.PredictBatch(cands, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pool), "ns/candidate")
+}
+
+// BenchmarkBayesianPropose measures the sequential proposal — the
+// ProposeBatch(1) a one-worker session asks for every step — on a warm
+// 128-window surrogate over the Linux space, as the bayes-window workload
+// of cmd/wfperf drives it. The candidate pool is redrawn in place, so a
+// steady-state proposal allocates only what it hands out: the chosen
+// configuration, its values slice and the one-slot batch slice.
+func BenchmarkBayesianPropose(b *testing.B) {
+	const window = 128
+	m := simos.NewLinux(simos.DefaultLinuxOptions())
+	m.Space.Favor(configspace.CompileTime, 0)
+	s := search.NewBayesian(m.Space, true, 1)
+	if err := s.SetSurrogateWindow(window); err != nil {
+		b.Fatal(err)
+	}
+	enc := configspace.NewEncoder(m.Space)
+	r := rng.New(2)
+	feed := func(c *configspace.Config) {
+		s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+	}
+	for i := 0; i < window+window/4; i++ {
+		feed(m.Space.Random(r))
+	}
+	var batch []*configspace.Config
+	if allocs := testing.AllocsPerRun(8, func() { batch = s.ProposeBatch(1) }); allocs > 3 {
+		b.Fatalf("steady-state sequential proposal allocated %.0f times per op, want at most 3", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch = s.ProposeBatch(1)
+		b.StopTimer()
+		// Observing off the clock keeps the pending set bounded without
+		// charging the surrogate updates to the proposal path.
+		feed(batch[0])
+		b.StartTimer()
+	}
 }
 
 // BenchmarkBayesianProposeBatch measures the native 8-slot batch proposal

@@ -223,6 +223,14 @@ func sampleValue(p *Param, r *rng.RNG) Value {
 // search modes (§3.5, §4.1, §4.4) constrain generation.
 func (s *Space) Random(r *rng.RNG) *Config {
 	c := newConfig(s)
+	s.RandomInto(c, r)
+	return c
+}
+
+// RandomInto overwrites every value of c, a configuration of this space,
+// with a Random draw: the same RNG draws in the same order, so redrawing
+// a reused configuration consumes the stream exactly as Random does.
+func (s *Space) RandomInto(c *Config, r *rng.RNG) {
 	for i, p := range s.params {
 		if p.Fixed || s.favored[p.Class] <= 0 {
 			c.values[i] = p.Default
@@ -230,7 +238,6 @@ func (s *Space) Random(r *rng.RNG) *Config {
 		}
 		c.values[i] = sampleValue(p, r)
 	}
-	return c
 }
 
 // Mutate returns a copy of base with k randomly-chosen non-fixed parameters

@@ -106,6 +106,28 @@ func TestRandomInDomain(t *testing.T) {
 	}
 }
 
+// TestRandomIntoMatchesRandom: redrawing one reused configuration with
+// RandomInto must consume the RNG exactly as Random does, draw for draw,
+// and leave the same values — under class weights that pin some
+// parameters to their defaults, too.
+func TestRandomIntoMatchesRandom(t *testing.T) {
+	for _, favorCompile := range []float64{1, 0} {
+		s := testSpace(t)
+		s.Favor(CompileTime, favorCompile)
+		ra, rb := rng.New(21), rng.New(21)
+		reused := s.Random(rb)
+		s.Random(ra)
+		for i := 0; i < 200; i++ {
+			want := s.Random(ra)
+			s.RandomInto(reused, rb)
+			if !reused.Equal(want) || ra.State() != rb.State() {
+				t.Fatalf("favor compile %v, draw %d: RandomInto %s != Random %s (or the RNG streams diverged)",
+					favorCompile, i, reused, want)
+			}
+		}
+	}
+}
+
 func TestRandomRespectsFixed(t *testing.T) {
 	s := testSpace(t)
 	if err := s.Fix("vm.swappiness", IntValue(10)); err != nil {

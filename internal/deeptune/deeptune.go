@@ -389,15 +389,26 @@ func reluInPlace(rows [][]float64) {
 // Dissimilarity implements Eq. 2: ds(x, X) = 1 − 1/(1+‖x−X‖²), with
 // ‖x−X‖² the per-dimension-normalized squared distance from x to the
 // nearest explored point, so the value is comparable across space sizes.
+// The explored set is scanned four points at a time (stats.SquaredDistance4),
+// with the minimum taken in explored order, so the result is bit-identical
+// to a one-point-at-a-time scan.
 func Dissimilarity(x []float64, explored [][]float64) float64 {
 	if len(explored) == 0 {
 		return 1
 	}
 	best := math.Inf(1)
-	for _, e := range explored {
-		d2 := stats.SquaredDistance(x, e)
-		if d2 < best {
-			best = d2
+	i := 0
+	for ; i+4 <= len(explored); i += 4 {
+		d0, d1, d2, d3 := stats.SquaredDistance4(x, explored[i], explored[i+1], explored[i+2], explored[i+3])
+		for _, d := range [4]float64{d0, d1, d2, d3} {
+			if d < best {
+				best = d
+			}
+		}
+	}
+	for _, e := range explored[i:] {
+		if d := stats.SquaredDistance(x, e); d < best {
+			best = d
 		}
 	}
 	best /= float64(len(x)) // per-dimension normalization

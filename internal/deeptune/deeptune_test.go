@@ -6,6 +6,7 @@ import (
 
 	"wayfinder/internal/configspace"
 	"wayfinder/internal/rng"
+	"wayfinder/internal/stats"
 )
 
 // synthProblem builds a labelled dataset over dim features: performance
@@ -150,6 +151,51 @@ func TestDissimilarity(t *testing.T) {
 	mixed := Dissimilarity(x, [][]float64{{10, -10}, {0.5, 0.5}})
 	if mixed != 0 {
 		t.Fatalf("nearest-point rule broken: %v", mixed)
+	}
+}
+
+// TestDissimilarityBlockedBitIdentical: scanning the explored set four
+// points at a time must give bit-for-bit the one-point-at-a-time scan,
+// for explored sets below, at and past the block width.
+func TestDissimilarityBlockedBitIdentical(t *testing.T) {
+	reference := func(x []float64, explored [][]float64) float64 {
+		if len(explored) == 0 {
+			return 1
+		}
+		best := math.Inf(1)
+		for _, e := range explored {
+			if d2 := stats.SquaredDistance(x, e); d2 < best {
+				best = d2
+			}
+		}
+		best /= float64(len(x))
+		return 1 - 1/(1+best*float64(len(x))/4)
+	}
+	r := rng.New(9)
+	vec := func(dim int) []float64 {
+		v := make([]float64, dim)
+		for i := range v {
+			v[i] = r.Float64()
+		}
+		return v
+	}
+	for _, dim := range []int{6, 397} {
+		for _, n := range []int{0, 1, 5, 64} {
+			explored := make([][]float64, n)
+			for i := range explored {
+				explored[i] = vec(dim)
+			}
+			for trial := 0; trial < 20; trial++ {
+				x := vec(dim)
+				if n > 0 && trial%4 == 0 {
+					x = append([]float64(nil), explored[r.Intn(n)]...) // an exact hit: distance 0
+				}
+				got, want := Dissimilarity(x, explored), reference(x, explored)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("dim %d |explored| %d trial %d: Dissimilarity %v != reference %v", dim, n, trial, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -20,6 +20,14 @@
 //     not the O(n²·d) kernel evaluations.
 //   - Predict and ExpectedImprovement reuse scratch buffers; the
 //     steady-state candidate-scoring path allocates nothing.
+//     ExpectedImprovementBatch builds its kernel matrix four candidates
+//     per distance pass (stats.SquaredDistance4) and solves it with one
+//     k-blocked batch forward solve, each bit-identical to the scalar
+//     path: blocking changes which independent sums run side by side,
+//     never the order of the additions within one.
+//   - The hyperparameter probe computes the window's pairwise distances
+//     once per round, and an adopted probe's kernel rows become the row
+//     cache, so adaptation evaluates no distance twice.
 //   - A copy-on-write "fantasy frame" (PushFantasy/PopFantasy) adds a
 //     speculative observation in O(n²) and removes it for free — the
 //     mechanism that makes constant-liar batch proposal affordable.
@@ -159,9 +167,17 @@ func (g *GP) Add(x []float64, y float64) {
 }
 
 func (g *GP) kernel(a, b []float64) float64 {
-	d2 := stats.SquaredDistance(a, b)
-	return g.SignalVar * math.Exp(-d2/(2*g.LengthScale*g.LengthScale))
+	return g.kernelD2(stats.SquaredDistance(a, b))
 }
+
+// kernelD2 is the RBF kernel as a function of the squared distance — the
+// one expression every kernel value in the model comes from, whether its
+// distance was computed one pair or four candidates at a time.
+func (g *GP) kernelD2(d2 float64) float64 { return rbf(g.LengthScale, g.SignalVar, d2) }
+
+// rbf is σ_f²·exp(−d²/(2ℓ²)) under explicit hyperparameters, so the
+// hyperparameter probe's rows are the values the adopted kernel computes.
+func rbf(ls, sv, d2 float64) float64 { return sv * math.Exp(-d2/(2*ls*ls)) }
 
 // kernelRow returns (computing and caching on first use) the kernel row of
 // observation i against observations 0..i.
@@ -314,23 +330,40 @@ func (g *GP) adaptHypers() error {
 	g.sinceAdapt = 0
 	bestLL := g.lmlFromFactor()
 	bestLS, bestSV := g.LengthScale, g.SignalVar
-	improved := false
+	var bestRows [][]float64
+	d2 := g.pairDistances()
 	for _, f := range hyperProbeFactors {
 		ls, sv := g.LengthScale*f[0], g.SignalVar*f[1]
-		ll, err := g.probeLML(ls, sv)
+		ll, rows, err := g.probeLML(ls, sv, d2)
 		if err != nil {
 			continue // a probe that fails to factor is just not adopted
 		}
 		if ll > bestLL+1e-9 {
-			bestLL, bestLS, bestSV, improved = ll, ls, sv, true
+			bestLL, bestLS, bestSV, bestRows = ll, ls, sv, rows
 		}
 	}
-	if !improved {
+	if bestRows == nil {
 		return nil
 	}
+	// The adopted probe's rows are exactly the kernel rows the new
+	// hyperparameters define: install them instead of recomputing.
 	g.LengthScale, g.SignalVar = bestLS, bestSV
-	g.kRows = nil // kernel changed: every cached row is stale
+	g.kRows = bestRows
 	return g.refit()
+}
+
+// pairDistances returns the squared distances between every pair of
+// observations, packed lower-triangular (pair (i, j ≤ i) at i(i+1)/2 + j)
+// — computed once per probe round and shared by every probe.
+func (g *GP) pairDistances() []float64 {
+	n := len(g.xs)
+	d2 := make([]float64, n*(n+1)/2)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			d2[i*(i+1)/2+j] = stats.SquaredDistance(g.xs[i], g.xs[j])
+		}
+	}
+	return d2
 }
 
 // lmlFromFactor computes the log marginal likelihood from the current
@@ -349,21 +382,24 @@ func (g *GP) lmlFromFactor() float64 {
 }
 
 // probeLML evaluates the log marginal likelihood the model would have
-// under candidate hyperparameters, on scratch storage — the live factor,
-// caches, and weights are untouched.
-func (g *GP) probeLML(ls, sv float64) (float64, error) {
+// under candidate hyperparameters, from the packed pair distances d2, on
+// scratch storage — the live factor, caches, and weights are untouched.
+// It returns the probe's kernel rows too, so an adopted probe's rows can
+// become the model's cache.
+func (g *GP) probeLML(ls, sv float64, d2 []float64) (float64, [][]float64, error) {
 	n := len(g.xs)
+	k := make([]float64, len(d2))
 	rows := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		rows[i] = make([]float64, i+1)
-		for j := 0; j <= i; j++ {
-			d2 := stats.SquaredDistance(g.xs[i], g.xs[j])
-			rows[i][j] = sv * math.Exp(-d2/(2*ls*ls))
+		lo, hi := i*(i+1)/2, (i+1)*(i+2)/2
+		rows[i] = k[lo:hi:hi]
+		for j, d := range d2[lo:hi] {
+			rows[i][j] = rbf(ls, sv, d)
 		}
 	}
 	var tf stats.TriFactor
 	if err := tf.FactorFromRows(rows, g.NoiseVar+g.jitter); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	mean := stats.Mean(g.ys)
 	centered := make([]float64, n)
@@ -380,7 +416,7 @@ func (g *GP) probeLML(ls, sv float64) (float64, error) {
 		ll -= 0.5 * centered[i] * alpha[i]
 	}
 	ll -= 0.5 * float64(n) * math.Log(2*math.Pi)
-	return ll, nil
+	return ll, rows, nil
 }
 
 // refreshWeights recomputes the target mean and alpha = (K+σ²I)⁻¹(y−mean)
@@ -529,8 +565,13 @@ func (g *GP) ExpectedImprovementBatch(cands [][]float64, best, xi float64, out [
 	for i := 0; i < n; i++ {
 		xp := g.xs[i]
 		row := g.kStarB[i*m : i*m+m]
-		for j, c := range cands {
-			row[j] = g.kernel(c, xp)
+		j := 0
+		for ; j+4 <= m; j += 4 {
+			d0, d1, d2, d3 := stats.SquaredDistance4(xp, cands[j], cands[j+1], cands[j+2], cands[j+3])
+			row[j], row[j+1], row[j+2], row[j+3] = g.kernelD2(d0), g.kernelD2(d1), g.kernelD2(d2), g.kernelD2(d3)
+		}
+		for ; j < m; j++ {
+			row[j] = g.kernel(cands[j], xp)
 		}
 	}
 	g.vB = resize(g.vB, n*m)

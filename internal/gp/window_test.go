@@ -151,35 +151,63 @@ func TestFantasyAcrossWindow(t *testing.T) {
 	}
 }
 
+// sparseVec returns a dim-dimensional vector shaped like a configuration
+// encoding: mostly zeros, one-hot ones, and the odd normalized integer.
+func sparseVec(r *rng.RNG, dim int) []float64 {
+	x := make([]float64, dim)
+	for i := range x {
+		switch r.Intn(8) {
+		case 0:
+			x[i] = 1
+		case 1:
+			x[i] = r.Float64()
+		}
+	}
+	return x
+}
+
 // TestEIBatchBitIdentical: the batched acquisition must equal the scalar
-// loop bit-for-bit, on unbounded and windowed models alike.
+// loop bit-for-bit, on unbounded and windowed models alike, for pool
+// sizes on both sides of the four-candidate kernel blocking and for the
+// 397-wide sparse encodings the Linux space produces.
 func TestEIBatchBitIdentical(t *testing.T) {
-	for _, window := range []int{0, 12} {
-		r := rng.New(11)
-		g := New(0.5, 1, 1e-3)
-		if window > 0 {
-			if err := g.SetWindow(window); err != nil {
-				t.Fatal(err)
-			}
+	for _, dim := range []int{3, 397} {
+		vec := drawVec
+		if dim > 3 {
+			vec = sparseVec
 		}
-		for i := 0; i < 48; i++ {
-			g.Add(drawVec(r, 3), r.Float64())
-		}
-		cands := make([][]float64, 96)
-		for i := range cands {
-			cands[i] = drawVec(r, 3)
-		}
-		batch := make([]float64, len(cands))
-		if err := g.ExpectedImprovementBatch(cands, 0.8, 0.01, batch); err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range cands {
-			want, err := g.ExpectedImprovement(c, 0.8, 0.01)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(batch[i]) != math.Float64bits(want) {
-				t.Fatalf("window %d cand %d: batch EI %v != scalar EI %v", window, i, batch[i], want)
+		for _, window := range []int{0, 12} {
+			for _, m := range []int{1, 3, 96, 97} {
+				r := rng.New(11)
+				g := New(0.5, 1, 1e-3)
+				if dim > 3 {
+					g = New(3, 1, 1e-3)
+				}
+				if window > 0 {
+					if err := g.SetWindow(window); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 48; i++ {
+					g.Add(vec(r, dim), r.Float64())
+				}
+				cands := make([][]float64, m)
+				for i := range cands {
+					cands[i] = vec(r, dim)
+				}
+				batch := make([]float64, len(cands))
+				if err := g.ExpectedImprovementBatch(cands, 0.8, 0.01, batch); err != nil {
+					t.Fatal(err)
+				}
+				for i, c := range cands {
+					want, err := g.ExpectedImprovement(c, 0.8, 0.01)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(batch[i]) != math.Float64bits(want) {
+						t.Fatalf("dim %d window %d m %d cand %d: batch EI %v != scalar EI %v", dim, window, m, i, batch[i], want)
+					}
+				}
 			}
 		}
 	}
@@ -254,6 +282,39 @@ func TestHyperAdaptDeterministicImprovement(t *testing.T) {
 	}
 	if adapted < base {
 		t.Fatalf("adaptation worsened the evidence: %v < %v", adapted, base)
+	}
+}
+
+// TestHyperAdaptAdoptedRowsMatchKernel: an adopted probe's kernel rows
+// become the model's row cache, so they must be bit-for-bit the rows a
+// fresh kernelRow build computes under the adopted hyperparameters.
+func TestHyperAdaptAdoptedRowsMatchKernel(t *testing.T) {
+	r := rng.New(17)
+	g := New(0.05, 1, 1e-3)
+	g.SetHyperAdapt(16)
+	adoptions := 0
+	for i := 0; i < 96; i++ {
+		x := drawVec(r, 2)
+		g.Add(x, math.Sin(2*x[0])+x[1])
+		ls, sv := g.LengthScale, g.SignalVar
+		if _, _, err := g.Predict([]float64{0.5, 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if g.LengthScale == ls && g.SignalVar == sv {
+			continue
+		}
+		adoptions++
+		for a := range g.xs {
+			for b := 0; b <= a; b++ {
+				want := g.kernel(g.xs[a], g.xs[b])
+				if math.Float64bits(g.kRows[a][b]) != math.Float64bits(want) {
+					t.Fatalf("adoption at add %d: kRows[%d][%d] = %v, fresh kernel %v", i, a, b, g.kRows[a][b], want)
+				}
+			}
+		}
+	}
+	if adoptions == 0 {
+		t.Fatal("mis-specified hypers were never adopted; the row check never ran")
 	}
 }
 

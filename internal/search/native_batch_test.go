@@ -184,6 +184,51 @@ func TestBayesianProposeSurvivesFitError(t *testing.T) {
 	}
 }
 
+// TestBayesianHandedOutCandidatesStayPut: the candidate pool is redrawn
+// in place, so every configuration a proposal hands out — the EI pick of
+// Propose and ProposeBatch, and the fit-error fallback — must leave the
+// pool and keep its values through every later draw.
+func TestBayesianHandedOutCandidatesStayPut(t *testing.T) {
+	space := toySpace()
+	enc := configspace.NewEncoder(space)
+	healthy := NewBayesian(space, true, 5)
+	broken := NewBayesian(space, true, 6)
+	// A negative signal variance makes every factorization fail, so each
+	// proposal takes the fit-error fallback.
+	broken.model = gp.New(0.35, -1, -1)
+	for i := 0; i < 4; i++ {
+		for _, s := range []*Bayesian{healthy, broken} {
+			c := space.Random(s.rng)
+			s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: float64(i + 1)})
+		}
+	}
+	type handout struct {
+		c    *configspace.Config
+		want string
+	}
+	var out []handout
+	keep := func(cs ...*configspace.Config) {
+		for _, c := range cs {
+			out = append(out, handout{c, c.String()})
+		}
+	}
+	for round := 0; round < 8; round++ {
+		for _, s := range []*Bayesian{healthy, broken} {
+			keep(s.Propose())
+			keep(s.ProposeBatch(1)...)
+			keep(s.ProposeBatch(3)...)
+		}
+	}
+	if broken.FitErrors() == 0 {
+		t.Fatal("the broken surrogate never took the fit-error fallback")
+	}
+	for i, h := range out {
+		if got := h.c.String(); got != h.want {
+			t.Fatalf("handed-out candidate %d changed after later proposals: %s, was %s", i, got, h.want)
+		}
+	}
+}
+
 // TestDeepTuneBatchDiversityPenalty checks the shared-pool ranking: a
 // trained DeepTune batch must fill slots with distinct configurations
 // (the diversity penalty pushes later slots off the winner), and the

@@ -372,9 +372,12 @@ type Bayesian struct {
 	fitErrors int
 	pending   map[uint64]int
 
-	// Reusable proposal scratch: the candidate pool, its encodings and
-	// hashes, and the batched-EI output, regrown once and reused so a
-	// steady-state proposal allocates only the candidates themselves.
+	// Reusable proposal scratch: the candidate pool (configurations
+	// redrawn in place; a slot handed to the caller is nil until the next
+	// draw reallocates it), its encodings in pool-owned rows, its hashes
+	// (filled only for multi-slot batches, their one reader), and the
+	// batched-EI output — so a steady-state proposal allocates only the
+	// candidate it hands out.
 	pool       []*configspace.Config
 	poolXs     [][]float64
 	poolHashes []uint64
@@ -444,23 +447,41 @@ func (s *Bayesian) Propose() *configspace.Config {
 	return s.proposeOne()
 }
 
-// drawPool fills the reusable proposal scratch with poolSize fresh random
-// candidates, their encodings, and their hashes — the same RNG draws and
-// encode order the per-candidate loop consumed, just performed upfront so
-// the pool can be scored with one kernel-matrix build and one triangular
-// batch solve instead of poolSize scalar solves.
+// drawPool refills the reusable proposal scratch with poolSize fresh
+// random candidates and their encodings — the same RNG draws and encode
+// order the per-candidate loop consumed, just performed upfront so the
+// pool can be scored with one kernel-matrix build and one triangular
+// batch solve instead of poolSize scalar solves. Candidates are redrawn
+// in place (Space.RandomInto) and encoded into pool-owned rows; only a
+// slot whose candidate was handed out last time is reallocated.
 func (s *Bayesian) drawPool() {
 	if s.pool == nil {
+		dim := s.enc.Dim()
+		rows := make([]float64, s.poolSize*dim)
 		s.pool = make([]*configspace.Config, s.poolSize)
 		s.poolXs = make([][]float64, s.poolSize)
+		for i := range s.poolXs {
+			s.poolXs[i] = rows[i*dim : (i+1)*dim : (i+1)*dim]
+		}
 		s.poolHashes = make([]uint64, s.poolSize)
 		s.poolEIs = make([]float64, s.poolSize)
 	}
-	for i := range s.pool {
-		s.pool[i] = s.space.Random(s.rng)
-		s.poolXs[i] = s.enc.Encode(s.pool[i])
-		s.poolHashes[i] = s.pool[i].Hash()
+	for i, c := range s.pool {
+		if c == nil {
+			s.pool[i] = s.space.Random(s.rng)
+		} else {
+			s.space.RandomInto(c, s.rng)
+		}
+		s.enc.EncodeInto(s.pool[i], s.poolXs[i])
 	}
+}
+
+// takePool hands pool candidate i to the caller: the configuration
+// leaves the pool, so the next draw cannot overwrite it.
+func (s *Bayesian) takePool(i int) *configspace.Config {
+	c := s.pool[i]
+	s.pool[i] = nil
+	return c
 }
 
 // proposeOne draws and scores one candidate pool — the single-proposal
@@ -476,7 +497,7 @@ func (s *Bayesian) proposeOne() *configspace.Config {
 	s.drawPool()
 	if err := s.model.ExpectedImprovementBatch(s.poolXs, s.best, 0.01, s.poolEIs); err != nil {
 		s.fitErrors++
-		return s.pool[0]
+		return s.takePool(0)
 	}
 	bestEI, bestIdx := -1.0, 0
 	for i, ei := range s.poolEIs {
@@ -484,11 +505,12 @@ func (s *Bayesian) proposeOne() *configspace.Config {
 			bestEI, bestIdx = ei, i
 		}
 	}
-	return s.pool[bestIdx]
+	return s.takePool(bestIdx)
 }
 
 // ProposeBatch implements BatchSearcher natively. One shared pool of
-// poolSize random candidates is drawn and encoded once; each slot scores
+// poolSize random candidates is drawn, encoded and hashed once (the
+// hashes are what keeps pending candidates out); each slot scores
 // the whole pool against the current surrogate — including the fantasized
 // observations pushed for earlier slots (constant liar: each pick is
 // speculatively taught at the incumbent best, so EI collapses around it
@@ -526,6 +548,9 @@ func (s *Bayesian) ProposeBatch(n int) []*configspace.Config {
 		return out
 	}
 	s.drawPool()
+	for i, c := range s.pool {
+		s.poolHashes[i] = c.Hash()
+	}
 	defer s.model.PopAllFantasies()
 	for slot := 0; slot < n; slot++ {
 		// One batched EI sweep per slot: the fantasy pushed for the
@@ -555,7 +580,7 @@ func (s *Bayesian) ProposeBatch(n int) []*configspace.Config {
 		var c *configspace.Config
 		var h uint64
 		if bestIdx >= 0 {
-			c, h = s.pool[bestIdx], s.poolHashes[bestIdx]
+			c, h = s.takePool(bestIdx), s.poolHashes[bestIdx]
 			if slot < n-1 {
 				// Constant liar: fantasize the pick at the incumbent best
 				// (signed), so the next slot's EI avoids its neighborhood.

@@ -77,8 +77,8 @@ func TestBayesianStateCoverage(t *testing.T) {
 			// The surrogate's window/adaptation knobs live inside gp.State;
 			// the proposal scratch is redrawn from the RNG every proposal.
 			"pool":       "reusable proposal scratch, redrawn every proposal",
-			"poolXs":     "reusable proposal scratch, redrawn every proposal",
-			"poolHashes": "reusable proposal scratch, redrawn every proposal",
+			"poolXs":     "pool-owned encoding rows, re-encoded in place every proposal",
+			"poolHashes": "pool hashes, refilled by every multi-slot ProposeBatch before it reads them",
 			"poolEIs":    "reusable proposal scratch, redrawn every proposal",
 		},
 	})

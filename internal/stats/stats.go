@@ -308,6 +308,26 @@ func SquaredDistance(a, b []float64) float64 {
 	return sum
 }
 
+// SquaredDistance4 returns the squared L2 distances from x to c0, c1, c2
+// and c3 (each at least len(x) long). Every result sums (c[i]−x[i])² in
+// SquaredDistance's index order in its own accumulator, so dk is bit-
+// identical to SquaredDistance(ck, x); the four independent add chains
+// keep the FPU busy where one latency-bound chain leaves it idle.
+func SquaredDistance4(x, c0, c1, c2, c3 []float64) (d0, d1, d2, d3 float64) {
+	c0, c1, c2, c3 = c0[:len(x)], c1[:len(x)], c2[:len(x)], c3[:len(x)]
+	for i, xi := range x {
+		e0 := c0[i] - xi
+		e1 := c1[i] - xi
+		e2 := c2[i] - xi
+		e3 := c3[i] - xi
+		d0 += e0 * e0
+		d1 += e1 * e1
+		d2 += e2 * e2
+		d3 += e3 * e3
+	}
+	return d0, d1, d2, d3
+}
+
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	sum := 0.0
@@ -609,44 +629,35 @@ func (t *TriFactor) Solve(b, dst []float64) {
 // ForwardSolveBatch solves L V = B for an n×m right-hand-side matrix in
 // one factor sweep: b and dst are row-major n×m (entry (i,j) at i*m+j and
 // dst may alias b). Each column undergoes exactly the scalar
-// ForwardSolve's operation sequence — same additions in the same order,
-// same final division — so column j of the result is bit-identical to
-// ForwardSolve on column j. Allocation-free.
+// ForwardSolve's operation sequence — same subtractions in the same k
+// order, same final division — so column j of the result is bit-identical
+// to ForwardSolve on column j. The k loop is blocked by four, so each
+// dst[i][j] is loaded and stored once per four subtractions instead of
+// once per subtraction. Allocation-free.
 func (t *TriFactor) ForwardSolveBatch(b, dst []float64, m int) {
 	for i := 0; i < t.n; i++ {
 		ri := t.data[i*(i+1)/2:]
-		bi := b[i*m : i*m+m]
 		di := dst[i*m : i*m+m]
-		copy(di, bi)
-		for k := 0; k < i; k++ {
+		copy(di, b[i*m:i*m+m])
+		k := 0
+		for ; k+4 <= i; k += 4 {
+			l0, l1, l2, l3 := ri[k], ri[k+1], ri[k+2], ri[k+3]
+			d0 := dst[k*m:][:len(di)]
+			d1 := dst[(k+1)*m:][:len(di)]
+			d2 := dst[(k+2)*m:][:len(di)]
+			d3 := dst[(k+3)*m:][:len(di)]
+			for j, v := range di {
+				di[j] = v - l0*d0[j] - l1*d1[j] - l2*d2[j] - l3*d3[j]
+			}
+		}
+		for ; k < i; k++ {
 			lik := ri[k]
-			dk := dst[k*m : k*m+m]
+			dk := dst[k*m:][:len(di)]
 			for j, dkj := range dk {
 				di[j] -= lik * dkj
 			}
 		}
 		lii := ri[i]
-		for j := range di {
-			di[j] /= lii
-		}
-	}
-}
-
-// SolveBatch solves (L Lᵀ) X = B for an n×m right-hand-side matrix
-// (row-major, dst may alias b), column-bit-identical to m scalar Solve
-// calls. Allocation-free.
-func (t *TriFactor) SolveBatch(b, dst []float64, m int) {
-	t.ForwardSolveBatch(b, dst, m)
-	for i := t.n - 1; i >= 0; i-- {
-		di := dst[i*m : i*m+m]
-		for k := i + 1; k < t.n; k++ {
-			lki := t.data[k*(k+1)/2+i]
-			dk := dst[k*m : k*m+m]
-			for j, dkj := range dk {
-				di[j] -= lki * dkj
-			}
-		}
-		lii := t.data[i*(i+1)/2+i]
 		for j := range di {
 			di[j] /= lii
 		}

@@ -678,40 +678,80 @@ func TestTriFactorPackedRoundTrip(t *testing.T) {
 }
 
 func TestTriFactorBatchSolvesBitIdentical(t *testing.T) {
-	// Column j of ForwardSolveBatch/SolveBatch must be bit-for-bit the
-	// scalar ForwardSolve/Solve of column j: the batch layout reorders the
-	// sweep across columns but never the FP operations within one.
+	// Column j of ForwardSolveBatch must be bit-for-bit the scalar
+	// ForwardSolve of column j: the batch layout blocks the sweep across
+	// columns and k, but never reorders the FP operations within one
+	// column. The sizes straddle the four-wide k blocking (n mod 4 = 0..3)
+	// and the pool width the acquisition path uses.
 	r := rng.New(33)
-	const n, m = 18, 7
-	rows := randomSPDRows(n, r)
-	tf := &TriFactor{}
-	if err := tf.FactorFromRows(rows, 0); err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n*m)
-	for i := range b {
-		b[i] = r.Normal(0, 1)
-	}
-	fwd := make([]float64, n*m)
-	tf.ForwardSolveBatch(b, fwd, m)
-	full := make([]float64, n*m)
-	tf.SolveBatch(b, full, m)
-	col := make([]float64, n)
-	scratch := make([]float64, n)
-	for j := 0; j < m; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b[i*m+j]
+	for _, n := range []int{0, 1, 3, 4, 5, 18, 33} {
+		rows := randomSPDRows(n, r)
+		tf := &TriFactor{}
+		if err := tf.FactorFromRows(rows, 0); err != nil {
+			t.Fatal(err)
 		}
-		tf.ForwardSolve(col, scratch)
-		for i := 0; i < n; i++ {
-			if math.Float64bits(fwd[i*m+j]) != math.Float64bits(scratch[i]) {
-				t.Fatalf("ForwardSolveBatch col %d row %d: %v != scalar %v", j, i, fwd[i*m+j], scratch[i])
+		for _, m := range []int{1, 7, 96} {
+			b := make([]float64, n*m)
+			for i := range b {
+				b[i] = r.Normal(0, 1)
+			}
+			fwd := make([]float64, n*m)
+			tf.ForwardSolveBatch(b, fwd, m)
+			// dst may alias b.
+			aliased := append([]float64(nil), b...)
+			tf.ForwardSolveBatch(aliased, aliased, m)
+			col := make([]float64, n)
+			scratch := make([]float64, n)
+			for j := 0; j < m; j++ {
+				for i := 0; i < n; i++ {
+					col[i] = b[i*m+j]
+				}
+				tf.ForwardSolve(col, scratch)
+				for i := 0; i < n; i++ {
+					want := math.Float64bits(scratch[i])
+					if math.Float64bits(fwd[i*m+j]) != want || math.Float64bits(aliased[i*m+j]) != want {
+						t.Fatalf("n=%d m=%d: ForwardSolveBatch col %d row %d: %v (aliased %v) != scalar %v",
+							n, m, j, i, fwd[i*m+j], aliased[i*m+j], scratch[i])
+					}
+				}
 			}
 		}
-		tf.Solve(col, scratch)
-		for i := 0; i < n; i++ {
-			if math.Float64bits(full[i*m+j]) != math.Float64bits(scratch[i]) {
-				t.Fatalf("SolveBatch col %d row %d: %v != scalar %v", j, i, full[i*m+j], scratch[i])
+	}
+}
+
+func TestSquaredDistance4BitIdentical(t *testing.T) {
+	// Each of the four blocked distances must be bit-for-bit the scalar
+	// SquaredDistance, whichever argument order the scalar call uses —
+	// including signed zeros, subnormals, infinities and NaN.
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.Inf(1), math.Inf(-1), math.NaN(), 1e154, -3}
+	r := rng.New(44)
+	// Odd trials draw finite normals only, so long vectors also compare
+	// finite sums, not just the NaN a special value would make of them.
+	draw := func(n int, specials bool) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			if specials && r.Intn(4) == 0 {
+				v[i] = special[r.Intn(len(special))]
+			} else {
+				v[i] = r.Normal(0, 1)
+			}
+		}
+		return v
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 397} {
+		for trial := 0; trial < 50; trial++ {
+			sp := trial%2 == 0
+			x := draw(n, sp)
+			cs := [4][]float64{draw(n, sp), draw(n, sp), draw(n, sp), draw(n, sp)}
+			var got [4]float64
+			got[0], got[1], got[2], got[3] = SquaredDistance4(x, cs[0], cs[1], cs[2], cs[3])
+			for k, c := range cs {
+				for _, want := range []float64{SquaredDistance(c, x), SquaredDistance(x, c)} {
+					if math.Float64bits(got[k]) != math.Float64bits(want) {
+						t.Fatalf("n=%d trial %d: SquaredDistance4[%d] = %v (%#x), scalar %v (%#x)",
+							n, trial, k, got[k], math.Float64bits(got[k]), want, math.Float64bits(want))
+					}
+				}
 			}
 		}
 	}
