@@ -12,7 +12,7 @@ STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: all build test race fmt vet vet-wf bench bench-cache bench-search \
-	smoke smoke-wfd smoke-window smoke-faults smoke-transfer tools lint cover ci
+	fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer tools lint cover ci
 
 all: build
 
@@ -109,6 +109,17 @@ bench-cache:
 bench-search:
 	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|BayesianPropose|DeepTuneObserve' -benchtime=1x -run='^$$' .
 
+# fuzz-smoke runs each searcher-checkpoint fuzz target for a short burst:
+# mutated and truncated checkpoints must fail Restore with an error, never
+# panic. `go test -fuzz` takes one target per run, hence one line each;
+# the committed seeds under internal/search/testdata/fuzz run with every
+# plain `go test` as well.
+FUZZTIME ?= 10s
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDeepTuneRestore$$' -fuzztime $(FUZZTIME) ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzBayesianRestore$$' -fuzztime $(FUZZTIME) ./internal/search
+
 # smoke builds and runs the end-to-end example programs with a small
 # budget: quickstart exercises the blocking Session lifecycle, streaming
 # exercises the v2 lifecycle end to end (event stream, mid-session
@@ -157,4 +168,4 @@ smoke-faults:
 	$(GO) run -race ./cmd/wfbench -exp elasticity
 	$(GO) run -race ./cmd/wfbench -exp locality
 
-ci: fmt vet vet-wf build race bench bench-cache bench-search smoke smoke-wfd smoke-window smoke-faults smoke-transfer
+ci: fmt vet vet-wf build race bench bench-cache bench-search fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer

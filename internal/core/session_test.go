@@ -257,6 +257,42 @@ func TestSessionSnapshotRequiresCheckpointable(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsNonPositiveAdapterPending: a batch-adapter pending
+// count of zero or less never occurs in a valid snapshot, so Resume
+// returns an error for it instead of dropping it.
+func TestResumeRejectsNonPositiveAdapterPending(t *testing.T) {
+	opts := Options{Iterations: 24, Seed: 5, Workers: 4}
+	sess, err := newSessionEngine(t, "random", 5).NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Step(10)
+	snap, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{0, -1} {
+		var doc map[string]any
+		if err := json.Unmarshal(snap, &doc); err != nil {
+			t.Fatal(err)
+		}
+		pending, ok := doc["adapter_pending"].(map[string]any)
+		if !ok || len(pending) == 0 {
+			t.Fatal("mid-flight snapshot carries no adapter pending set")
+		}
+		for k := range pending {
+			pending[k] = bad
+		}
+		mutated, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newSessionEngine(t, "random", 5).RestoreSession(mutated); err == nil {
+			t.Fatalf("Resume accepted an adapter pending count of %d", bad)
+		}
+	}
+}
+
 // TestSessionCancellation: a canceled Run returns the context error with a
 // consistent partial report (an observation-prefix of the uninterrupted
 // run), leaks no goroutines, and the session stays resumable to the exact

@@ -133,7 +133,7 @@ type sessionSnapshot struct {
 // their own checkpoints).
 type pendingCheckpointer interface {
 	PendingSnapshot() map[uint64]int
-	RestorePending(map[uint64]int)
+	RestorePending(map[uint64]int) error
 }
 
 // CheckpointableMetric is the optional Metric extension stateful metrics
@@ -149,9 +149,9 @@ type CheckpointableMetric interface {
 }
 
 // Snapshot serializes the session's complete state. It requires the
-// searcher to implement search.Checkpointable (Random, RandomMutate, Grid,
-// Bayesian, and DeepTune do) and must be called between steps — never
-// concurrently with Run. The session remains usable afterwards.
+// searcher to implement search.Checkpointable (Random, uniform or
+// mutation-based, Grid, Bayesian, and DeepTune do) and must be called
+// between steps — never concurrently with Run. The session remains usable afterwards.
 func (s *Session) Snapshot() ([]byte, error) {
 	ck, err := s.checkpointable()
 	if err != nil {
@@ -424,7 +424,9 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: snapshot carries batch-adapter state but the session has no adapter")
 		}
-		pc.RestorePending(snap.AdapterPending)
+		if err := pc.RestorePending(snap.AdapterPending); err != nil {
+			return nil, err
+		}
 	}
 	if len(snap.MetricState) > 0 {
 		cm, ok := e.Metric.(CheckpointableMetric)

@@ -739,8 +739,8 @@ func (s *Selector) ProposeBatch(n int, skip func(*configspace.Config) bool) []*c
 		}
 	}
 	// fallback draws a pool index at random, re-rolling while the slot is
-	// blocked for at most batchRetryAttempts tries (mirroring the batch
-	// adapter's accept-a-duplicate-rather-than-spin policy).
+	// blocked for at most batchRetryAttempts tries (mirroring
+	// search's pendingSet.draw: accept a duplicate rather than spin).
 	fallback := func() int {
 		idx := s.rng.Intn(len(pool))
 		for attempt := 1; attempt < batchRetryAttempts && blocked(idx); attempt++ {
@@ -773,6 +773,7 @@ func (s *Selector) ProposeBatch(n int, skip func(*configspace.Config) bool) []*c
 
 // batchRetryAttempts bounds how often ProposeBatch re-rolls a blocked
 // fallback slot before accepting a duplicate — the same
-// accept-after-bounded-attempts policy the search package's batch adapter
-// applies (its proposeAttempts constant).
+// accept-after-bounded-attempts policy as the search package's
+// pendingSet.draw, which every other batch proposer shares (its
+// proposeAttempts constant).
 const batchRetryAttempts = 16

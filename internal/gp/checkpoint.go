@@ -88,6 +88,11 @@ func (g *GP) RestoreState(st *State) error {
 	if len(st.Ys) != n {
 		return fmt.Errorf("gp: checkpoint has %d inputs for %d targets", n, len(st.Ys))
 	}
+	for i, x := range st.Xs {
+		if len(x) != len(st.Xs[0]) {
+			return fmt.Errorf("gp: checkpoint input %d has %d dims, input 0 has %d", i, len(x), len(st.Xs[0]))
+		}
+	}
 	// A windowed checkpoint carries the packed factor directly; its
 	// sinceRefit may exceed fitted (downdates count toward the refit
 	// cadence without growing the factor), so the replay-path invariant

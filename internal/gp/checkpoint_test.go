@@ -77,6 +77,7 @@ func TestCheckpointRejectsCorruptState(t *testing.T) {
 		{Xs: [][]float64{{1}}, Ys: []float64{1}, Fitted: 2},                // fitted > n
 		{Xs: [][]float64{{1}}, Ys: []float64{1}, Fitted: 1, SinceRefit: 2}, // sinceRefit > fitted
 		{Xs: [][]float64{{1}}, Ys: []float64{1}, Fitted: -1},               // negative
+		{Xs: [][]float64{{1, 2}, {1}}, Ys: []float64{1, 2}},                // ragged rows
 	}
 	for i, st := range bad {
 		if err := g.RestoreState(st); err == nil {

@@ -28,23 +28,79 @@ type BatchSearcher interface {
 // natively, Bayesian fills batches via constant-liar fantasized
 // observations on its incremental surrogate, and DeepTune ranks one
 // shared pool under a diversity penalty. Everything else — the
-// single-proposal Random, RandomMutate, and Unicorn strategies — is
-// wrapped in a pending-set adapter, so they keep working with the
-// parallel engine without modification.
+// single-proposal Random (uniform or mutation-based) and Unicorn
+// strategies — is wrapped in an adapter around a pendingSet, so they keep
+// working with the parallel engine without modification.
 func AsBatch(s Searcher) BatchSearcher {
 	if b, ok := s.(BatchSearcher); ok {
 		return b
 	}
-	return &batchAdapter{Searcher: s, pending: map[uint64]int{}}
+	return &batchAdapter{Searcher: s, pending: pendingSet{}}
 }
 
-// batchAdapter lifts a single-proposal Searcher to BatchSearcher. It
-// tracks pending configurations by hash and re-asks the underlying
-// strategy when a proposal collides with the pending set; after
+// proposeAttempts bounds how often pendingSet.draw re-asks a strategy for
+// a candidate that collides with the pending set.
+const proposeAttempts = 16
+
+// pendingSet is the multiset of configurations proposed but not yet
+// observed, keyed by Config.Hash — the one in-flight dedup every batch
+// proposer shares. Every count it holds is positive: done deletes a key
+// when its count reaches zero, so the set holds exactly the work in
+// flight and never the history of past proposals (an empty set means
+// "nothing pending").
+type pendingSet map[uint64]int
+
+// draw asks next for a candidate and re-asks while the candidate is
+// pending, then records the last candidate and returns it. After
 // proposeAttempts tries it accepts the duplicate rather than spinning on
 // a strategy that keeps proposing the same candidate (the same
 // accept-after-bounded-attempts policy the searchers apply to their own
-// history dedup).
+// history dedup): a duplicate evaluation beats a deadlock. Each candidate
+// is hashed once.
+func (p pendingSet) draw(next func() *configspace.Config) *configspace.Config {
+	c := next()
+	h := c.Hash()
+	for attempt := 1; attempt < proposeAttempts && p.has(h); attempt++ {
+		c = next()
+		h = c.Hash()
+	}
+	p.add(h)
+	return c
+}
+
+// add records one more in-flight proposal with hash h.
+func (p pendingSet) add(h uint64) { p[h]++ }
+
+// has reports whether a proposal with hash h is in flight.
+func (p pendingSet) has(h uint64) bool { return p[h] > 0 }
+
+// done clears one in-flight copy of c, deleting its key at zero. A
+// configuration that was never proposed (or a nil one) leaves the set
+// unchanged.
+func (p pendingSet) done(c *configspace.Config) {
+	if c == nil {
+		return
+	}
+	h := c.Hash()
+	switch n := p[h]; {
+	case n > 1:
+		p[h] = n - 1
+	case n == 1:
+		delete(p, h)
+	}
+}
+
+// count returns the number of in-flight proposals, counting duplicates.
+func (p pendingSet) count() int {
+	total := 0
+	for _, n := range p {
+		total += n
+	}
+	return total
+}
+
+// batchAdapter lifts a single-proposal Searcher to BatchSearcher: each
+// slot is one pendingSet.draw over the wrapped strategy's Propose.
 //
 // The adapter is not itself goroutine-safe: the engine calls ProposeBatch
 // and Observe from its coordinator only, and workers never touch the
@@ -60,16 +116,12 @@ func AsBatch(s Searcher) BatchSearcher {
 // the Fig 8 numbers for Bayesian/DeepTune/Unicorn.
 type batchAdapter struct {
 	Searcher
-	pending map[uint64]int
+	pending pendingSet
 	cost    time.Duration
 	// lastWrapped is the wrapped searcher's DecisionCost at the last pull,
 	// used to extract Observe deltas from its monotone accumulator.
 	lastWrapped time.Duration
 }
-
-// proposeAttempts bounds how often the adapter re-asks the wrapped
-// strategy for a candidate that collides with the pending set.
-const proposeAttempts = 16
 
 // propose asks the wrapped strategy for one candidate and accrues its
 // self-reported proposal cost (Propose resets the wrapped accumulator, so
@@ -86,12 +138,7 @@ func (b *batchAdapter) propose() *configspace.Config {
 func (b *batchAdapter) ProposeBatch(n int) []*configspace.Config {
 	out := make([]*configspace.Config, 0, n)
 	for len(out) < n {
-		c := b.propose()
-		for attempt := 1; attempt < proposeAttempts && b.pending[c.Hash()] > 0; attempt++ {
-			c = b.propose()
-		}
-		b.pending[c.Hash()]++
-		out = append(out, c)
+		out = append(out, b.pending.draw(b.propose))
 	}
 	return out
 }
@@ -102,11 +149,7 @@ func (b *batchAdapter) ProposeBatch(n int) []*configspace.Config {
 // — never an external re-measurement, which would count the same
 // model-update time twice.
 func (b *batchAdapter) Observe(o Observation) {
-	if o.Config != nil {
-		if h := o.Config.Hash(); b.pending[h] > 0 {
-			b.pending[h]--
-		}
-	}
+	b.pending.done(o.Config)
 	b.Searcher.Observe(o)
 	d := b.Searcher.DecisionCost()
 	if d >= b.lastWrapped {
@@ -133,10 +176,4 @@ func (b *batchAdapter) DecisionCost() time.Duration {
 
 // Pending returns the number of proposed-but-unobserved configurations
 // (counting duplicates), exposed for tests and diagnostics.
-func (b *batchAdapter) Pending() int {
-	total := 0
-	for _, c := range b.pending {
-		total += c
-	}
-	return total
-}
+func (b *batchAdapter) Pending() int { return b.pending.count() }

@@ -33,8 +33,8 @@ import (
 // Checkpoint serializes the strategy's full dynamic state, and Restore —
 // called on a freshly-constructed searcher with identical constructor
 // arguments — rebuilds it so the resumed session proposes byte-identically
-// to an uninterrupted one. Random, RandomMutate, Grid, Bayesian, and
-// DeepTune implement it; strategies that do not (Unicorn, custom ones)
+// to an uninterrupted one. Random (uniform or mutation-based), Grid,
+// Bayesian, and DeepTune implement it; strategies that do not (Unicorn, custom ones)
 // make their sessions snapshot with an explanatory error.
 type Checkpointable interface {
 	Searcher
@@ -54,27 +54,38 @@ func hashKey(h uint64) string { return strconv.FormatUint(h, 16) }
 func parseHashKey(s string) (uint64, error) { return strconv.ParseUint(s, 16, 64) }
 
 // encodePending renders a pending multiset for serialization.
-func encodePending(pending map[uint64]int) map[string]int {
+func encodePending(pending pendingSet) map[string]int {
 	out := make(map[string]int, len(pending))
 	for h, c := range pending {
-		if c > 0 {
-			out[hashKey(h)] = c
-		}
+		out[hashKey(h)] = c
 	}
 	return out
 }
 
-// decodePending inverts encodePending.
-func decodePending(enc map[string]int) (map[uint64]int, error) {
-	out := make(map[uint64]int, len(enc))
+// decodePending inverts encodePending. A zero or negative count is an
+// error: a pendingSet never holds one, so no valid checkpoint does.
+func decodePending(enc map[string]int) (pendingSet, error) {
+	out := make(pendingSet, len(enc))
 	for _, s := range slices.Sorted(maps.Keys(enc)) {
 		h, err := parseHashKey(s)
 		if err != nil {
 			return nil, fmt.Errorf("search: bad pending hash %q: %w", s, err)
 		}
+		if err := checkPendingCount(h, enc[s]); err != nil {
+			return nil, err
+		}
 		out[h] = enc[s]
 	}
 	return out, nil
+}
+
+// checkPendingCount rejects the non-positive counts a pendingSet never
+// holds.
+func checkPendingCount(h uint64, c int) error {
+	if c <= 0 {
+		return fmt.Errorf("search: pending count %d for hash %s, want > 0", c, hashKey(h))
+	}
+	return nil
 }
 
 // encodeSeen renders a seen-set deterministically (sorted).
@@ -96,8 +107,8 @@ func decodeSeen(hashes []uint64) map[uint64]bool {
 	return out
 }
 
-// randomState is the serialized form of Random and RandomMutate: the
-// proposal RNG position and the history dedup set.
+// randomState is the serialized form of Random, uniform or mutation-based
+// alike: the proposal RNG position and the history dedup set.
 type randomState struct {
 	RNG  [4]uint64 `json:"rng"`
 	Seen []uint64  `json:"seen,omitempty"`
@@ -113,22 +124,6 @@ func (s *Random) Restore(data []byte) error {
 	var st randomState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("search: random checkpoint: %w", err)
-	}
-	s.rng.SetState(st.RNG)
-	s.seen = decodeSeen(st.Seen)
-	return nil
-}
-
-// Checkpoint implements Checkpointable.
-func (s *RandomMutate) Checkpoint() ([]byte, error) {
-	return json.Marshal(randomState{RNG: s.rng.State(), Seen: encodeSeen(s.seen)})
-}
-
-// Restore implements Checkpointable.
-func (s *RandomMutate) Restore(data []byte) error {
-	var st randomState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("search: random-mutate checkpoint: %w", err)
 	}
 	s.rng.SetState(st.RNG)
 	s.seen = decodeSeen(st.Seen)
@@ -212,6 +207,10 @@ func (s *Bayesian) Restore(data []byte) error {
 	if st.GP == nil {
 		return fmt.Errorf("search: bayesian checkpoint has no surrogate state")
 	}
+	if len(st.GP.Xs) > 0 && len(st.GP.Xs[0]) != s.enc.Dim() {
+		return fmt.Errorf("search: bayesian checkpoint surrogate rows have %d dims, the space encodes %d",
+			len(st.GP.Xs[0]), s.enc.Dim())
+	}
 	pending, err := decodePending(st.Pending)
 	if err != nil {
 		return err
@@ -291,23 +290,18 @@ func (s *DeepTune) Restore(data []byte) error {
 // PendingSnapshot exports the adapter's pending multiset for session
 // checkpointing — the one piece of batch-protocol state that lives outside
 // a wrapped single-proposal searcher.
-func (b *batchAdapter) PendingSnapshot() map[uint64]int {
-	out := make(map[uint64]int, len(b.pending))
-	for h, c := range b.pending {
-		if c > 0 {
-			out[h] = c
-		}
-	}
-	return out
-}
+func (b *batchAdapter) PendingSnapshot() map[uint64]int { return maps.Clone(b.pending) }
 
 // RestorePending overwrites the adapter's pending multiset with a snapshot
-// taken by PendingSnapshot.
-func (b *batchAdapter) RestorePending(pending map[uint64]int) {
-	b.pending = make(map[uint64]int, len(pending))
-	for h, c := range pending {
-		if c > 0 {
-			b.pending[h] = c
+// taken by PendingSnapshot. A zero or negative count is an error, as in
+// decodePending; the adapter is left unchanged.
+func (b *batchAdapter) RestorePending(pending map[uint64]int) error {
+	for _, h := range slices.Sorted(maps.Keys(pending)) {
+		if err := checkPendingCount(h, pending[h]); err != nil {
+			return err
 		}
 	}
+	b.pending = make(pendingSet, len(pending))
+	maps.Copy(b.pending, pending)
+	return nil
 }

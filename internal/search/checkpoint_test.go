@@ -1,6 +1,8 @@
 package search
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"wayfinder/internal/configspace"
@@ -101,8 +103,8 @@ func TestBayesianCheckpointBatchPending(t *testing.T) {
 		observe(orig, enc, c, 50+noise.Float64(), false)
 	}
 	batch := orig.ProposeBatch(4) // leaves 4 pending
-	if orig.Pending() != 4 {
-		t.Fatalf("pending %d after batch", orig.Pending())
+	if orig.pending.count() != 4 {
+		t.Fatalf("pending %d after batch", orig.pending.count())
 	}
 	data, err := orig.Checkpoint()
 	if err != nil {
@@ -112,8 +114,8 @@ func TestBayesianCheckpointBatchPending(t *testing.T) {
 	if err := fresh.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Pending() != 4 {
-		t.Fatalf("restored pending %d, want 4", fresh.Pending())
+	if fresh.pending.count() != 4 {
+		t.Fatalf("restored pending %d, want 4", fresh.pending.count())
 	}
 	// Observe the batch on both; trajectories stay aligned.
 	for _, c := range batch {
@@ -168,7 +170,9 @@ func TestAdapterPendingSnapshot(t *testing.T) {
 	}
 	snap := b.PendingSnapshot()
 	b2 := AsBatch(NewRandom(space, 4)).(*batchAdapter)
-	b2.RestorePending(snap)
+	if err := b2.RestorePending(snap); err != nil {
+		t.Fatal(err)
+	}
 	if b2.Pending() != 3 {
 		t.Fatalf("restored pending %d, want 3", b2.Pending())
 	}
@@ -177,5 +181,17 @@ func TestAdapterPendingSnapshot(t *testing.T) {
 	}
 	if b2.Pending() != 0 {
 		t.Fatalf("pending %d after observing the batch", b2.Pending())
+	}
+	// A count a pending set never holds is an error, and leaves the
+	// adapter as it was.
+	first := slices.Sorted(maps.Keys(snap))[0]
+	for _, bad := range []int{0, -1} {
+		snap[first] = bad
+		if err := b.RestorePending(snap); err == nil {
+			t.Fatalf("RestorePending accepted a count of %d", bad)
+		}
+		if b.Pending() != 3 {
+			t.Fatalf("rejected restore changed the pending count to %d", b.Pending())
+		}
 	}
 }

@@ -330,6 +330,7 @@ func TestDeepTuneRestoreRejectsMalformed(t *testing.T) {
 		"incumbent value only": mutate(func(st map[string]any) { sel(st)["best"] = nil }),
 		"incumbent unknown":    mutate(func(st map[string]any) { sel(st)["best"] = map[string]any{"zzz": "1"} }),
 		"pending hash":         mutate(func(st map[string]any) { st["pending"] = map[string]any{"xyz": 1} }),
+		"pending zero":         mutate(func(st map[string]any) { st["pending"].(map[string]any)[firstPendingKey(t, st)] = 0 }),
 	}
 	for _, name := range slices.Sorted(maps.Keys(cases)) {
 		data := cases[name]

@@ -93,14 +93,14 @@ func TestGridNativeBatchAvoidsPendingDuplicates(t *testing.T) {
 		}
 		seen[h] = i
 	}
-	if g.Pending() != 4 {
-		t.Fatalf("pending = %d, want 4", g.Pending())
+	if g.pending.count() != 4 {
+		t.Fatalf("pending = %d, want 4", g.pending.count())
 	}
 	enc := configspace.NewEncoder(space)
 	for _, c := range batch {
 		g.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1, Stage: "ok"})
 	}
-	if g.Pending() != 0 {
-		t.Fatalf("pending = %d after observing everything, want 0", g.Pending())
+	if g.pending.count() != 0 {
+		t.Fatalf("pending = %d after observing everything, want 0", g.pending.count())
 	}
 }

@@ -107,8 +107,8 @@ func TestBayesianBatchFantasiesArePopped(t *testing.T) {
 	if s.model.Len() != before || s.model.Fantasies() != 0 {
 		t.Fatalf("fantasies leaked: Len %d->%d, active %d", before, s.model.Len(), s.model.Fantasies())
 	}
-	if s.Pending() != 6 {
-		t.Fatalf("pending = %d, want 6", s.Pending())
+	if s.pending.count() != 6 {
+		t.Fatalf("pending = %d, want 6", s.pending.count())
 	}
 	seen := map[uint64]int{}
 	for i, c := range batch {
@@ -120,8 +120,8 @@ func TestBayesianBatchFantasiesArePopped(t *testing.T) {
 	for _, c := range batch {
 		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1, Stage: "ok"})
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after observing everything, want 0", s.Pending())
+	if s.pending.count() != 0 {
+		t.Fatalf("pending = %d after observing everything, want 0", s.pending.count())
 	}
 }
 
@@ -258,14 +258,14 @@ func TestDeepTuneBatchDiversityPenalty(t *testing.T) {
 		}
 		seen[c.Hash()] = i
 	}
-	if s.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", s.Pending())
+	if s.pending.count() != 5 {
+		t.Fatalf("pending = %d, want 5", s.pending.count())
 	}
 	for _, c := range batch {
 		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1, Stage: "ok"})
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after observing everything, want 0", s.Pending())
+	if s.pending.count() != 0 {
+		t.Fatalf("pending = %d after observing everything, want 0", s.pending.count())
 	}
 }
 

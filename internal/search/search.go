@@ -91,16 +91,31 @@ type Windowed interface {
 // Random is the random-search baseline: every proposal is drawn uniformly
 // from the space, deduplicated against history ("continuously generating
 // unique configurations with random values for each parameter").
+//
+// With a mutation width k > 0 (NewRandomMutate) it is the random baseline
+// for compile-time exploration (§4.4) instead: rather than resampling
+// every parameter — which on a space with essential boot options
+// produces almost no bootable kernels — each proposal re-draws k
+// randomly-chosen parameters from the space's default (for Fig 10/11,
+// the distro or Cozart baseline).
 type Random struct {
 	space *configspace.Space
+	k     int
 	rng   *rng.RNG
 	seen  map[uint64]bool
 	cost  time.Duration
 }
 
-// NewRandom returns a random searcher.
+// NewRandom returns a random searcher that draws uniformly.
 func NewRandom(space *configspace.Space, seed uint64) *Random {
-	return &Random{space: space, rng: rng.New(seed), seen: map[uint64]bool{}}
+	return NewRandomMutate(space, 0, seed)
+}
+
+// NewRandomMutate returns a mutation-based random searcher that re-draws
+// k parameters of the space's default per proposal; k = 0 is NewRandom's
+// uniform draw.
+func NewRandomMutate(space *configspace.Space, k int, seed uint64) *Random {
+	return &Random{space: space, k: k, rng: rng.New(seed), seen: map[uint64]bool{}}
 }
 
 // Name implements Searcher.
@@ -109,15 +124,28 @@ func (s *Random) Name() string { return "random" }
 // Propose implements Searcher.
 func (s *Random) Propose() *configspace.Config {
 	defer restart(&s.cost)()
+	var base *configspace.Config
+	if s.k > 0 {
+		base = s.space.Default()
+	}
 	for attempt := 0; attempt < 64; attempt++ {
-		c := s.space.Random(s.rng)
-		if !s.seen[c.Hash()] {
-			s.seen[c.Hash()] = true
+		c := s.draw(base)
+		if h := c.Hash(); !s.seen[h] {
+			s.seen[h] = true
 			return c
 		}
 	}
 	// Space effectively exhausted near the sampler: accept a duplicate.
-	return s.space.Random(s.rng)
+	return s.draw(base)
+}
+
+// draw samples one candidate: a mutation of base, or a uniform draw when
+// base is nil.
+func (s *Random) draw(base *configspace.Config) *configspace.Config {
+	if base == nil {
+		return s.space.Random(s.rng)
+	}
+	return s.space.Mutate(base, s.k, s.rng)
 }
 
 // Observe implements Searcher.
@@ -125,47 +153,6 @@ func (s *Random) Observe(Observation) {}
 
 // DecisionCost implements Searcher.
 func (s *Random) DecisionCost() time.Duration { return s.cost }
-
-// RandomMutate is the random baseline for compile-time exploration (§4.4):
-// instead of resampling every parameter — which on a space with essential
-// boot options produces almost no bootable kernels — each proposal
-// re-draws K randomly-chosen parameters from the space's default (for
-// Fig 10/11, the distro or Cozart baseline).
-type RandomMutate struct {
-	space *configspace.Space
-	k     int
-	rng   *rng.RNG
-	seen  map[uint64]bool
-	cost  time.Duration
-}
-
-// NewRandomMutate returns a mutation-based random searcher.
-func NewRandomMutate(space *configspace.Space, k int, seed uint64) *RandomMutate {
-	return &RandomMutate{space: space, k: k, rng: rng.New(seed), seen: map[uint64]bool{}}
-}
-
-// Name implements Searcher.
-func (s *RandomMutate) Name() string { return "random" }
-
-// Propose implements Searcher.
-func (s *RandomMutate) Propose() *configspace.Config {
-	defer restart(&s.cost)()
-	base := s.space.Default()
-	for attempt := 0; attempt < 64; attempt++ {
-		c := s.space.Mutate(base, s.k, s.rng)
-		if !s.seen[c.Hash()] {
-			s.seen[c.Hash()] = true
-			return c
-		}
-	}
-	return s.space.Mutate(base, s.k, s.rng)
-}
-
-// Observe implements Searcher.
-func (s *RandomMutate) Observe(Observation) {}
-
-// DecisionCost implements Searcher.
-func (s *RandomMutate) DecisionCost() time.Duration { return s.cost }
 
 // Grid explores the space systematically, one parameter value after the
 // other: for each parameter in turn it steps through a small value grid
@@ -175,15 +162,13 @@ func (s *RandomMutate) DecisionCost() time.Duration { return s.cost }
 // and for small spaces.
 //
 // Grid implements BatchSearcher natively: ProposeBatch walks the ladder
-// directly instead of funnelling every slot through the AsBatch
-// pending-set adapter. The pending bookkeeping (skip candidates that
-// collide with a dispatched-but-unobserved proposal, accept a duplicate
-// after proposeAttempts tries) matches the adapter's policy exactly, so
-// the native path proposes the same sequence the adapter would.
+// directly instead of going through the AsBatch adapter, with each slot
+// one pendingSet.draw over the ladder step — the adapter's dedup, so the
+// native path proposes the same sequence the adapter would.
 type Grid struct {
 	space   *configspace.Space
 	base    *configspace.Config
-	pending map[uint64]int
+	pending pendingSet
 
 	paramIdx int
 	valueIdx int
@@ -192,7 +177,7 @@ type Grid struct {
 
 // NewGrid returns a grid searcher starting from the space defaults.
 func NewGrid(space *configspace.Space) *Grid {
-	return &Grid{space: space, base: space.Default(), pending: map[uint64]int{}}
+	return &Grid{space: space, base: space.Default(), pending: pendingSet{}}
 }
 
 // Name implements Searcher.
@@ -286,20 +271,15 @@ func (s *Grid) Propose() *configspace.Config {
 }
 
 // ProposeBatch implements BatchSearcher natively: up to n consecutive
-// ladder steps, skipping candidates that collide with a pending proposal
-// (a ladder step equal to the sweep base — its parameter's grid includes
-// the incumbent value — can repeat within a window) for at most
-// proposeAttempts tries each, exactly the adapter's policy.
+// ladder steps, each slot one pendingSet.draw, which skips a step that
+// collides with a pending proposal (a ladder step equal to the sweep
+// base — its parameter's grid includes the incumbent value — can repeat
+// within a window).
 func (s *Grid) ProposeBatch(n int) []*configspace.Config {
 	defer accrue(&s.cost)()
 	out := make([]*configspace.Config, 0, n)
 	for len(out) < n {
-		c := s.step()
-		for attempt := 1; attempt < proposeAttempts && s.pending[c.Hash()] > 0; attempt++ {
-			c = s.step()
-		}
-		s.pending[c.Hash()]++
-		out = append(out, c)
+		out = append(out, s.pending.draw(s.step))
 	}
 	return out
 }
@@ -308,26 +288,10 @@ func (s *Grid) ProposeBatch(n int) []*configspace.Config {
 // pending set. Grid learns nothing from the measurement itself: without
 // direction knowledge it cannot rank, so the engine feeds the best
 // configuration back via AdoptBase.
-func (s *Grid) Observe(o Observation) {
-	if o.Config != nil {
-		if h := o.Config.Hash(); s.pending[h] > 0 {
-			s.pending[h]--
-		}
-	}
-}
+func (s *Grid) Observe(o Observation) { s.pending.done(o.Config) }
 
 // AdoptBase re-centers the sweep on a new base configuration.
 func (s *Grid) AdoptBase(c *configspace.Config) { s.base = c.Clone() }
-
-// Pending returns the number of proposed-but-unobserved batch proposals
-// (counting duplicates), mirroring the adapter's diagnostic.
-func (s *Grid) Pending() int {
-	total := 0
-	for _, c := range s.pending {
-		total += c
-	}
-	return total
-}
 
 // DecisionCost implements Searcher with batch semantics: the searcher
 // time consumed since the previous call, drained on read — so a round's
@@ -352,10 +316,10 @@ func (s *Grid) DecisionCost() time.Duration {
 // fantasized observations (each pick is speculatively taught to the
 // surrogate at the incumbent best value, pushed in O(n²) and popped for
 // free), so within a round later slots condition on earlier picks instead
-// of proposing near-duplicates. The pending bookkeeping matches the
-// AsBatch adapter's policy, and ProposeBatch(1) on an empty pending set
-// reproduces Propose byte-for-byte — what keeps one-worker parallel
-// sessions identical to sequential ones.
+// of proposing near-duplicates. A slot that is not picked from the scored
+// pool uses pendingSet.draw, the adapter's dedup, and ProposeBatch(1) on
+// an empty pending set reproduces Propose byte-for-byte — what keeps
+// one-worker parallel sessions identical to sequential ones.
 type Bayesian struct {
 	space    *configspace.Space
 	enc      *configspace.Encoder
@@ -370,7 +334,7 @@ type Bayesian struct {
 	haveWorst bool
 	cost      time.Duration
 	fitErrors int
-	pending   map[uint64]int
+	pending   pendingSet
 
 	// Reusable proposal scratch: the candidate pool (configurations
 	// redrawn in place; a slot handed to the caller is nil until the next
@@ -393,7 +357,7 @@ func NewBayesian(space *configspace.Space, maximize bool, seed uint64) *Bayesian
 		rng:      rng.New(seed),
 		maximize: maximize,
 		poolSize: 96,
-		pending:  map[uint64]int{},
+		pending:  pendingSet{},
 	}
 }
 
@@ -521,29 +485,15 @@ func (s *Bayesian) proposeOne() *configspace.Config {
 func (s *Bayesian) ProposeBatch(n int) []*configspace.Config {
 	defer accrue(&s.cost)()
 	out := make([]*configspace.Config, 0, n)
-	if n == 1 {
+	if n == 1 || s.model.Len() < 3 {
 		// A singleton batch is the adapter's propose-once path verbatim —
 		// including the lazy pool draw, so even the fit-error early exit
 		// consumes the RNG identically and the ProposeBatch(1) ≡ Propose
-		// byte-equivalence holds on every code path.
-		c := s.proposeOne()
-		for attempt := 1; attempt < proposeAttempts && s.pending[c.Hash()] > 0; attempt++ {
-			c = s.proposeOne()
-		}
-		s.pending[c.Hash()]++
-		return append(out, c)
-	}
-	if s.model.Len() < 3 {
-		// Cold start: each slot is a random draw, deduplicated against the
-		// pending set for at most proposeAttempts tries — the adapter's
+		// byte-equivalence holds on every code path. On a cold start
+		// proposeOne is a plain random draw, so each slot is the adapter's
 		// policy around the single-proposal cold path exactly.
 		for len(out) < n {
-			c := s.space.Random(s.rng)
-			for attempt := 1; attempt < proposeAttempts && s.pending[c.Hash()] > 0; attempt++ {
-				c = s.space.Random(s.rng)
-			}
-			s.pending[c.Hash()]++
-			out = append(out, c)
+			out = append(out, s.pending.draw(s.proposeOne))
 		}
 		return out
 	}
@@ -562,14 +512,14 @@ func (s *Bayesian) ProposeBatch(n int) []*configspace.Config {
 			// non-pending pool candidate (a random draw) and count it.
 			s.fitErrors++
 			for i := range s.pool {
-				if s.pending[s.poolHashes[i]] == 0 {
+				if !s.pending.has(s.poolHashes[i]) {
 					bestIdx = i
 					break
 				}
 			}
 		} else {
 			for i := range s.pool {
-				if s.pending[s.poolHashes[i]] > 0 {
+				if s.pending.has(s.poolHashes[i]) {
 					continue
 				}
 				if s.poolEIs[i] > bestEI {
@@ -577,53 +527,35 @@ func (s *Bayesian) ProposeBatch(n int) []*configspace.Config {
 				}
 			}
 		}
-		var c *configspace.Config
-		var h uint64
-		if bestIdx >= 0 {
-			c, h = s.takePool(bestIdx), s.poolHashes[bestIdx]
-			if slot < n-1 {
-				// Constant liar: fantasize the pick at the incumbent best
-				// (signed), so the next slot's EI avoids its neighborhood.
-				// A push failure just skips the fantasy — the slot still
-				// proposes, the pool is merely scored unconditioned.
-				if err := s.model.PushFantasy(s.poolXs[bestIdx], s.best); err != nil {
-					s.fitErrors++
-				}
-			}
-		} else {
+		if bestIdx < 0 {
 			// Every pool candidate is pending: fall back to fresh random
-			// draws with the bounded dedup the adapter applies.
-			c = s.space.Random(s.rng)
-			for attempt := 1; attempt < proposeAttempts && s.pending[c.Hash()] > 0; attempt++ {
-				c = s.space.Random(s.rng)
-			}
-			h = c.Hash()
+			// draws with the adapter's bounded dedup.
+			out = append(out, s.pending.draw(s.randomConfig))
+			continue
 		}
-		s.pending[h]++
-		out = append(out, c)
+		s.pending.add(s.poolHashes[bestIdx])
+		out = append(out, s.takePool(bestIdx))
+		if slot < n-1 {
+			// Constant liar: fantasize the pick at the incumbent best
+			// (signed), so the next slot's EI avoids its neighborhood.
+			// A push failure just skips the fantasy — the slot still
+			// proposes, the pool is merely scored unconditioned.
+			if err := s.model.PushFantasy(s.poolXs[bestIdx], s.best); err != nil {
+				s.fitErrors++
+			}
+		}
 	}
 	return out
 }
 
-// Pending returns the number of proposed-but-unobserved batch proposals
-// (counting duplicates), mirroring the adapter's diagnostic.
-func (s *Bayesian) Pending() int {
-	total := 0
-	for _, c := range s.pending {
-		total += c
-	}
-	return total
-}
+// randomConfig is one uniform draw from the proposal stream.
+func (s *Bayesian) randomConfig() *configspace.Config { return s.space.Random(s.rng) }
 
 // Observe implements Searcher, clearing the configuration from the
 // pending set before teaching it to the surrogate.
 func (s *Bayesian) Observe(o Observation) {
 	defer accrue(&s.cost)()
-	if o.Config != nil {
-		if h := o.Config.Hash(); s.pending[h] > 0 {
-			s.pending[h]--
-		}
-	}
+	s.pending.done(o.Config)
 	if o.Crashed {
 		// Penalize with the worst observed value so far, in the signed
 		// (maximize) direction — so on minimize objectives, where every
@@ -668,8 +600,9 @@ func (s *Bayesian) DecisionCost() time.Duration {
 // shared candidate pool — one DTM forward pass per candidate, not per
 // slot — and fills later slots under a diversity penalty (each pick joins
 // the dissimilarity term's explored set), replacing the batchAdapter path
-// for parallel/async sessions. ProposeBatch(1) on an empty pending set
-// reproduces Propose byte-for-byte.
+// for parallel/async sessions. In-flight proposals are kept out through
+// the same pendingSet the adapter uses, and ProposeBatch(1) on an empty
+// pending set reproduces Propose byte-for-byte.
 type DeepTune struct {
 	sel *deeptune.Selector
 
@@ -679,7 +612,7 @@ type DeepTune struct {
 	ys      []float64
 	crashes []bool
 	cost    time.Duration
-	pending map[uint64]int
+	pending pendingSet
 	// window bounds the training history handed to the DTM (0 = full
 	// history).
 	window int
@@ -687,7 +620,7 @@ type DeepTune struct {
 
 // NewDeepTune returns a DeepTune searcher.
 func NewDeepTune(space *configspace.Space, maximize bool, cfg deeptune.Config) *DeepTune {
-	return &DeepTune{sel: deeptune.NewSelector(space, maximize, cfg), pending: map[uint64]int{}}
+	return &DeepTune{sel: deeptune.NewSelector(space, maximize, cfg), pending: pendingSet{}}
 }
 
 // Name implements Searcher.
@@ -714,42 +647,28 @@ func (s *DeepTune) Propose() *configspace.Config {
 	return s.sel.Propose()
 }
 
-// ProposeBatch implements BatchSearcher natively (see the type comment),
-// skipping candidates that collide with a pending proposal on a
-// best-effort basis — the adapter's dedup policy.
+// ProposeBatch implements BatchSearcher natively (see the type comment).
+// The selector skips pool candidates that collide with a pending proposal
+// on a best-effort basis, its own bounded re-roll standing in for
+// pendingSet.draw; every pick is then recorded in the pending set.
 func (s *DeepTune) ProposeBatch(n int) []*configspace.Config {
 	defer accrue(&s.cost)()
 	var skip func(*configspace.Config) bool
 	if len(s.pending) > 0 {
-		skip = func(c *configspace.Config) bool { return s.pending[c.Hash()] > 0 }
+		skip = func(c *configspace.Config) bool { return s.pending.has(c.Hash()) }
 	}
 	out := s.sel.ProposeBatch(n, skip)
 	for _, c := range out {
-		s.pending[c.Hash()]++
+		s.pending.add(c.Hash())
 	}
 	return out
-}
-
-// Pending returns the number of proposed-but-unobserved batch proposals
-// (counting duplicates), mirroring the adapter's diagnostic.
-func (s *DeepTune) Pending() int {
-	total := 0
-	for _, c := range s.pending {
-		total += c
-	}
-	return total
 }
 
 // Observe implements Searcher, clearing the configuration from the
 // pending set before retraining the DTM.
 func (s *DeepTune) Observe(o Observation) {
 	defer accrue(&s.cost)()
-	if o.Config != nil {
-		h := o.Config.Hash()
-		if s.pending[h]--; s.pending[h] <= 0 {
-			delete(s.pending, h)
-		}
-	}
+	s.pending.done(o.Config)
 	s.xs = append(s.xs, o.X)
 	s.ys = append(s.ys, o.Metric)
 	s.crashes = append(s.crashes, o.Crashed)

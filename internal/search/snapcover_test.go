@@ -14,31 +14,27 @@ import (
 // are deliberately not checkpointed: a restore target is built fresh
 // with the same arguments and Restore overlays the accumulated state.
 
-func TestRandomStateCoverage(t *testing.T) {
-	snapcover.Pair(t, reflect.TypeFor[Random](), reflect.TypeFor[randomState](), snapcover.Spec{
-		Covered: map[string]string{
-			"rng":  "RNG",
-			"seen": "Seen",
-		},
-		Excluded: map[string]string{
-			"space": "construction-time: the restore target is built over the same space",
-			"cost":  "per-call decision stopwatch, reported not replayed; the next Propose rewrites it",
-		},
-	})
+var randomSpec = snapcover.Spec{
+	Covered: map[string]string{
+		"rng":  "RNG",
+		"seen": "Seen",
+	},
+	Excluded: map[string]string{
+		"space": "construction-time: the restore target is built over the same space",
+		"k":     "construction-time mutation width",
+		"cost":  "per-call decision stopwatch, reported not replayed; the next Propose rewrites it",
+	},
 }
 
+func TestRandomStateCoverage(t *testing.T) {
+	snapcover.Pair(t, reflect.TypeFor[Random](), reflect.TypeFor[randomState](), randomSpec)
+}
+
+// The mutation searcher is checked through its constructor, so a
+// mutation-only type split back out of Random must pair with
+// randomState on its own.
 func TestRandomMutateStateCoverage(t *testing.T) {
-	snapcover.Pair(t, reflect.TypeFor[RandomMutate](), reflect.TypeFor[randomState](), snapcover.Spec{
-		Covered: map[string]string{
-			"rng":  "RNG",
-			"seen": "Seen",
-		},
-		Excluded: map[string]string{
-			"space": "construction-time: the restore target is built over the same space",
-			"k":     "construction-time mutation width",
-			"cost":  "per-call decision stopwatch, reported not replayed; the next Propose rewrites it",
-		},
-	})
+	snapcover.Pair(t, reflect.TypeOf(NewRandomMutate(toySpace(), 3, 1)), reflect.TypeFor[randomState](), randomSpec)
 }
 
 func TestGridStateCoverage(t *testing.T) {

@@ -51,8 +51,8 @@ type (
 )
 
 // Checkpointable is the optional searcher extension session snapshots
-// require; Random, RandomMutate, Grid, Bayesian, and DeepTune implement
-// it.
+// require; Random (uniform or mutation-based), Grid, Bayesian, and
+// DeepTune implement it.
 type Checkpointable = search.Checkpointable
 
 // Usage is a session's cumulative quantum accounting — observations,

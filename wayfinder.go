@@ -58,7 +58,7 @@
 //
 // Sessions checkpoint and resume byte-identically — searcher state
 // included, via the search package's Checkpointable interface (Random,
-// RandomMutate, Grid, Bayesian, DeepTune):
+// uniform or mutation-based, Grid, Bayesian, DeepTune):
 //
 //	snap, err := session.Snapshot()           // []byte, JSON
 //	...
@@ -252,8 +252,10 @@ func NewRandomSearcher(space *Space, seed uint64) *search.Random {
 }
 
 // NewRandomMutateSearcher returns the mutation-based random baseline used
-// for compile-time exploration.
-func NewRandomMutateSearcher(space *Space, k int, seed uint64) *search.RandomMutate {
+// for compile-time exploration: a Random searcher that re-draws k
+// parameters of the space's default per proposal (k = 0 draws uniformly,
+// as NewRandomSearcher does).
+func NewRandomMutateSearcher(space *Space, k int, seed uint64) *search.Random {
 	return search.NewRandomMutate(space, k, seed)
 }
 
