@@ -102,23 +102,26 @@ bench-cache:
 # Cholesky extension vs the full-refit baseline, the sliding-window add
 # (extend + rank-1 downdate), the batched acquisition paths (batch EI and
 # the DTM pool pass, each with a 0-alloc steady-state assertion), the
+# windowed DTM retrain (allocating only its z-scorer refit), the
 # sequential Bayesian proposal (allocating only the candidate it hands
 # out) and the native constant-liar batch proposal, and the DeepTune
 # observe path — so the model side of the search loop gets its own race-detector
 # smoke on every push.
 bench-search:
-	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|BayesianPropose|DeepTuneObserve' -benchtime=1x -run='^$$' .
+	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|DTMUpdate|BayesianPropose|DeepTuneObserve' -benchtime=1x -run='^$$' .
 
-# fuzz-smoke runs each searcher-checkpoint fuzz target for a short burst:
-# mutated and truncated checkpoints must fail Restore with an error, never
-# panic. `go test -fuzz` takes one target per run, hence one line each;
-# the committed seeds under internal/search/testdata/fuzz run with every
-# plain `go test` as well.
+# fuzz-smoke runs each restore fuzz target for a short burst — the
+# searcher checkpoints and the DTM transfer snapshot a corpus warm start
+# restores: mutated and truncated inputs must fail Restore with an error,
+# never panic. `go test -fuzz` takes one target per run, hence one line
+# each; the committed seeds under internal/search/testdata/fuzz and
+# internal/deeptune/testdata/fuzz run with every plain `go test` as well.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeepTuneRestore$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzBayesianRestore$$' -fuzztime $(FUZZTIME) ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzDTMRestore$$' -fuzztime $(FUZZTIME) ./internal/deeptune
 
 # smoke builds and runs the end-to-end example programs with a small
 # budget: quickstart exercises the blocking Session lifecycle, streaming

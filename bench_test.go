@@ -255,6 +255,43 @@ func BenchmarkDTMScorePoolBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pool), "ns/candidate")
 }
 
+// BenchmarkDTMUpdateWindow measures one steady-state DTM retrain at a
+// fixed 64-observation window over the runtime-only Linux space — the
+// per-observation Update of the deeptune-resume workload of cmd/wfperf.
+// Each minibatch runs as register-blocked batch passes, and the training
+// matrices are DTM-owned scratch, so a steady-state Update allocates only
+// its z-scorer refit: at most 3 objects, whatever the epochs or window.
+func BenchmarkDTMUpdateWindow(b *testing.B) {
+	const window = 64
+	m := simos.NewLinux(simos.DefaultLinuxOptions())
+	m.Space.Favor(configspace.CompileTime, 0)
+	enc := configspace.NewEncoder(m.Space)
+	cfg := deeptune.DefaultConfig()
+	cfg.Seed = 1
+	d := deeptune.New(enc.Dim(), cfg)
+	r := rng.New(4)
+	xs := make([][]float64, window)
+	ys := make([]float64, window)
+	crashed := make([]bool, window)
+	for i := range xs {
+		xs[i], ys[i], crashed[i] = enc.Encode(m.Space.Random(r)), r.Float64()*100, i%7 == 0
+	}
+	update := func() {
+		if err := d.Update(xs, ys, crashed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	update()
+	if allocs := testing.AllocsPerRun(2, update); allocs > 3 {
+		b.Fatalf("steady-state Update allocated %.0f times per op, want at most 3 (the z-scorer refit)", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update()
+	}
+}
+
 // BenchmarkBayesianPropose measures the sequential proposal — the
 // ProposeBatch(1) a one-worker session asks for every step — on a warm
 // 128-window surrogate over the Linux space, as the bayes-window workload

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"wayfinder/internal/rng"
@@ -20,6 +21,14 @@ type Space struct {
 	params  []*Param
 	byName  map[string]int
 	favored map[Class]float64 // sampling weight per class (§3.5)
+
+	// mutable lists, in parameter order, the parameters Mutate and
+	// Neighbor may change — not fixed, class weight above 0 — and weights
+	// their class weights. Every change to either (Add, Fix, Favor)
+	// updates them eagerly, never lazily, so proposals only read them and
+	// a Space shared between goroutines stays safe to propose from.
+	mutable []int
+	weights []float64
 }
 
 // NewSpace returns an empty space with the given name.
@@ -46,7 +55,24 @@ func (s *Space) Add(p *Param) error {
 	}
 	s.byName[p.Name] = len(s.params)
 	s.params = append(s.params, p)
+	s.track(len(s.params) - 1)
 	return nil
+}
+
+// track appends parameter i to the mutable lists if Mutate and Neighbor
+// may change it.
+func (s *Space) track(i int) {
+	if p, w := s.params[i], s.favored[s.params[i].Class]; !p.Fixed && w > 0 {
+		s.mutable, s.weights = append(s.mutable, i), append(s.weights, w)
+	}
+}
+
+// reindex rebuilds the mutable lists from scratch.
+func (s *Space) reindex() {
+	s.mutable, s.weights = s.mutable[:0], s.weights[:0]
+	for i := range s.params {
+		s.track(i)
+	}
 }
 
 // MustAdd is Add that panics on error, for statically-known spaces.
@@ -92,6 +118,7 @@ func (s *Space) Favor(class Class, weight float64) {
 		weight = 0
 	}
 	s.favored[class] = weight
+	s.reindex()
 }
 
 // ClassWeight returns the sampling weight of a class.
@@ -110,6 +137,7 @@ func (s *Space) Fix(name string, v Value) error {
 	}
 	p.Fixed = true
 	p.Default = v
+	s.reindex()
 	return nil
 }
 
@@ -244,67 +272,55 @@ func (s *Space) RandomInto(c *Config, r *rng.RNG) {
 // resampled. Parameter choice respects the class weights set via Favor.
 // k is clamped to [1, number of mutable parameters].
 func (s *Space) Mutate(base *Config, k int, r *rng.RNG) *Config {
-	c := base.Clone()
-	mutable := make([]int, 0, len(s.params))
-	weights := make([]float64, 0, len(s.params))
-	for i, p := range s.params {
-		if p.Fixed {
-			continue
-		}
-		w := s.favored[p.Class]
-		if w <= 0 {
-			continue
-		}
-		mutable = append(mutable, i)
-		weights = append(weights, w)
-	}
-	if len(mutable) == 0 {
-		return c
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > len(mutable) {
-		k = len(mutable)
-	}
-	seen := make(map[int]bool, k)
-	for len(seen) < k {
-		pick := mutable[r.Choice(weights)]
-		if seen[pick] {
-			continue
-		}
-		seen[pick] = true
-		c.values[pick] = sampleValue(s.params[pick], r)
-	}
+	c := newConfig(s)
+	s.MutateInto(c, base, k, r)
 	return c
+}
+
+// MutateInto overwrites dst, a configuration of this space, with a
+// Mutate of base (dst may be base): the same RNG draws in the same order,
+// so redrawing a reused configuration consumes the stream exactly as
+// Mutate does.
+func (s *Space) MutateInto(dst, base *Config, k int, r *rng.RNG) {
+	copy(dst.values, base.values)
+	if len(s.mutable) == 0 {
+		return
+	}
+	k = max(1, min(k, len(s.mutable)))
+	var buf [8]int
+	seen := buf[:0] // the distinct parameters resampled so far
+	for len(seen) < k {
+		pick := s.mutable[r.Choice(s.weights)]
+		if slices.Contains(seen, pick) {
+			continue
+		}
+		seen = append(seen, pick)
+		dst.values[pick] = sampleValue(s.params[pick], r)
+	}
 }
 
 // Neighbor returns a copy of base with one numeric parameter nudged to an
 // adjacent magnitude (×/÷ step) or one categorical parameter re-drawn —
 // the local move used by exploitation-heavy candidate pools.
 func (s *Space) Neighbor(base *Config, r *rng.RNG) *Config {
-	c := base.Clone()
-	mutable := make([]int, 0, len(s.params))
-	weights := make([]float64, 0, len(s.params))
-	for i, p := range s.params {
-		if p.Fixed {
-			continue
-		}
-		w := s.favored[p.Class]
-		if w <= 0 {
-			continue
-		}
-		mutable = append(mutable, i)
-		weights = append(weights, w)
+	c := newConfig(s)
+	s.NeighborInto(c, base, r)
+	return c
+}
+
+// NeighborInto overwrites dst, a configuration of this space, with a
+// Neighbor of base (dst may be base), consuming the RNG exactly as
+// Neighbor does.
+func (s *Space) NeighborInto(dst, base *Config, r *rng.RNG) {
+	copy(dst.values, base.values)
+	if len(s.mutable) == 0 {
+		return
 	}
-	if len(mutable) == 0 {
-		return c
-	}
-	pick := mutable[r.Choice(weights)]
+	pick := s.mutable[r.Choice(s.weights)]
 	p := s.params[pick]
 	switch p.Type {
 	case Int, Hex:
-		cur := c.values[pick].I
+		cur := dst.values[pick].I
 		factor := 1.0 + r.Float64() // step in [1,2)
 		var next int64
 		if r.Bool() {
@@ -321,11 +337,10 @@ func (s *Space) Neighbor(base *Config, r *rng.RNG) *Config {
 		if next > p.Max {
 			next = p.Max
 		}
-		c.values[pick] = IntValue(next)
+		dst.values[pick] = IntValue(next)
 	default:
-		c.values[pick] = sampleValue(p, r)
+		dst.values[pick] = sampleValue(p, r)
 	}
-	return c
 }
 
 // SetDefaultsFrom rebases every parameter's default onto the values of

@@ -2,6 +2,7 @@ package configspace
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +124,127 @@ func TestRandomIntoMatchesRandom(t *testing.T) {
 			if !reused.Equal(want) || ra.State() != rb.State() {
 				t.Fatalf("favor compile %v, draw %d: RandomInto %s != Random %s (or the RNG streams diverged)",
 					favorCompile, i, reused, want)
+			}
+		}
+	}
+}
+
+// refMutable is the per-call mutable-parameter scan Mutate and Neighbor
+// made before the lists were built eagerly: the reference the eager lists
+// must reproduce.
+func refMutable(s *Space) (mutable []int, weights []float64) {
+	for i, p := range s.params {
+		if p.Fixed {
+			continue
+		}
+		w := s.favored[p.Class]
+		if w <= 0 {
+			continue
+		}
+		mutable = append(mutable, i)
+		weights = append(weights, w)
+	}
+	return mutable, weights
+}
+
+// refMutate is Mutate as written before MutateInto: the scan per call and
+// a map of the parameters already resampled.
+func refMutate(s *Space, base *Config, k int, r *rng.RNG) *Config {
+	c := base.Clone()
+	mutable, weights := refMutable(s)
+	if len(mutable) == 0 {
+		return c
+	}
+	k = max(1, min(k, len(mutable)))
+	seen := make(map[int]bool, k)
+	for len(seen) < k {
+		pick := mutable[r.Choice(weights)]
+		if seen[pick] {
+			continue
+		}
+		seen[pick] = true
+		c.values[pick] = sampleValue(s.params[pick], r)
+	}
+	return c
+}
+
+// refNeighbor is Neighbor as written before NeighborInto.
+func refNeighbor(s *Space, base *Config, r *rng.RNG) *Config {
+	c := base.Clone()
+	mutable, weights := refMutable(s)
+	if len(mutable) == 0 {
+		return c
+	}
+	pick := mutable[r.Choice(weights)]
+	p := s.params[pick]
+	switch p.Type {
+	case Int, Hex:
+		cur := c.values[pick].I
+		factor := 1.0 + r.Float64()
+		var next int64
+		if r.Bool() {
+			next = int64(math.Round(float64(cur) * factor))
+		} else {
+			next = int64(math.Round(float64(cur) / factor))
+		}
+		if next == cur {
+			next = cur + 1
+		}
+		next = max(p.Min, min(next, p.Max))
+		c.values[pick] = IntValue(next)
+	default:
+		c.values[pick] = sampleValue(p, r)
+	}
+	return c
+}
+
+// TestMutateAndNeighborIntoMatchReference: the allocating Mutate and
+// Neighbor and the in-place MutateInto and NeighborInto (redrawing one
+// reused configuration, and in place over their own base) must each
+// match the per-call-scan reference draw for draw — values and RNG state —
+// under every class weighting, a zero weight and a fixed parameter
+// included, and after weights change mid-stream.
+func TestMutateAndNeighborIntoMatchReference(t *testing.T) {
+	s := NewSpace("test")
+	s.Favor(BootTime, 0)
+	for _, p := range testSpace(t).params {
+		s.MustAdd(p) // the lists grow with Add, skipping the zero-weight class
+		if m, w := refMutable(s); !slices.Equal(s.mutable, m) || !slices.Equal(s.weights, w) {
+			t.Fatalf("after adding %s: mutable %v %v, reference %v %v", p.Name, s.mutable, s.weights, m, w)
+		}
+	}
+	if err := s.Fix("CONFIG_E1000", TriValue(TriYes)); err != nil {
+		t.Fatal(err)
+	}
+	for _, favor := range []struct{ compile, runtime float64 }{{1, 1}, {0, 1}, {2.5, 0.5}, {0, 0}, {1, 0}} {
+		s.Favor(CompileTime, favor.compile)
+		s.Favor(Runtime, favor.runtime)
+		seeds := rng.New(uint64(100 * favor.runtime))
+		base := s.Random(seeds)
+		reused, inPlace := s.Default(), base.Clone()
+		rs := [4]*rng.RNG{rng.New(7), rng.New(7), rng.New(7), rng.New(7)}
+		for i := 0; i < 300; i++ {
+			k := 1 + i%4
+			var want *Config
+			var got [3]*Config
+			if i%3 == 0 {
+				want = refNeighbor(s, base, rs[0])
+				got[0] = s.Neighbor(base, rs[1])
+				s.NeighborInto(reused, base, rs[2])
+				copy(inPlace.values, base.values)
+				s.NeighborInto(inPlace, inPlace, rs[3])
+			} else {
+				want = refMutate(s, base, k, rs[0])
+				got[0] = s.Mutate(base, k, rs[1])
+				s.MutateInto(reused, base, k, rs[2])
+				copy(inPlace.values, base.values)
+				s.MutateInto(inPlace, inPlace, k, rs[3])
+			}
+			got[1], got[2] = reused, inPlace
+			for j, c := range got {
+				if !c.Equal(want) || rs[j+1].State() != rs[0].State() {
+					t.Fatalf("favor %+v draw %d variant %d: %s, reference %s (or the RNG streams diverged)", favor, i, j, c, want)
+				}
 			}
 		}
 	}

@@ -30,6 +30,7 @@ package deeptune
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"wayfinder/internal/configspace"
@@ -52,7 +53,7 @@ type Config struct {
 	LearningRate float64
 	// Epochs is the number of passes over history per incremental update.
 	Epochs int
-	// BatchSize is the minibatch size.
+	// BatchSize is the minibatch size, at least 1.
 	BatchSize int
 	// Alpha balances dissimilarity against uncertainty in sf (Eq. 3);
 	// the paper finds 0.5 effective.
@@ -130,14 +131,32 @@ type DTM struct {
 	trained  int // number of Update calls
 	lastCost time.Duration
 
-	// Batched-inference scratch (PredictBatch): one row per pool
-	// candidate, grown on demand and reused across calls so a steady-state
-	// pool scoring pass allocates nothing.
-	bz     [][]float64 // z-scored inputs
-	bh1    [][]float64 // post-ReLU trunk1 activations
-	bh2    [][]float64 // post-ReLU trunk2 activations
-	bcrash [][]float64 // crash-head logits
-	bperf  [][]float64 // perf-head [mu, logVar]
+	// scratch is the batch working memory of PredictBatch and Update.
+	scratch batchScratch
+}
+
+// batchScratch holds the DTM's batch matrices, one row per sample, grown
+// on demand and reused across calls, so a steady-state pool scoring pass
+// allocates nothing and a steady-state Update allocates only its
+// z-scorer refit. PredictBatch uses the first five over the candidate
+// pool; Update uses the rest, and h1 through perf, over one minibatch.
+type batchScratch struct {
+	z     [][]float64 // z-scored inputs
+	h1    [][]float64 // post-ReLU trunk1 activations
+	h2    [][]float64 // post-ReLU trunk2 activations
+	crash [][]float64 // crash-head logits
+	perf  [][]float64 // perf-head [mu, logVar]
+
+	hist    [][]float64 // the z-scored history, in history order
+	epochH1 [][]float64 // this epoch's post-dropout trunk1 activations, in visiting order
+	order   []int       // the visiting order
+	x       [][]float64 // the minibatch's rows of hist
+	d2      [][]float64 // post-dropout trunk2 activations
+	gCrash  [][]float64 // dL/d(crash logits)
+	gPerf   [][]float64 // dL/d(perf head)
+	gh2     [][]float64 // dL/dh2
+	gPerfIn [][]float64 // the perf head's share of dL/dh2
+	gh1     [][]float64 // dL/dh1
 }
 
 // New creates a DTM over dim-dimensional feature vectors.
@@ -163,6 +182,20 @@ func New(dim int, cfg Config) *DTM {
 	return d
 }
 
+// trunkParams returns the prediction-branch parameters opt steps, and
+// rbfParams the centroids rbfOpt steps, in stepping order. They are
+// arrays so that a retrain's steps slice them without allocating.
+func (d *DTM) trunkParams() [8]*nn.Param {
+	return [8]*nn.Param{
+		d.trunk1.Weight, d.trunk1.Bias, d.trunk2.Weight, d.trunk2.Bias,
+		d.crash.Weight, d.crash.Bias, d.perf.Weight, d.perf.Bias,
+	}
+}
+
+func (d *DTM) rbfParams() [2]*nn.Param {
+	return [2]*nn.Param{d.rbfIn.Centroids, d.rbfHid.Centroids}
+}
+
 // Dim returns the feature dimension.
 func (d *DTM) Dim() int { return d.dim }
 
@@ -172,25 +205,6 @@ func (d *DTM) Trained() int { return d.trained }
 // LastUpdateCost returns the wall-clock duration of the most recent Update
 // (Fig 8's "DeepTune update time").
 func (d *DTM) LastUpdateCost() time.Duration { return d.lastCost }
-
-// forward runs the prediction trunk, returning hidden activations and
-// head outputs. Callers must not interleave forwards between Backward.
-func (d *DTM) forward(z []float64, train bool) (h1, h2, crashLogits, perfOut []float64) {
-	h1 = d.drop1.Forward(d.relu1.Forward(d.trunk1.Forward(z, train), train), train)
-	h2 = d.drop2.Forward(d.relu2.Forward(d.trunk2.Forward(h1, train), train), train)
-	crashLogits = d.crash.Forward(h2, train)
-	perfOut = d.perf.Forward(h2, train)
-	return
-}
-
-// params returns the prediction-branch parameters.
-func (d *DTM) params() []*nn.Param {
-	var out []*nn.Param
-	for _, l := range []nn.Layer{d.trunk1, d.trunk2, d.crash, d.perf} {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
 
 // normalizeY maps a raw metric value into the model's training scale.
 func (d *DTM) normalizeY(y float64) float64 {
@@ -214,12 +228,28 @@ func (d *DTM) denormalizeY(yn float64) float64 {
 // vectors, metric values (ignored for crashed samples), and crash labels.
 // It refits the feature z-scorer, then runs cfg.Epochs of minibatch Adam
 // on L = L_CCE + L_Reg + L_Cham.
+//
+// Each minibatch runs layer by layer over the whole batch (trainBatch).
+// That is the per-sample loop — forward, backward and gradient
+// accumulation one sample at a time, an optimizer step at each minibatch
+// boundary — computed bit for bit: the weights change only at those
+// boundaries, each dropout layer draws its masks from its own stream in
+// sample order, and every gradient element receives its per-sample
+// additions in sample order.
 func (d *DTM) Update(xs [][]float64, ys []float64, crashed []bool) error {
 	if len(xs) == 0 {
 		return nil
 	}
 	if len(xs) != len(ys) || len(xs) != len(crashed) {
 		return fmt.Errorf("deeptune: mismatched update lengths %d/%d/%d", len(xs), len(ys), len(crashed))
+	}
+	for i, x := range xs {
+		if len(x) != d.dim {
+			return fmt.Errorf("deeptune: update vector %d has %d features, want %d", i, len(x), d.dim)
+		}
+	}
+	if d.cfg.BatchSize < 1 {
+		return fmt.Errorf("deeptune: batch size %d is not positive", d.cfg.BatchSize)
 	}
 	start := time.Now() //wfvet:ignore walltime DTM retrain cost is measured real compute time (Fig 8), never session-visible state
 	d.zscorer = stats.FitZScorer(xs)
@@ -229,159 +259,160 @@ func (d *DTM) Update(xs [][]float64, ys []float64, crashed []bool) error {
 			d.yStats.Add(y)
 		}
 	}
-	zcache := make([][]float64, len(xs))
+	n, b := len(xs), &d.scratch
+	b.hist = nn.GrowMatrix(b.hist, n, d.dim)
 	for i, x := range xs {
-		zcache[i] = d.zscorer.Transform(x)
+		d.zscorer.TransformInto(x, b.hist[i])
 	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
+	b.epochH1 = nn.GrowMatrix(b.epochH1, n, d.cfg.Hidden1)
+	if cap(b.order) < n {
+		b.order = make([]int, n)
 	}
-	var h1batch [][]float64
+	order := b.order[:n]
+	for i := range order {
+		order[i] = i
+	}
+	rbfParams := d.rbfParams()
 	for epoch := 0; epoch < d.cfg.Epochs; epoch++ {
-		d.rng.ShuffleInts(idx)
-		h1batch = h1batch[:0]
-		for bi, i := range idx {
-			z := zcache[i]
-			h1, _, crashLogits, perfOut := d.forward(z, true)
-			// L_CCE on the crash head.
-			class := 0
-			if crashed[i] {
-				class = 1
-			}
-			_, gCrash := nn.CrossEntropyLogits(append([]float64(nil), crashLogits...), class)
-			// L_Reg on the performance head (non-crashed samples only:
-			// crashed runs have no metric).
-			gPerf := []float64{0, 0}
-			if !crashed[i] {
-				yn := d.normalizeY(ys[i])
-				_, dMu, dLogVar := nn.HeteroscedasticLoss(perfOut[0], perfOut[1], yn)
-				gPerf[0], gPerf[1] = dMu, dLogVar
-			}
-			// Backprop both heads into the shared trunk:
-			// drop2 → relu2 → trunk2 → drop1 → relu1 → trunk1.
-			gh2 := make([]float64, d.cfg.Hidden2)
-			add(gh2, d.crash.Backward(gCrash))
-			add(gh2, d.perf.Backward(gPerf))
-			g := d.drop2.Backward(gh2)
-			g = d.relu2.Backward(g)
-			g = d.trunk2.Backward(g)
-			g = d.drop1.Backward(g)
-			g = d.relu1.Backward(g)
-			d.trunk1.Backward(g)
-			h1batch = append(h1batch, append([]float64(nil), h1...))
-			if (bi+1)%d.cfg.BatchSize == 0 || bi == len(idx)-1 {
-				nn.ClipGradients(d.params(), 5)
-				d.opt.Step(d.params())
-			}
+		d.rng.ShuffleInts(order)
+		for lo := 0; lo < n; lo += d.cfg.BatchSize {
+			hi := min(lo+d.cfg.BatchSize, n)
+			d.trainBatch(order[lo:hi], b.epochH1[lo:hi], ys, crashed)
 		}
 		// L_Cham: fit the RBF prototypes to the (z-scored) inputs and the
 		// trunk latents of this epoch.
-		d.rbfIn.ChamferLoss(zcache)
-		d.rbfHid.ChamferLoss(h1batch)
-		d.rbfOpt.Step(append(d.rbfIn.Params(), d.rbfHid.Params()...))
+		d.rbfIn.ChamferLoss(b.hist[:n])
+		d.rbfHid.ChamferLoss(b.epochH1[:n])
+		d.rbfOpt.Step(rbfParams[:])
 	}
 	d.trained++
 	d.lastCost = time.Since(start) //wfvet:ignore walltime DTM retrain cost is measured real compute time (Fig 8), never session-visible state
 	return nil
 }
 
-func add(dst, src []float64) {
-	for i := range src {
-		dst[i] += src[i]
+// trainBatch runs one minibatch — the history rows idx, in visiting
+// order — forward through the trunk and both heads, backpropagates
+// L_CCE + L_Reg into every prediction-branch gradient, and takes one
+// clipped Adam step. It writes each sample's post-dropout trunk1
+// activations into h1 (one row per sample) for the epoch's L_Cham.
+func (d *DTM) trainBatch(idx []int, h1 [][]float64, ys []float64, crashed []bool) {
+	m, b := len(idx), &d.scratch
+	h1w, h2w := d.cfg.Hidden1, d.cfg.Hidden2
+	if len(b.x) < m {
+		b.x = make([][]float64, m)
 	}
+	b.h1, b.h2, b.d2 = nn.GrowMatrix(b.h1, m, h1w), nn.GrowMatrix(b.h2, m, h2w), nn.GrowMatrix(b.d2, m, h2w)
+	b.crash, b.perf = nn.GrowMatrix(b.crash, m, 2), nn.GrowMatrix(b.perf, m, 2)
+	b.gCrash, b.gPerf = nn.GrowMatrix(b.gCrash, m, 2), nn.GrowMatrix(b.gPerf, m, 2)
+	b.gh2, b.gPerfIn, b.gh1 = nn.GrowMatrix(b.gh2, m, h2w), nn.GrowMatrix(b.gPerfIn, m, h2w), nn.GrowMatrix(b.gh1, m, h1w)
+	zs, a1, a2, h2 := b.x[:m], b.h1[:m], b.h2[:m], b.d2[:m]
+	crashOut, perfOut, gCrash, gPerf := b.crash[:m], b.perf[:m], b.gCrash[:m], b.gPerf[:m]
+	gh2, gPerfIn, gh1 := b.gh2[:m], b.gPerfIn[:m], b.gh1[:m]
+	for k, i := range idx {
+		zs[k] = b.hist[i]
+	}
+
+	// Forward: dense → ReLU → dropout, twice, then both heads.
+	d.trunk1.ForwardBatch(zs, a1)
+	d.relu1.ForwardBatch(a1)
+	d.drop1.ForwardBatch(a1, h1)
+	d.trunk2.ForwardBatch(h1, a2)
+	d.relu2.ForwardBatch(a2)
+	d.drop2.ForwardBatch(a2, h2)
+	d.crash.ForwardBatch(h2, crashOut)
+	d.perf.ForwardBatch(h2, perfOut)
+
+	for k, i := range idx {
+		// L_CCE on the crash head.
+		class := 0
+		if crashed[i] {
+			class = 1
+		}
+		nn.CrossEntropyLogits(crashOut[k], class, gCrash[k])
+		// L_Reg on the performance head (non-crashed samples only:
+		// crashed runs have no metric).
+		gPerf[k][0], gPerf[k][1] = 0, 0
+		if !crashed[i] {
+			_, dMu, dLogVar := nn.HeteroscedasticLoss(perfOut[k][0], perfOut[k][1], d.normalizeY(ys[i]))
+			gPerf[k][0], gPerf[k][1] = dMu, dLogVar
+		}
+	}
+
+	// Backprop both heads into the shared trunk:
+	// drop2 → relu2 → trunk2 → drop1 → relu1 → trunk1. dL/dh2 is summed
+	// the way the per-sample loop sums it, into a zeroed vector:
+	// (+0 + crash share) + perf share.
+	d.crash.BackwardBatch(h2, gCrash, gh2)
+	d.perf.BackwardBatch(h2, gPerf, gPerfIn)
+	for k, g := range gh2 {
+		for i, p := range gPerfIn[k][:len(g)] {
+			g[i] = (0 + g[i]) + p
+		}
+	}
+	d.drop2.BackwardBatch(gh2)
+	d.relu2.BackwardBatch(a2, gh2)
+	d.trunk2.BackwardBatch(h1, gh2, gh1)
+	d.drop1.BackwardBatch(gh1)
+	d.relu1.BackwardBatch(a1, gh1)
+	d.trunk1.BackwardBatch(zs, gh1, nil) // the input gradient is never used
+	params := d.trunkParams()
+	nn.ClipGradients(params[:], 5)
+	d.opt.Step(params[:])
 }
 
-// Predict runs the DTM on one raw feature vector.
+// Predict runs the DTM on one raw feature vector: PredictBatch over a
+// batch of one.
 func (d *DTM) Predict(x []float64) Prediction {
-	z := x
-	if d.zscorer != nil {
-		z = d.zscorer.Transform(x)
-	}
-	h1, _, crashLogits, perfOut := d.forward(z, false)
-	// Softmax over two classes; class 1 = crash.
-	p := nn.Sigmoid(crashLogits[1] - crashLogits[0])
-	sd := d.yStats.StdDev()
-	if sd < 1e-9 {
-		sd = 1
-	}
-	sigma := math.Exp(0.5*stats.Clamp(perfOut[1], -20, 20)) * sd
-	u := 1 - 0.5*(d.rbfIn.MaxActivation(z)+d.rbfHid.MaxActivation(h1))
-	return Prediction{
-		CrashProb:   p,
-		Perf:        d.denormalizeY(perfOut[0]),
-		Sigma:       sigma,
-		Uncertainty: stats.Clamp(u, 0, 1),
-	}
-}
-
-// growMatrix ensures buf has at least rows rows of cols columns each,
-// reusing existing rows so steady-state batch inference allocates nothing.
-func growMatrix(buf [][]float64, rows, cols int) [][]float64 {
-	for len(buf) < rows {
-		buf = append(buf, make([]float64, cols))
-	}
-	return buf
+	var out [1]Prediction
+	d.PredictBatch([][]float64{x}, out[:])
+	return out[0]
 }
 
 // PredictBatch runs the DTM over a whole candidate batch in four
-// matrix-shaped dense passes (z-score, trunk1, trunk2, heads) instead of
-// len(xs) scalar chains, writing out[j] for xs[j]. Every per-sample
-// floating-point operation happens in the identical order to Predict, so
-// the results are bit-identical to a Predict loop; out must hold at least
-// len(xs) entries. Scratch is reused across calls — a steady-state pool
-// scoring pass allocates nothing.
+// matrix-shaped dense passes (z-score, trunk1, trunk2, heads), writing
+// out[j] for xs[j]; out must hold at least len(xs) entries. Every
+// per-sample floating-point operation happens in the order of the
+// per-sample layer chain, so out[j] does not depend on the rest of the
+// batch: it equals Predict(xs[j]) bit for bit. Scratch is reused across
+// calls — a steady-state pool scoring pass allocates nothing.
 func (d *DTM) PredictBatch(xs [][]float64, out []Prediction) {
 	m := len(xs)
 	if m == 0 {
 		return
 	}
-	d.bz = growMatrix(d.bz, m, d.dim)
-	d.bh1 = growMatrix(d.bh1, m, d.cfg.Hidden1)
-	d.bh2 = growMatrix(d.bh2, m, d.cfg.Hidden2)
-	d.bcrash = growMatrix(d.bcrash, m, 2)
-	d.bperf = growMatrix(d.bperf, m, 2)
+	b := &d.scratch
+	b.z, b.h1, b.h2 = nn.GrowMatrix(b.z, m, d.dim), nn.GrowMatrix(b.h1, m, d.cfg.Hidden1), nn.GrowMatrix(b.h2, m, d.cfg.Hidden2)
+	b.crash, b.perf = nn.GrowMatrix(b.crash, m, 2), nn.GrowMatrix(b.perf, m, 2)
+	zs, h1, h2 := b.z[:m], b.h1[:m], b.h2[:m]
 	for j, x := range xs {
 		if d.zscorer != nil {
-			d.zscorer.TransformInto(x, d.bz[j])
+			d.zscorer.TransformInto(x, zs[j])
 		} else {
-			copy(d.bz[j], x)
+			copy(zs[j], x)
 		}
 	}
 	// Dropout at inference is the identity, so the eval-mode trunk chain
 	// reduces to dense → ReLU → dense → ReLU → heads.
-	d.trunk1.ForwardBatch(d.bz[:m], d.bh1[:m])
-	reluInPlace(d.bh1[:m])
-	d.trunk2.ForwardBatch(d.bh1[:m], d.bh2[:m])
-	reluInPlace(d.bh2[:m])
-	d.crash.ForwardBatch(d.bh2[:m], d.bcrash[:m])
-	d.perf.ForwardBatch(d.bh2[:m], d.bperf[:m])
+	d.trunk1.ForwardBatch(zs, h1)
+	d.relu1.ForwardBatch(h1)
+	d.trunk2.ForwardBatch(h1, h2)
+	d.relu2.ForwardBatch(h2)
+	d.crash.ForwardBatch(h2, b.crash[:m])
+	d.perf.ForwardBatch(h2, b.perf[:m])
 	sd := d.yStats.StdDev()
 	if sd < 1e-9 {
 		sd = 1
 	}
 	for j := range xs {
-		crashLogits, perfOut := d.bcrash[j], d.bperf[j]
+		crashLogits, perfOut := b.crash[j], b.perf[j]
 		p := nn.Sigmoid(crashLogits[1] - crashLogits[0])
 		sigma := math.Exp(0.5*stats.Clamp(perfOut[1], -20, 20)) * sd
-		u := 1 - 0.5*(d.rbfIn.MaxActivation(d.bz[j])+d.rbfHid.MaxActivation(d.bh1[j]))
+		u := 1 - 0.5*(d.rbfIn.MaxActivation(zs[j])+d.rbfHid.MaxActivation(h1[j]))
 		out[j] = Prediction{
 			CrashProb:   p,
 			Perf:        d.denormalizeY(perfOut[0]),
 			Sigma:       sigma,
 			Uncertainty: stats.Clamp(u, 0, 1),
-		}
-	}
-}
-
-// reluInPlace applies max(0, x) elementwise — the eval-mode equivalent of
-// the trunk's ReLU layers, on the batch scratch rows.
-func reluInPlace(rows [][]float64) {
-	for _, row := range rows {
-		for i, v := range row {
-			if !(v > 0) {
-				row[i] = 0
-			}
 		}
 	}
 }
@@ -449,32 +480,72 @@ func (d *DTM) Snapshot(meta map[string]string) (*nn.Snapshot, error) {
 
 // Restore loads weights saved by Snapshot. The feature dimension must
 // match (transfer learning applies across applications on the same OS
-// space).
+// space). The snapshot is validated in full first — every tensor's
+// length, a z-scorer of the model's dimension with finite means and
+// finite positive stds, target stats with a whole, non-negative count and
+// a finite mean and non-negative variance, and a whole, non-negative
+// training count — so a corpus or warm-start snapshot that would panic in
+// Predict or invert the ranking is an error, and on error the model is
+// unchanged.
 func (d *DTM) Restore(snap *nn.Snapshot) error {
 	if got, want := snap.Meta["dim"], fmt.Sprint(d.dim); got != want {
 		return fmt.Errorf("deeptune: snapshot dim %s does not match model dim %s", got, want)
+	}
+	mean, hasMean := snap.Tensors["zscorer.mean"]
+	std, hasStd := snap.Tensors["zscorer.std"]
+	if hasMean != hasStd {
+		return fmt.Errorf("deeptune: snapshot has only one of zscorer.mean and zscorer.std")
+	}
+	if hasMean {
+		if len(mean) != d.dim || len(std) != d.dim {
+			return fmt.Errorf("deeptune: z-scorer mean/std lengths %d/%d for dimension %d", len(mean), len(std), d.dim)
+		}
+		for i := range mean {
+			if !isFinite(mean[i]) || !isFinite(std[i]) || !(std[i] > 0) {
+				return fmt.Errorf("deeptune: z-scorer dimension %d has mean %v and std %v", i, mean[i], std[i])
+			}
+		}
+	}
+	ys, hasYStats := snap.Tensors["ystats"]
+	if hasYStats {
+		if len(ys) != 3 {
+			return fmt.Errorf("deeptune: target stats have %d fields, want 3", len(ys))
+		}
+		if !isCount(ys[0]) || !isFinite(ys[1]) || !isFinite(ys[2]) || ys[2] < 0 {
+			return fmt.Errorf("deeptune: target stats n=%v mean=%v variance=%v", ys[0], ys[1], ys[2])
+		}
+	}
+	tr, hasTrained := snap.Tensors["trained"]
+	if hasTrained && (len(tr) != 1 || !isCount(tr[0])) {
+		return fmt.Errorf("deeptune: training count %v is not a count", tr)
 	}
 	names, params := d.named()
 	if err := snap.Restore(names, params); err != nil {
 		return err
 	}
-	if mean, ok := snap.Tensors["zscorer.mean"]; ok {
-		if std, ok2 := snap.Tensors["zscorer.std"]; ok2 && len(mean) == len(std) {
-			d.zscorer = stats.NewZScorerFromStats(mean, std)
-		}
+	if hasMean {
+		d.zscorer = stats.NewZScorerFromStats(mean, std)
 	}
-	if ys, ok := snap.Tensors["ystats"]; ok && len(ys) == 3 {
+	if hasYStats {
 		d.yStats = stats.RestoreRunning(int(ys[0]), ys[1], ys[2])
 	}
 	// Carry over the training count: a transferred model resumes with the
 	// source's exploration/exploitation balance instead of re-warming up
 	// from scratch (the whole point of §3.3).
-	if tr, ok := snap.Tensors["trained"]; ok && len(tr) == 1 {
+	if hasTrained {
 		d.trained = int(tr[0])
 	} else if d.trained == 0 && len(snap.Tensors) > 0 {
 		d.trained = 1
 	}
 	return nil
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// isCount reports whether v is a whole number in [0, 2^53], the range in
+// which a float64 holds every count exactly.
+func isCount(v float64) bool {
+	return v >= 0 && v <= 1<<53 && v == math.Trunc(v) //wfvet:ignore floateq integrality test: a count has no fractional part
 }
 
 func (d *DTM) named() ([]string, []*nn.Param) {
@@ -512,9 +583,17 @@ type Selector struct {
 	// history makes every pool scoring pass O(iterations).
 	window int
 
-	// poolX is scorePool's feature matrix, one row per pool candidate,
-	// grown on demand and reused across proposals.
-	poolX [][]float64
+	// pool is the candidate pool, reused across proposals.
+	pool candidatePool
+}
+
+// candidatePool is a Selector's proposal scratch: the pool's
+// configurations, redrawn in place by every generatePool, and their
+// feature rows, re-encoded by every scorePool. A slot whose candidate was
+// handed out is nil until the next draw refills it.
+type candidatePool struct {
+	cfgs []*configspace.Config
+	xs   [][]float64
 }
 
 // NewSelector builds a selector for a space/metric direction.
@@ -578,24 +657,34 @@ func (s *Selector) Observe(c *configspace.Config, x []float64, y float64, crashe
 
 // generatePool produces the candidate pool of Fig 3 step 1: random
 // permutations plus mutations of the incumbent (shared by Propose and
-// ProposeBatch, which must consume the selector's RNG identically).
+// ProposeBatch, which must consume the selector's RNG identically). The
+// pool's configurations are redrawn in place — the Into draws consume the
+// RNG exactly as the allocating ones — so only a slot whose candidate was
+// handed out allocates.
 func (s *Selector) generatePool() []*configspace.Config {
-	pool := make([]*configspace.Config, 0, s.cfg.PoolSize)
-	for len(pool) < s.cfg.PoolSize {
+	if len(s.pool.cfgs) != s.cfg.PoolSize {
+		s.pool.cfgs = make([]*configspace.Config, s.cfg.PoolSize)
+	}
+	pool := s.pool.cfgs
+	for i, c := range pool {
+		if c == nil {
+			c = s.space.Default()
+			pool[i] = c
+		}
 		switch {
 		case s.haveBest && s.rng.Float64() < s.cfg.MutationBias:
 			// Exploitation moves around the incumbent: half re-draw a few
 			// parameters, half nudge one numeric parameter locally.
 			if s.rng.Bool() {
 				k := 1 + s.rng.Intn(3)
-				pool = append(pool, s.space.Mutate(s.best, k, s.rng))
+				s.space.MutateInto(c, s.best, k, s.rng)
 			} else {
-				pool = append(pool, s.space.Neighbor(s.best, s.rng))
+				s.space.NeighborInto(c, s.best, s.rng)
 			}
 		case s.cfg.PoolMutateK > 0:
-			pool = append(pool, s.space.Mutate(s.space.Default(), 1+s.rng.Intn(s.cfg.PoolMutateK), s.rng))
+			s.space.MutateInto(c, s.space.Default(), 1+s.rng.Intn(s.cfg.PoolMutateK), s.rng)
 		default:
-			pool = append(pool, s.space.Random(s.rng))
+			s.space.RandomInto(c, s.rng)
 		}
 	}
 	return pool
@@ -619,9 +708,9 @@ type poolScores struct {
 // scorePool runs the DTM over every candidate once and precomputes the
 // ranking state (Fig 3 steps 2–3).
 func (s *Selector) scorePool(pool []*configspace.Config) *poolScores {
-	s.poolX = growMatrix(s.poolX, len(pool), s.enc.Dim())
+	s.pool.xs = nn.GrowMatrix(s.pool.xs, len(pool), s.enc.Dim())
 	ps := &poolScores{
-		xs:    s.poolX[:len(pool)],
+		xs:    s.pool.xs[:len(pool)],
 		preds: make([]Prediction, len(pool)),
 		ds:    make([]float64, len(pool)),
 	}
@@ -767,6 +856,13 @@ func (s *Selector) ProposeBatch(n int, skip func(*configspace.Config) bool) []*c
 			chosen[hashes[idx]] = true
 		}
 		out = append(out, pool[idx])
+	}
+	// The picks leave the pool, so the next draw cannot overwrite a
+	// configuration the caller holds.
+	for i, c := range pool {
+		if slices.Contains(out, c) {
+			pool[i] = nil
+		}
 	}
 	return out
 }

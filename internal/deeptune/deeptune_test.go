@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wayfinder/internal/configspace"
+	"wayfinder/internal/nn"
 	"wayfinder/internal/rng"
 	"wayfinder/internal/stats"
 )
@@ -408,13 +409,12 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 	batch := make([]Prediction, len(cands))
 	dtm.PredictBatch(cands, batch)
 	for i, x := range cands {
-		want := dtm.Predict(x)
-		got := batch[i]
-		if math.Float64bits(got.CrashProb) != math.Float64bits(want.CrashProb) ||
-			math.Float64bits(got.Perf) != math.Float64bits(want.Perf) ||
-			math.Float64bits(got.Sigma) != math.Float64bits(want.Sigma) ||
-			math.Float64bits(got.Uncertainty) != math.Float64bits(want.Uncertainty) {
-			t.Fatalf("cand %d: batch %+v != scalar %+v", i, got, want)
+		want := oraclePredict(dtm, x)
+		if got := batch[i]; !samePrediction(got, want) {
+			t.Fatalf("cand %d: batch %+v != per-sample %+v", i, got, want)
+		}
+		if got := dtm.Predict(x); !samePrediction(got, want) {
+			t.Fatalf("cand %d: Predict %+v != per-sample %+v", i, got, want)
 		}
 	}
 }
@@ -427,10 +427,8 @@ func TestPredictBatchUntrainedModel(t *testing.T) {
 	out := make([]Prediction, len(xs))
 	dtm.PredictBatch(xs, out)
 	for i, x := range xs {
-		want := dtm.Predict(x)
-		if math.Float64bits(out[i].Perf) != math.Float64bits(want.Perf) ||
-			math.Float64bits(out[i].CrashProb) != math.Float64bits(want.CrashProb) {
-			t.Fatalf("cand %d: untrained batch %+v != scalar %+v", i, out[i], want)
+		if want := oraclePredict(dtm, x); !samePrediction(out[i], want) {
+			t.Fatalf("cand %d: untrained batch %+v != per-sample %+v", i, out[i], want)
 		}
 	}
 	dtm.PredictBatch(nil, nil) // empty batch is a no-op, not a panic
@@ -513,5 +511,341 @@ func BenchmarkDTMPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dtm.Predict(xs[i%len(xs)])
+	}
+}
+
+// oracleUpdate is the per-sample reference for Update: the training loop
+// run one sample at a time through the layers' per-sample Forward and
+// Backward, with an optimizer step at each minibatch boundary. Update's
+// batch passes must leave the model bit-identical to it.
+func oracleUpdate(d *DTM, xs [][]float64, ys []float64, crashed []bool) {
+	d.zscorer = stats.FitZScorer(xs)
+	d.yStats = stats.Running{}
+	for i, y := range ys {
+		if !crashed[i] {
+			d.yStats.Add(y)
+		}
+	}
+	zcache := make([][]float64, len(xs))
+	for i, x := range xs {
+		zcache[i] = d.zscorer.Transform(x)
+	}
+	idx := make([]int, len(xs))
+	for i := range idx {
+		idx[i] = i
+	}
+	trunk, rbf := d.trunkParams(), d.rbfParams()
+	var h1batch [][]float64
+	for epoch := 0; epoch < d.cfg.Epochs; epoch++ {
+		d.rng.ShuffleInts(idx)
+		h1batch = h1batch[:0]
+		for bi, i := range idx {
+			h1 := d.drop1.Forward(d.relu1.Forward(d.trunk1.Forward(zcache[i], true), true), true)
+			h2 := d.drop2.Forward(d.relu2.Forward(d.trunk2.Forward(h1, true), true), true)
+			crashLogits := d.crash.Forward(h2, true)
+			perfOut := d.perf.Forward(h2, true)
+			class := 0
+			if crashed[i] {
+				class = 1
+			}
+			gCrash := make([]float64, 2)
+			nn.CrossEntropyLogits(crashLogits, class, gCrash)
+			gPerf := []float64{0, 0}
+			if !crashed[i] {
+				_, dMu, dLogVar := nn.HeteroscedasticLoss(perfOut[0], perfOut[1], d.normalizeY(ys[i]))
+				gPerf[0], gPerf[1] = dMu, dLogVar
+			}
+			gh2 := make([]float64, d.cfg.Hidden2)
+			for k, g := range d.crash.Backward(gCrash) {
+				gh2[k] += g
+			}
+			for k, g := range d.perf.Backward(gPerf) {
+				gh2[k] += g
+			}
+			g := d.drop2.Backward(gh2)
+			g = d.relu2.Backward(g)
+			g = d.trunk2.Backward(g)
+			g = d.drop1.Backward(g)
+			g = d.relu1.Backward(g)
+			d.trunk1.Backward(g)
+			h1batch = append(h1batch, append([]float64(nil), h1...))
+			if (bi+1)%d.cfg.BatchSize == 0 || bi == len(idx)-1 {
+				nn.ClipGradients(trunk[:], 5)
+				d.opt.Step(trunk[:])
+			}
+		}
+		d.rbfIn.ChamferLoss(zcache)
+		d.rbfHid.ChamferLoss(h1batch)
+		d.rbfOpt.Step(rbf[:])
+	}
+	d.trained++
+}
+
+// oraclePredict is the per-sample reference for Predict: the eval-mode
+// layer chain through the per-sample Forward methods.
+func oraclePredict(d *DTM, x []float64) Prediction {
+	z := x
+	if d.zscorer != nil {
+		z = d.zscorer.Transform(x)
+	}
+	h1 := d.drop1.Forward(d.relu1.Forward(d.trunk1.Forward(z, false), false), false)
+	h2 := d.drop2.Forward(d.relu2.Forward(d.trunk2.Forward(h1, false), false), false)
+	crashLogits := d.crash.Forward(h2, false)
+	perfOut := d.perf.Forward(h2, false)
+	sd := d.yStats.StdDev()
+	if sd < 1e-9 {
+		sd = 1
+	}
+	u := 1 - 0.5*(d.rbfIn.MaxActivation(z)+d.rbfHid.MaxActivation(h1))
+	return Prediction{
+		CrashProb:   nn.Sigmoid(crashLogits[1] - crashLogits[0]),
+		Perf:        d.denormalizeY(perfOut[0]),
+		Sigma:       math.Exp(0.5*stats.Clamp(perfOut[1], -20, 20)) * sd,
+		Uncertainty: stats.Clamp(u, 0, 1),
+	}
+}
+
+// sameVecBits reports whether a and b hold the same float64 bit patterns.
+func sameVecBits(a, b []float64) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// requireSameModel fails unless the two models' complete dynamic state —
+// every tensor, both optimizers' moments and step counts, the shuffle
+// and dropout streams, the z-scorer, the target stats and the update
+// count — is identical bit for bit.
+func requireSameModel(t *testing.T, label string, got, want *DTM) {
+	t.Helper()
+	g, w := got.State(), want.State()
+	names, _ := want.named()
+	for _, name := range names {
+		if !sameVecBits(g.Tensors[name], w.Tensors[name]) {
+			t.Fatalf("%s: tensor %s differs from the per-sample oracle", label, name)
+		}
+	}
+	for _, opt := range []struct {
+		name string
+		g, w nn.AdamState
+	}{{"opt", g.Opt, w.Opt}, {"rbf_opt", g.RBFOpt, w.RBFOpt}} {
+		if opt.g.T != opt.w.T {
+			t.Fatalf("%s: %s step count %d, oracle %d", label, opt.name, opt.g.T, opt.w.T)
+		}
+		for i := range opt.w.M {
+			if !sameVecBits(opt.g.M[i], opt.w.M[i]) || !sameVecBits(opt.g.V[i], opt.w.V[i]) {
+				t.Fatalf("%s: %s moments of parameter %d differ from the oracle", label, opt.name, i)
+			}
+		}
+	}
+	if g.RNG != w.RNG || g.Drop1RNG != w.Drop1RNG || g.Drop2RNG != w.Drop2RNG {
+		t.Fatalf("%s: RNG streams differ from the oracle", label)
+	}
+	if (g.ZScorer == nil) != (w.ZScorer == nil) ||
+		(g.ZScorer != nil && (!sameVecBits(g.ZScorer.Mean, w.ZScorer.Mean) || !sameVecBits(g.ZScorer.Std, w.ZScorer.Std))) {
+		t.Fatalf("%s: z-scorer differs from the oracle", label)
+	}
+	if !sameVecBits(g.YStats, w.YStats) || g.Trained != w.Trained {
+		t.Fatalf("%s: target stats or update count differ from the oracle", label)
+	}
+}
+
+// TestUpdateMatchesPerSampleOracle trains twin models — one through
+// Update's batch passes, one through the per-sample oracle — over a
+// sliding history with crashed rows and windows that are not a multiple
+// of the batch size, and requires them to agree bit for bit after every
+// update, then to predict alike.
+func TestUpdateMatchesPerSampleOracle(t *testing.T) {
+	const dim = 7
+	xsAll, ysAll, crashedAll := synthProblem(90, dim, 11)
+	dropless := DefaultConfig()
+	dropless.Dropout = 0
+	small := DefaultConfig()
+	small.BatchSize, small.Epochs, small.Centroids = 5, 3, 5
+	donor := New(dim, DefaultConfig())
+	if err := donor.Update(xsAll[:40], ysAll[:40], crashedAll[:40]); err != nil {
+		t.Fatal(err)
+	}
+	warmSnap, err := donor.Snapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		warm bool
+	}{
+		{"default", DefaultConfig(), false},
+		{"no-dropout", dropless, false},
+		{"batch-5", small, false},
+		{"corpus-warm", DefaultConfig(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batch, oracle := New(dim, tc.cfg), New(dim, tc.cfg)
+			if tc.warm {
+				for _, d := range []*DTM{batch, oracle} {
+					if err := d.Restore(warmSnap); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// A window of up to 37 observations slides over the stream:
+			// 1, 4, …, 37, then full windows at shifting offsets.
+			for end := 1; end <= len(xsAll); end += 3 {
+				lo := max(0, end-37)
+				xs, ys, crashed := xsAll[lo:end], ysAll[lo:end], crashedAll[lo:end]
+				if err := batch.Update(xs, ys, crashed); err != nil {
+					t.Fatal(err)
+				}
+				oracleUpdate(oracle, xs, ys, crashed)
+				requireSameModel(t, tc.name, batch, oracle)
+			}
+			probe, _, _ := synthProblem(9, dim, 12)
+			probe = append(probe, []float64{40, -3, 0, 1e6, -1e-300, 0, 5})
+			out := make([]Prediction, len(probe))
+			batch.PredictBatch(probe, out)
+			for i, x := range probe {
+				if !samePrediction(out[i], oraclePredict(oracle, x)) {
+					t.Fatalf("probe %d: batch prediction %+v differs from the oracle's %+v", i, out[i], oraclePredict(oracle, x))
+				}
+			}
+		})
+	}
+}
+
+func samePrediction(a, b Prediction) bool {
+	return math.Float64bits(a.CrashProb) == math.Float64bits(b.CrashProb) &&
+		math.Float64bits(a.Perf) == math.Float64bits(b.Perf) &&
+		math.Float64bits(a.Sigma) == math.Float64bits(b.Sigma) &&
+		math.Float64bits(a.Uncertainty) == math.Float64bits(b.Uncertainty)
+}
+
+// TestUpdateSteadyStateAllocations pins that a steady-state Update at a
+// fixed window allocates only the z-scorer refit, whatever the epochs and
+// the history length.
+func TestUpdateSteadyStateAllocations(t *testing.T) {
+	for _, n := range []int{5, 17, 64} {
+		xs, ys, crashed := synthProblem(n, 12, 3)
+		for _, epochs := range []int{1, 6} {
+			cfg := DefaultConfig()
+			cfg.Epochs = epochs
+			d := New(12, cfg)
+			if err := d.Update(xs, ys, crashed); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(5, func() { _ = d.Update(xs, ys, crashed) })
+			if allocs > 3 {
+				t.Fatalf("n=%d epochs=%d: steady-state Update allocates %.0f times, want at most 3 (the z-scorer refit)", n, epochs, allocs)
+			}
+		}
+	}
+}
+
+// TestRestoreRejectsMalformedSnapshots mutates one field of a trained
+// model's transfer snapshot per row. Each mutation must fail Restore with
+// an error and leave the model untouched, instead of restoring into a
+// model whose first Predict panics or whose ranking runs backwards.
+func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
+	const dim = 6
+	xs, ys, crashed := synthProblem(40, dim, 2)
+	src := New(dim, DefaultConfig())
+	if err := src.Update(xs, ys, crashed); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(tensors map[string][]float64)
+	}{
+		{"short zscorer", func(ts map[string][]float64) {
+			ts["zscorer.mean"], ts["zscorer.std"] = ts["zscorer.mean"][:2], ts["zscorer.std"][:2]
+		}},
+		{"zscorer mean only", func(ts map[string][]float64) { delete(ts, "zscorer.std") }},
+		{"zscorer std zero", func(ts map[string][]float64) { ts["zscorer.std"][3] = 0 }},
+		{"zscorer std negative", func(ts map[string][]float64) { ts["zscorer.std"][0] = -1 }},
+		{"zscorer std NaN", func(ts map[string][]float64) { ts["zscorer.std"][1] = nan }},
+		{"zscorer std Inf", func(ts map[string][]float64) { ts["zscorer.std"][1] = inf }},
+		{"zscorer mean Inf", func(ts map[string][]float64) { ts["zscorer.mean"][5] = -inf }},
+		{"trained negative", func(ts map[string][]float64) { ts["trained"] = []float64{-1e9} }},
+		{"trained fractional", func(ts map[string][]float64) { ts["trained"] = []float64{2.5} }},
+		{"trained NaN", func(ts map[string][]float64) { ts["trained"] = []float64{nan} }},
+		{"trained Inf", func(ts map[string][]float64) { ts["trained"] = []float64{inf} }},
+		{"trained two fields", func(ts map[string][]float64) { ts["trained"] = []float64{1, 2} }},
+		{"ystats n negative", func(ts map[string][]float64) { ts["ystats"][0] = -3 }},
+		{"ystats n NaN", func(ts map[string][]float64) { ts["ystats"][0] = nan }},
+		{"ystats variance negative", func(ts map[string][]float64) { ts["ystats"][2] = -1 }},
+		{"ystats variance NaN", func(ts map[string][]float64) { ts["ystats"][2] = nan }},
+		{"ystats variance Inf", func(ts map[string][]float64) { ts["ystats"][2] = inf }},
+		{"ystats mean NaN", func(ts map[string][]float64) { ts["ystats"][1] = nan }},
+		{"ystats short", func(ts map[string][]float64) { ts["ystats"] = ts["ystats"][:2] }},
+		{"tensor short", func(ts map[string][]float64) { ts["perf.b"] = ts["perf.b"][:1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, err := src.Snapshot(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(snap.Tensors)
+			dst, twin := New(dim, DefaultConfig()), New(dim, DefaultConfig())
+			if err := dst.Restore(snap); err == nil {
+				t.Fatal("malformed snapshot restored without error")
+			}
+			requireSameModel(t, tc.name, dst, twin)
+		})
+	}
+	snap, err := src.Snapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := New(dim, DefaultConfig())
+	if err := dst.Restore(snap); err != nil {
+		t.Fatalf("well-formed snapshot: %v", err)
+	}
+	if got, want := dst.Predict(xs[0]), src.Predict(xs[0]); !samePrediction(got, want) {
+		t.Fatalf("restored model predicts %+v, source %+v", got, want)
+	}
+}
+
+// TestPoolCandidatesHandedOutStayPut pins the pool's in-place redraw: a
+// steady-state generatePool allocates nothing, and a configuration a
+// proposal handed out is never overwritten by later proposals.
+func TestPoolCandidatesHandedOutStayPut(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Epochs = 1
+	sel := NewSelector(selectorSpace(), true, cfg)
+	r := rng.New(6)
+	var xs [][]float64
+	var ys []float64
+	var crashes []bool
+	type held struct {
+		c  *configspace.Config
+		kv string
+	}
+	var handedOut []held
+	for i := 0; i < 12; i++ {
+		for _, c := range sel.ProposeBatch(1+i%3, nil) {
+			handedOut = append(handedOut, held{c, c.String()})
+		}
+		c := handedOut[len(handedOut)-1].c
+		x := sel.Encoder().Encode(c)
+		xs, ys, crashes = append(xs, x), append(ys, r.Float64()), append(crashes, i%5 == 4)
+		if err := sel.Observe(c, x, ys[i], crashes[i], xs, ys, crashes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, h := range handedOut {
+		if got := h.c.String(); got != h.kv {
+			t.Fatalf("proposal %d changed after it was handed out: %s, was %s", i, got, h.kv)
+		}
+	}
+	sel.generatePool() // refill the slots handed out last
+	if allocs := testing.AllocsPerRun(10, func() { sel.generatePool() }); allocs != 0 {
+		t.Fatalf("steady-state generatePool allocates %.0f times, want 0", allocs)
 	}
 }

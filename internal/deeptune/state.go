@@ -2,7 +2,6 @@ package deeptune
 
 import (
 	"fmt"
-	"math"
 
 	"wayfinder/internal/configspace"
 	"wayfinder/internal/nn"
@@ -43,12 +42,6 @@ type ZScorerState struct {
 	Std  nn.Vec `json:"std"`
 }
 
-// optParams returns the parameter lists the two optimizers step, in the
-// order Update passes them.
-func (d *DTM) optParams() (trunk, rbf []*nn.Param) {
-	return d.params(), append(d.rbfIn.Params(), d.rbfHid.Params()...)
-}
-
 // State captures the model's dynamic state. Its vectors alias the live
 // model: serialize the state before the next Update.
 func (d *DTM) State() *State {
@@ -63,9 +56,9 @@ func (d *DTM) State() *State {
 	for i, p := range params {
 		st.Tensors[names[i]] = p.W
 	}
-	trunk, rbf := d.optParams()
-	st.Opt = d.opt.State(trunk)
-	st.RBFOpt = d.rbfOpt.State(rbf)
+	trunk, rbf := d.trunkParams(), d.rbfParams()
+	st.Opt = d.opt.State(trunk[:])
+	st.RBFOpt = d.rbfOpt.State(rbf[:])
 	if d.zscorer != nil {
 		mean, std := d.zscorer.Stats()
 		st.ZScorer = &ZScorerState{Mean: mean, Std: std}
@@ -105,7 +98,7 @@ func (d *DTM) RestoreState(st *State) error {
 		return fmt.Errorf("deeptune: target stats have %d fields, want 3", len(st.YStats))
 	}
 	yn := st.YStats[0]
-	if !(yn >= 0 && yn <= 1<<53) || yn != math.Trunc(yn) { //wfvet:ignore floateq integrality test: a count has no fractional part
+	if !isCount(yn) {
 		return fmt.Errorf("deeptune: target count %v is not a count", yn)
 	}
 	if st.Trained < 0 {
@@ -113,12 +106,12 @@ func (d *DTM) RestoreState(st *State) error {
 	}
 	// The optimizers validate before they mutate; stage them on copies so
 	// a failure in the second leaves the first untouched too.
-	trunk, rbf := d.optParams()
+	trunk, rbf := d.trunkParams(), d.rbfParams()
 	opt, rbfOpt := *d.opt, *d.rbfOpt
-	if err := opt.SetState(trunk, st.Opt); err != nil {
+	if err := opt.SetState(trunk[:], st.Opt); err != nil {
 		return fmt.Errorf("deeptune: optimizer: %w", err)
 	}
-	if err := rbfOpt.SetState(rbf, st.RBFOpt); err != nil {
+	if err := rbfOpt.SetState(rbf[:], st.RBFOpt); err != nil {
 		return fmt.Errorf("deeptune: rbf optimizer: %w", err)
 	}
 

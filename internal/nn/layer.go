@@ -6,8 +6,13 @@
 // regression loss for performance-with-uncertainty, and the Chamfer
 // distance regularizer that fits RBF centroids to the data distribution.
 //
-// The library works on flat []float64 vectors, sample-at-a-time, which is
-// the right operating point for the DTM's small incremental-update batches.
+// The library works on flat []float64 vectors. The DTM trains and predicts
+// through the batch kernels — Dense.ForwardBatch/BackwardBatch and the
+// ReLU and Dropout batch helpers — which run a whole minibatch or
+// candidate pool layer by layer, several samples per weight pass. The
+// per-sample Layer methods are their reference: every batch kernel
+// performs each sample's floating-point operations in the same order as
+// the Layer method, so the two agree bit for bit.
 package nn
 
 import (
@@ -55,6 +60,11 @@ type Dense struct {
 	x []float64 // cached input
 	y []float64
 	g []float64 // reusable input-grad buffer
+
+	// BackwardBatch scratch: the nonzero gradient terms of one output
+	// (or one sample) and the vectors they scale.
+	coefs []float64
+	vecs  [][]float64
 }
 
 // NewDense returns a dense layer with He-uniform initialization, the
@@ -89,25 +99,124 @@ func (d *Dense) Forward(x []float64, _ bool) []float64 {
 	return d.y
 }
 
-// ForwardBatch computes y = W·x + b for a whole batch of inputs in one
-// matrix-shaped pass, writing row j of ys for row j of xs. The sweep is
-// sample-major — the weight matrix (small, L1-resident) is rescanned per
-// sample while each batch row is streamed exactly once, which beats the
-// output-major order once the batch outgrows L1 — and each per-sample dot
-// accumulates in the identical order to Forward, so the results are
-// bit-identical to len(xs) scalar Forward calls. The layer's Backward
-// caches are untouched: ForwardBatch is inference-only and safe to
-// interleave with training Forward/Backward pairs.
+// ForwardBatch computes y = W·x + b for a whole batch of inputs, writing
+// row j of ys for row j of xs (each at least In, resp. Out, wide). It is
+// register-blocked: each pass over a weight row serves four samples, with
+// four independent accumulators, and a scalar tail takes the last m mod 4
+// samples. Each per-sample dot still starts at the bias and adds
+// row[i]*x[i] in index order, exactly as Forward does, so the results are
+// bit-identical to len(xs) Forward calls. The layer's per-sample caches
+// are untouched: the batch and per-sample paths can be interleaved.
 func (d *Dense) ForwardBatch(xs, ys [][]float64) {
-	for j, x := range xs {
-		y := ys[j]
+	in, w, b := d.In, d.Weight.W, d.Bias.W
+	j := 0
+	for ; j+4 <= len(xs); j += 4 {
+		x0, x1, x2, x3 := xs[j][:in], xs[j+1][:in], xs[j+2][:in], xs[j+3][:in]
+		y0, y1, y2, y3 := ys[j], ys[j+1], ys[j+2], ys[j+3]
 		for o := 0; o < d.Out; o++ {
-			sum := d.Bias.W[o]
-			row := d.Weight.W[o*d.In : (o+1)*d.In]
-			for i, xi := range x {
-				sum += row[i] * xi
+			y0[o], y1[o], y2[o], y3[o] = dot4(w[o*in:(o+1)*in], x0, x1, x2, x3, b[o])
+		}
+	}
+	for ; j < len(xs); j++ {
+		x, y := xs[j][:in], ys[j]
+		for o := 0; o < d.Out; o++ {
+			row := w[o*in : (o+1)*in]
+			sum := b[o]
+			for i, r := range row {
+				sum += r * x[i]
 			}
 			y[o] = sum
+		}
+	}
+}
+
+// dot4 returns bias + row·x_k for four vectors x_k at least len(row)
+// long, each summed in index order in its own accumulator — four
+// independent add chains where one dot product is a single
+// latency-bound chain. It is kept out of line: inlined into
+// ForwardBatch's loop nest, its pointers and loop counter spill to the
+// stack and the loop runs at a fraction of the speed.
+//
+//go:noinline
+func dot4(row, x0, x1, x2, x3 []float64, bias float64) (s0, s1, s2, s3 float64) {
+	x0, x1, x2, x3 = x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
+	s0, s1, s2, s3 = bias, bias, bias, bias
+	for i, r := range row {
+		s0 += r * x0[i]
+		s1 += r * x1[i]
+		s2 += r * x2[i]
+		s3 += r * x3[i]
+	}
+	return s0, s1, s2, s3
+}
+
+// BackwardBatch is Backward over a batch: row j of gys is dL/d(output) for
+// input row xs[j]. It adds every sample's weight and bias gradients to
+// the layer's Params in sample order — each gradient element receives
+// exactly the additions a Backward loop over the batch would make, in the
+// same order, skipping a (sample, output) pair whose gradient is exactly
+// zero as Backward does — and, when gxs is non-nil, writes dL/d(input)
+// for sample j into gxs[j] (at least In wide). A nil gxs skips the input
+// gradients, for a first layer whose input needs none.
+func (d *Dense) BackwardBatch(xs, gys, gxs [][]float64) {
+	in := d.In
+	if cap(d.coefs) < max(len(xs), d.Out) {
+		d.coefs = make([]float64, 0, max(len(xs), d.Out))
+		d.vecs = make([][]float64, 0, max(len(xs), d.Out))
+	}
+	for o := 0; o < d.Out; o++ {
+		coefs, vecs := d.coefs[:0], d.vecs[:0]
+		for j, gy := range gys {
+			g := gy[o]
+			if g == 0 { //wfvet:ignore floateq sparsity skip; only exactly-zero gradients are safe to skip
+				continue
+			}
+			coefs, vecs = append(coefs, g), append(vecs, xs[j][:in])
+			d.Bias.G[o] += g
+		}
+		addScaled(d.Weight.G[o*in:(o+1)*in], coefs, vecs)
+	}
+	if gxs != nil {
+		for j, gy := range gys {
+			coefs, vecs := d.coefs[:0], d.vecs[:0]
+			for o, g := range gy[:d.Out] {
+				if g == 0 { //wfvet:ignore floateq sparsity skip; only exactly-zero gradients are safe to skip
+					continue
+				}
+				coefs, vecs = append(coefs, g), append(vecs, d.Weight.W[o*in:(o+1)*in])
+			}
+			gx := gxs[j][:in]
+			clear(gx)
+			addScaled(gx, coefs, vecs)
+		}
+	}
+	clear(d.vecs[:cap(d.vecs)]) // drop the references to the caller's rows
+}
+
+// addScaled adds coefs[k]*vecs[k][i] to dst[i] for k in order — the
+// accumulation both Dense gradients make, one term per nonzero output
+// gradient (per sample for a weight row, per output for an input
+// gradient). Four terms share each pass over dst (dst[i] is loaded and
+// stored once per four additions), and every dst[i] still receives its
+// additions one at a time in k order, so the result is bit-identical to
+// adding the terms one pass each.
+func addScaled(dst, coefs []float64, vecs [][]float64) {
+	k := 0
+	for ; k+4 <= len(coefs); k += 4 {
+		g0, g1, g2, g3 := coefs[k], coefs[k+1], coefs[k+2], coefs[k+3]
+		v0, v1, v2, v3 := vecs[k][:len(dst)], vecs[k+1][:len(dst)], vecs[k+2][:len(dst)], vecs[k+3][:len(dst)]
+		for i, a := range dst {
+			a += g0 * v0[i]
+			a += g1 * v1[i]
+			a += g2 * v2[i]
+			a += g3 * v3[i]
+			dst[i] = a
+		}
+	}
+	for ; k < len(coefs); k++ {
+		g, v := coefs[k], vecs[k][:len(dst)]
+		for i := range dst {
+			dst[i] += g * v[i]
 		}
 	}
 }
@@ -175,6 +284,33 @@ func (l *ReLU) Backward(grad []float64) []float64 {
 	return l.g
 }
 
+// ForwardBatch applies the ReLU to every row in place, writing +0 where
+// Forward does (every entry that is not positive, NaN included). It
+// caches nothing: BackwardBatch takes the activations back explicitly.
+func (l *ReLU) ForwardBatch(rows [][]float64) {
+	for _, row := range rows {
+		for i, v := range row {
+			if !(v > 0) {
+				row[i] = 0
+			}
+		}
+	}
+}
+
+// BackwardBatch is Backward over a batch, in place: gs[j][i] becomes +0
+// wherever the ForwardBatch output ys[j][i] is not positive, and is kept
+// elsewhere.
+func (l *ReLU) BackwardBatch(ys, gs [][]float64) {
+	for j, g := range gs {
+		y := ys[j][:len(g)]
+		for i, v := range y {
+			if !(v > 0) {
+				g[i] = 0
+			}
+		}
+	}
+}
+
 // Params implements Layer.
 func (l *ReLU) Params() []*Param { return nil }
 
@@ -192,6 +328,8 @@ type Dropout struct {
 	mask []float64
 	y    []float64
 	g    []float64
+
+	masks [][]float64 // ForwardBatch's masks, one row per sample
 }
 
 // NewDropout returns a dropout layer with drop probability p.
@@ -241,6 +379,46 @@ func (l *Dropout) Backward(grad []float64) []float64 {
 	return l.g
 }
 
+// ForwardBatch is the training-mode Forward over a batch: row j of ys is
+// Forward(xs[j], true). Masks are drawn sample by sample, feature by
+// feature, from the layer's own stream — the draws a Forward loop over the
+// batch makes — and each survivor is v/keep, as in Forward. The masks are
+// cached for BackwardBatch.
+func (l *Dropout) ForwardBatch(xs, ys [][]float64) {
+	l.masks = GrowMatrix(l.masks, len(xs), l.dim)
+	keep := 1 - l.P
+	for j, x := range xs {
+		y, mask := ys[j][:len(x)], l.masks[j][:len(x)]
+		if l.P <= 0 {
+			copy(y, x)
+			for i := range mask {
+				mask[i] = 1
+			}
+			continue
+		}
+		for i, v := range x {
+			if l.rng.Float64() < l.P {
+				mask[i] = 0
+				y[i] = 0
+			} else {
+				mask[i] = 1 / keep
+				y[i] = v / keep
+			}
+		}
+	}
+}
+
+// BackwardBatch is Backward over the batch of the last ForwardBatch, in
+// place: gs[j][i] becomes gs[j][i]·mask.
+func (l *Dropout) BackwardBatch(gs [][]float64) {
+	for j, g := range gs {
+		mask := l.masks[j][:len(g)]
+		for i, m := range mask {
+			g[i] *= m
+		}
+	}
+}
+
 // Params implements Layer.
 func (l *Dropout) Params() []*Param { return nil }
 
@@ -284,4 +462,14 @@ func Sigmoid(x float64) float64 {
 	}
 	e := math.Exp(x)
 	return e / (1 + e)
+}
+
+// GrowMatrix ensures buf has at least rows rows of cols columns each,
+// keeping the rows it already has, so batch scratch grown once is reused
+// by every later call without allocating.
+func GrowMatrix(buf [][]float64, rows, cols int) [][]float64 {
+	for len(buf) < rows {
+		buf = append(buf, make([]float64, cols))
+	}
+	return buf
 }

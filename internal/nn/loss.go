@@ -9,9 +9,10 @@ import "math"
 
 // CrossEntropyLogits computes the categorical cross-entropy (L_CCE) over
 // raw logits against a one-hot target class, returning the loss and
-// dL/dlogits (softmax(z) − onehot). For the DTM the classes are
+// writing dL/dlogits (softmax(z) − onehot) into grad, which must hold
+// len(logits) entries (it may alias logits). For the DTM the classes are
 // {runs, crashes}.
-func CrossEntropyLogits(logits []float64, class int) (float64, []float64) {
+func CrossEntropyLogits(logits []float64, class int, grad []float64) float64 {
 	// Stable softmax.
 	max := logits[0]
 	for _, z := range logits[1:] {
@@ -19,8 +20,8 @@ func CrossEntropyLogits(logits []float64, class int) (float64, []float64) {
 			max = z
 		}
 	}
+	probs := grad[:len(logits)]
 	sum := 0.0
-	probs := make([]float64, len(logits))
 	for i, z := range logits {
 		probs[i] = math.Exp(z - max)
 		sum += probs[i]
@@ -29,9 +30,8 @@ func CrossEntropyLogits(logits []float64, class int) (float64, []float64) {
 		probs[i] /= sum
 	}
 	loss := -math.Log(math.Max(probs[class], 1e-12))
-	grad := probs
-	grad[class] -= 1
-	return loss, grad
+	probs[class] -= 1
+	return loss
 }
 
 // BinaryCrossEntropyLogit computes BCE on a single logit against target

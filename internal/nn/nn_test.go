@@ -134,7 +134,8 @@ func TestSigmoid(t *testing.T) {
 }
 
 func TestCrossEntropyLogits(t *testing.T) {
-	loss, grad := CrossEntropyLogits([]float64{0, 0}, 0)
+	grad := make([]float64, 2)
+	loss := CrossEntropyLogits([]float64{0, 0}, 0, grad)
 	if math.Abs(loss-math.Log(2)) > 1e-9 {
 		t.Fatalf("uniform CE = %v", loss)
 	}
@@ -142,7 +143,7 @@ func TestCrossEntropyLogits(t *testing.T) {
 		t.Fatalf("CE grad = %v", grad)
 	}
 	// Confident correct prediction → near-zero loss.
-	loss, _ = CrossEntropyLogits([]float64{10, -10}, 0)
+	loss = CrossEntropyLogits([]float64{10, -10}, 0, grad)
 	if loss > 1e-6 {
 		t.Fatalf("confident CE = %v", loss)
 	}

@@ -73,6 +73,8 @@ func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	b1, b2, lr, eps := o.Beta1, o.Beta2, o.LR, o.Epsilon
+	c1, c2 := 1-b1, 1-b2
 	for _, p := range params {
 		m := o.m[p]
 		if m == nil {
@@ -84,15 +86,17 @@ func (o *Adam) Step(params []*Param) {
 			v = make([]float64, len(p.W))
 			o.v[p] = v
 		}
-		for i := range p.W {
-			g := p.G[i]
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
+		w := p.W
+		grad, m, v := p.G[:len(w)], m[:len(w)], v[:len(w)]
+		for i := range w {
+			g := grad[i]
+			m[i] = b1*m[i] + c1*g
+			v[i] = b2*v[i] + c2*g*g
 			mHat := m[i] / bc1
 			vHat := v[i] / bc2
-			p.W[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Epsilon)
+			w[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
+			grad[i] = 0
 		}
-		p.ZeroGrad()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"wayfinder/internal/rng"
+	"wayfinder/internal/stats"
 )
 
 // RBFBank is a Gaussian Radial Basis Function layer (§3.2, Eq. 1): a set of
@@ -22,6 +23,13 @@ type RBFBank struct {
 
 	z   []float64 // cached input
 	phi []float64
+
+	// ChamferLoss scratch, one entry per centroid: the squared distances
+	// from the current data point, and each centroid's nearest data point
+	// so far (index and squared distance).
+	dist       []float64
+	nearestToC []int
+	bestForC   []float64
 }
 
 // NewRBFBank creates a bank of k centroids drawn from a standard normal,
@@ -29,8 +37,11 @@ type RBFBank struct {
 func NewRBFBank(in, k int, gamma float64, r *rng.RNG) *RBFBank {
 	b := &RBFBank{
 		In: in, K: k, Gamma: gamma,
-		Centroids: &Param{W: make([]float64, k*in), G: make([]float64, k*in)},
-		phi:       make([]float64, k),
+		Centroids:  &Param{W: make([]float64, k*in), G: make([]float64, k*in)},
+		phi:        make([]float64, k),
+		dist:       make([]float64, k),
+		nearestToC: make([]int, k),
+		bestForC:   make([]float64, k),
 	}
 	for i := range b.Centroids.W {
 		b.Centroids.W[i] = r.NormFloat64()
@@ -42,16 +53,29 @@ func NewRBFBank(in, k int, gamma float64, r *rng.RNG) *RBFBank {
 func (b *RBFBank) Forward(z []float64, _ bool) []float64 {
 	b.z = z
 	inv := 1 / (2 * b.Gamma * b.Gamma)
-	for j := 0; j < b.K; j++ {
-		c := b.Centroids.W[j*b.In : (j+1)*b.In]
-		d2 := 0.0
-		for i, zi := range z {
-			d := zi - c[i]
-			d2 += d * d
-		}
+	b.sqDists(z, b.phi)
+	for j, d2 := range b.phi {
 		b.phi[j] = math.Exp(-d2 * inv)
 	}
 	return b.phi
+}
+
+// sqDists writes ‖z − c_j‖² into out[j] for every centroid, four
+// centroids per pass over z (stats.SquaredDistance4) and the last K mod 4
+// one at a time. Every distance sums its squared differences in index
+// order in its own accumulator, so each is bit-identical to a scalar
+// one-centroid-at-a-time scan (c−z and z−c square alike; only a NaN
+// payload can tell them apart).
+func (b *RBFBank) sqDists(z, out []float64) {
+	w, in := b.Centroids.W, b.In
+	j := 0
+	for ; j+4 <= b.K; j += 4 {
+		out[j], out[j+1], out[j+2], out[j+3] = stats.SquaredDistance4(z,
+			w[j*in:(j+1)*in], w[(j+1)*in:(j+2)*in], w[(j+2)*in:(j+3)*in], w[(j+3)*in:(j+4)*in])
+	}
+	for ; j < b.K; j++ {
+		out[j] = stats.SquaredDistance(z, w[j*in:(j+1)*in])
+	}
 }
 
 // Backward propagates dL/dφ to the centroids and the input.
@@ -110,20 +134,14 @@ func (b *RBFBank) ChamferLoss(batch [][]float64) float64 {
 	loss := 0.0
 	// Term 1: each data point pulls its nearest centroid.
 	invZ := 1 / float64(len(batch))
-	nearestToC := make([]int, b.K) // index into batch of nearest z per centroid
-	bestForC := make([]float64, b.K)
+	nearestToC, bestForC := b.nearestToC[:b.K], b.bestForC[:b.K] // nearest z per centroid
 	for j := range bestForC {
 		bestForC[j] = math.Inf(1)
 	}
 	for zi, z := range batch {
+		b.sqDists(z, b.dist)
 		best, bestJ := math.Inf(1), 0
-		for j := 0; j < b.K; j++ {
-			c := b.Centroids.W[j*b.In : (j+1)*b.In]
-			d2 := 0.0
-			for i := range z {
-				d := z[i] - c[i]
-				d2 += d * d
-			}
+		for j, d2 := range b.dist[:b.K] {
 			if d2 < best {
 				best, bestJ = d2, j
 			}

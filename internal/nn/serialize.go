@@ -36,7 +36,7 @@ func (s *Snapshot) Save(names []string, params []*Param) error {
 }
 
 // Restore copies snapshot weights back into the parameters. Every name must
-// be present with the right length.
+// be present with the right length; on error no parameter is changed.
 func (s *Snapshot) Restore(names []string, params []*Param) error {
 	if len(names) != len(params) {
 		return fmt.Errorf("nn: %d names for %d params", len(names), len(params))
@@ -50,7 +50,9 @@ func (s *Snapshot) Restore(names []string, params []*Param) error {
 			return fmt.Errorf("nn: tensor %q has %d weights, parameter wants %d",
 				names[i], len(w), len(p.W))
 		}
-		copy(p.W, w)
+	}
+	for i, p := range params {
+		copy(p.W, s.Tensors[names[i]])
 	}
 	return nil
 }

@@ -114,7 +114,7 @@ func TestSelectorStateCoverage(t *testing.T) {
 			"enc":      "derived from the space at construction",
 			"maximize": "construction-time optimization direction",
 			"window":   "session-level knob: reapplied by the session (SetSurrogateWindow from Options) before Restore",
-			"poolX":    "pool-scoring scratch, re-encoded from every proposal's pool",
+			"pool":     "candidate-pool scratch, redrawn and re-encoded by every proposal",
 		},
 	})
 }
@@ -143,11 +143,7 @@ func TestDTMStateCoverage(t *testing.T) {
 			"relu1":    "stateless ReLU: its activation cache is rewritten by every forward pass",
 			"relu2":    "stateless ReLU: its activation cache is rewritten by every forward pass",
 			"lastCost": "wall-clock retrain stopwatch, reported not replayed",
-			"bz":       "PredictBatch scratch, rewritten by every batch",
-			"bh1":      "PredictBatch scratch, rewritten by every batch",
-			"bh2":      "PredictBatch scratch, rewritten by every batch",
-			"bcrash":   "PredictBatch scratch, rewritten by every batch",
-			"bperf":    "PredictBatch scratch, rewritten by every batch",
+			"scratch":  "PredictBatch and Update batch scratch, rewritten by every batch",
 		},
 	})
 }
