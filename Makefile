@@ -110,27 +110,34 @@ bench-cache:
 bench-search:
 	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|DTMUpdate|BayesianPropose|DeepTuneObserve' -benchtime=1x -run='^$$' .
 
-# fuzz-smoke runs each restore fuzz target for a short burst — the
-# searcher checkpoints and the DTM transfer snapshot a corpus warm start
-# restores: mutated and truncated inputs must fail Restore with an error,
-# never panic. `go test -fuzz` takes one target per run, hence one line
-# each; the committed seeds under internal/search/testdata/fuzz and
-# internal/deeptune/testdata/fuzz run with every plain `go test` as well.
+# fuzz-smoke runs each fuzz target for a short burst. The restore targets
+# cover the searcher checkpoints and the DTM transfer snapshot a corpus
+# warm start restores: mutated and truncated inputs must fail Restore
+# with an error, never panic. FuzzJobFile covers the job-file path wfctl
+# start and submit share (parse, spec, validate): every input ends in an
+# error or a spec. `go test -fuzz` takes one target per run, hence one
+# line each; the committed seeds under internal/search/testdata/fuzz,
+# internal/deeptune/testdata/fuzz and internal/wfd/testdata/fuzz run with
+# every plain `go test` as well.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeepTuneRestore$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzBayesianRestore$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzDTMRestore$$' -fuzztime $(FUZZTIME) ./internal/deeptune
+	$(GO) test -run '^$$' -fuzz '^FuzzJobFile$$' -fuzztime $(FUZZTIME) ./internal/wfd
 
 # smoke builds and runs the end-to-end example programs with a small
 # budget: quickstart exercises the blocking Session lifecycle, streaming
 # exercises the v2 lifecycle end to end (event stream, mid-session
 # cancellation, snapshot, byte-identical resume) and fails non-zero if the
-# resumed session diverges from the uninterrupted reference.
+# resumed session diverges from the uninterrupted reference. The last
+# line runs `wfctl start` on an async fleet over the committed minimal
+# job file: the job file → JobSpec → session path the daemon shares.
 smoke:
 	$(GO) run ./examples/quickstart -l 24
 	$(GO) run ./examples/streaming -l 32
+	$(GO) run ./cmd/wfctl start -s random -workers 4 -async -l 24 cmd/wfctl/testdata/minimal.yaml
 
 # smoke-wfd is the daemon's SIGKILL gauntlet: build race-enabled wfd and
 # wfctl binaries, run a journaling daemon, kill -9 it mid-flight, restart

@@ -10,6 +10,7 @@
 package wayfinder_test
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -403,7 +404,7 @@ func BenchmarkParallelSession(b *testing.B) {
 			s := search.NewRandom(m.Space, 1)
 			var clock vm.Clock
 			eng := core.NewEngine(m, app, &core.PerfMetric{App: app}, s, &clock, 1)
-			rep, err := eng.Run(opts)
+			rep, err := runSession(eng, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -444,7 +445,7 @@ func BenchmarkFig6SearchNginx(b *testing.B) {
 		s := search.NewDeepTune(m.Space, true, cfg)
 		var clock vm.Clock
 		eng := core.NewEngine(m, app, &core.PerfMetric{App: app}, s, &clock, 1)
-		rep, err := eng.Run(core.Options{Iterations: scale.Iterations, Seed: 1})
+		rep, err := runSession(eng, core.Options{Iterations: scale.Iterations, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -480,7 +481,7 @@ func ablationSession(b *testing.B, mutate func(*deeptune.Config)) {
 		s := search.NewDeepTune(m.Space, true, cfg)
 		var clock vm.Clock
 		eng := core.NewEngine(m, app, &core.PerfMetric{App: app}, s, &clock, 1)
-		rep, err := eng.Run(core.Options{Iterations: 80, Seed: 1})
+		rep, err := runSession(eng, core.Options{Iterations: 80, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -531,7 +532,7 @@ func BenchmarkAblationBuildSkip(b *testing.B) {
 			s := search.NewRandom(m.Space, 1)
 			var clock vm.Clock
 			eng := core.NewEngine(m, app, &core.PerfMetric{App: app}, s, &clock, 1)
-			rep, err := eng.Run(core.Options{Iterations: 40, Seed: 1})
+			rep, err := runSession(eng, core.Options{Iterations: 40, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -542,4 +543,13 @@ func BenchmarkAblationBuildSkip(b *testing.B) {
 	}
 	b.Run("runtime-only", func(b *testing.B) { run(b, 0, "skip") })
 	b.Run("with-compile", func(b *testing.B) { run(b, 1, "rebuild") })
+}
+
+// runSession drives a fresh engine session over opts to completion.
+func runSession(eng *core.Engine, opts core.Options) (*core.Report, error) {
+	s, err := eng.NewSession(opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(context.Background())
 }

@@ -6,10 +6,14 @@
 //	wfctl attach -d wfd.sock -from 0 j000001
 //	wfctl report -d wfd.sock -wait j000001
 //	wfctl cancel -d wfd.sock j000001
+//
+// submit takes start's job flags (jobFlags) plus -d, -tenant, -corpus,
+// and -warm-start-k.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,47 +25,43 @@ func newFlagSet(name string) *flag.FlagSet {
 	return flag.NewFlagSet(name, flag.ExitOnError)
 }
 
-func cmdSubmit(args []string) {
+// parseSubmit parses submit's flags and job file into the daemon address
+// and the spec to send. The job flags are start's, through the same
+// jobFlags → JobSpec mapping; the daemon validates and admits the spec.
+func parseSubmit(args []string) (string, wfd.JobSpec, error) {
 	fs := newFlagSet("submit")
+	jf := addJobFlags(fs)
 	addr := fs.String("d", "wfd.sock", "daemon address: unix-socket path or host:port")
 	tenant := fs.String("tenant", "", "tenant name for fair-share scheduling and quotas")
-	strategy := fs.String("s", "deeptune", "search strategy: random, grid, bayesian, deeptune, unicorn")
-	seed := fs.Uint64("seed", 1, "session seed")
-	iters := fs.Int("l", 0, "iteration budget override (daemon jobs must end up with one)")
-	workers := fs.Int("workers", 0, "concurrent evaluation workers")
-	async := fs.Bool("async", false, "use the event-driven asynchronous scheduler")
-	staleness := fs.Int("staleness", 0, "async staleness bound")
-	hosts := fs.Int("hosts", 0, "simulated host count")
-	noCache := fs.Bool("no-cache", false, "disable the session's artifact store")
-	gpWindow := fs.Int("gp-window", 0, "bound the learned surrogate to a sliding window of recent observations (min 8; 0 = unbounded; bayesian/deeptune only)")
-	faults := fs.String("faults", "", "deterministic fault schedule in the fault DSL (part of the spec; a resumed job replays the same churn)")
-	dispatch := fs.String("dispatch", "", "placement policy: static (default) or locality")
 	useCorpus := fs.Bool("corpus", false, "deposit the job's outcome into the daemon's shared transfer corpus")
 	warmStartK := fs.Int("warm-start-k", 0, "warm-start from the K nearest corpus neighbors (needs -corpus)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
-		usage()
+		return "", wfd.JobSpec{}, errUsage
 	}
-	job := loadJob(fs.Arg(0))
-	spec := wfd.SpecFromJob(job)
+	job, err := readJob(fs.Arg(0))
+	if err != nil {
+		return "", wfd.JobSpec{}, err
+	}
+	spec, err := jf.spec(job)
+	if err != nil {
+		return "", wfd.JobSpec{}, err
+	}
 	spec.Tenant = *tenant
-	spec.Searcher = *strategy
-	spec.Seed = *seed
-	if *iters > 0 {
-		spec.Iterations = *iters
-	}
-	spec.Workers = *workers
-	spec.Async = *async
-	spec.Staleness = *staleness
-	spec.Hosts = *hosts
-	spec.DisableCache = *noCache
-	spec.SurrogateWindow = *gpWindow
-	spec.FaultSchedule = *faults
-	spec.Dispatch = *dispatch
 	spec.Corpus = *useCorpus
 	spec.WarmStartK = *warmStartK
+	return *addr, spec, nil
+}
 
-	id, err := wfd.NewClient(*addr).Submit(context.Background(), spec)
+func cmdSubmit(args []string) {
+	addr, spec, err := parseSubmit(args)
+	if errors.Is(err, errUsage) {
+		usage()
+	}
+	if err != nil {
+		fatal(err)
+	}
+	id, err := wfd.NewClient(addr).Submit(context.Background(), spec)
 	if err != nil {
 		fatal(err)
 	}

@@ -19,9 +19,19 @@
 //	wfctl start -s random -progress job.yaml    # live one-line status
 //	wfctl start -s random -timeout 30s job.yaml # wall-clock bound, partial report
 //
+// start and submit (daemon.go) share one set of job flags: -s, -l,
+// -seed, -workers, -async, -staleness, -hosts, -no-cache, -gp-window,
+// -faults, and -dispatch. Both map a job file and those flags onto the
+// same wfd.JobSpec, and start builds its session with JobSpec.NewSession,
+// the constructor the daemon uses, so `start` and `submit` with the same
+// flags produce the same canonical report. -straggler, -gp-refit, -json,
+// -progress, and -timeout are start's own.
+//
 // The target OS named in the job file selects the simulated model
 // ("linux", "unikraft", "linux-riscv"); the app field selects the
-// workload; metric selects performance/memory/score.
+// workload; metric selects performance/memory/score; favor and fixed
+// shape the OS profile's space. A job's params list and maximize flag are
+// summarized by create only.
 //
 // start drives the Session API: the session streams typed events (which
 // -progress renders live) and honors context cancellation (which -timeout
@@ -35,18 +45,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"maps"
 	"os"
-	"slices"
+	"time"
 
-	"wayfinder/internal/apps"
+	wayfinder "wayfinder"
 	"wayfinder/internal/configspace"
 	"wayfinder/internal/core"
-	"wayfinder/internal/deeptune"
-	"wayfinder/internal/fault"
 	"wayfinder/internal/search"
-	"wayfinder/internal/simos"
-	"wayfinder/internal/vm"
+	"wayfinder/internal/wfd"
 )
 
 func main() {
@@ -86,25 +92,103 @@ func usage() {
 	os.Exit(2)
 }
 
-func loadJob(path string) *configspace.Job {
+// errUsage reports a command line of the wrong shape; the caller prints
+// the usage text.
+var errUsage = errors.New("usage")
+
+func readJob(path string) (*configspace.Job, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	job, err := configspace.ParseJobYAML(string(data))
-	if err != nil {
-		fatal(err)
+	return configspace.ParseJobYAML(string(data))
+}
+
+// jobFlags are the job flags start and submit share, registered once so
+// the two commands describe a job identically; spec maps them onto a
+// JobSpec.
+type jobFlags struct {
+	fs        *flag.FlagSet
+	strategy  *string
+	iters     *int
+	seed      *uint64
+	workers   *int
+	async     *bool
+	staleness *int
+	hosts     *int
+	noCache   *bool
+	gpWindow  *int
+	faults    *string
+	dispatch  *string
+}
+
+func addJobFlags(fs *flag.FlagSet) *jobFlags {
+	return &jobFlags{
+		fs:        fs,
+		strategy:  fs.String("s", "deeptune", "search strategy: random, grid, bayesian, deeptune, unicorn"),
+		iters:     fs.Int("l", 0, "iteration budget override (default: the job file's, else 100 when it sets no budget)"),
+		seed:      fs.Uint64("seed", 1, "session seed"),
+		workers:   fs.Int("workers", 1, "concurrent evaluation workers"),
+		async:     fs.Bool("async", false, "use the event-driven asynchronous scheduler (no round barrier)"),
+		staleness: fs.Int("staleness", -1, "async staleness bound: max unobserved in-flight evaluations a proposal may lag behind (0 = synchronous rounds; needs -async; omit for unbounded asynchrony)"),
+		hosts:     fs.Int("hosts", 1, "split the workers across this many simulated hosts (each with its own artifact-store partition)"),
+		noCache:   fs.Bool("no-cache", false, "disable the shared content-addressed artifact store (per-worker image reuse only)"),
+		gpWindow:  fs.Int("gp-window", 0, "bound the learned surrogate to a sliding window of this many recent observations (min 8; 0 = unbounded); keeps per-decision cost flat on long sessions (bayesian/deeptune only)"),
+		faults:    fs.String("faults", "", "deterministic fault schedule in the fault DSL, e.g. \"down:1@300,up:1@900,preempt:3@120,buildfail:7#1,retry:3/20/2\" (part of the spec; a resumed daemon job replays the same churn)"),
+		dispatch:  fs.String("dispatch", "", "placement policy: static (default) or locality (prefer hosts that already hold the configuration's image)"),
 	}
-	return job
+}
+
+// spec lifts a job file into the JobSpec the flags describe. It rejects
+// only what the flag layer alone can see — whether -staleness was passed
+// at all, and explicit -workers/-hosts below 1 (a spec reads 0 as the
+// default) — and leaves the rest (strategy, fault DSL, dispatch, window,
+// fleet shape) to JobSpec.Validate.
+func (f *jobFlags) spec(job *configspace.Job) (wfd.JobSpec, error) {
+	stalenessSet := false
+	f.fs.Visit(func(fl *flag.Flag) { stalenessSet = stalenessSet || fl.Name == "staleness" })
+	switch {
+	case stalenessSet && !*f.async:
+		return wfd.JobSpec{}, fmt.Errorf("-staleness only applies to the async scheduler; add -async")
+	case stalenessSet && *f.staleness < 0:
+		return wfd.JobSpec{}, fmt.Errorf("-staleness must be ≥ 0 (omit the flag for unbounded asynchrony)")
+	case *f.workers < 1:
+		return wfd.JobSpec{}, fmt.Errorf("-workers must be ≥ 1 (got %d)", *f.workers)
+	case *f.hosts < 1:
+		return wfd.JobSpec{}, fmt.Errorf("-hosts must be ≥ 1 (got %d)", *f.hosts)
+	}
+	spec := wfd.SpecFromJob(job)
+	spec.Searcher = *f.strategy
+	spec.Seed = *f.seed
+	if *f.iters > 0 {
+		spec.Iterations = *f.iters
+	}
+	if spec.Iterations == 0 && spec.TimeBudgetSec == 0 { //wfvet:ignore floateq 0 is the unset-budget sentinel, never a computed value
+		spec.Iterations = 100
+	}
+	spec.Workers = *f.workers
+	if *f.async {
+		spec.Async = true
+		spec.Staleness = *f.staleness
+	}
+	spec.Hosts = *f.hosts
+	spec.DisableCache = *f.noCache
+	spec.SurrogateWindow = *f.gpWindow
+	spec.FaultSchedule = *f.faults
+	spec.Dispatch = *f.dispatch
+	return spec, nil
 }
 
 func cmdCreate(args []string) {
-	fs := flag.NewFlagSet("create", flag.ExitOnError)
+	fs := newFlagSet("create")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
 	}
-	job := loadJob(fs.Arg(0))
+	job, err := readJob(fs.Arg(0))
+	if err != nil {
+		fatal(err)
+	}
 	census := job.Space.Census()
 	fmt.Printf("job %q validated\n", job.Name)
 	fmt.Printf("  os=%s app=%s metric=%s maximize=%v\n", job.OS, job.App, job.Metric, job.Maximize)
@@ -115,178 +199,106 @@ func cmdCreate(args []string) {
 	fmt.Printf("  log10 search-space size: %.1f\n", job.Space.LogCardinality())
 }
 
-func cmdStart(args []string) {
-	fs := flag.NewFlagSet("start", flag.ExitOnError)
-	strategy := fs.String("s", "deeptune", "search strategy: random, grid, bayesian, deeptune, unicorn")
-	iters := fs.Int("l", 0, "iteration budget override")
-	seed := fs.Uint64("seed", 1, "session seed")
-	workers := fs.Int("workers", 1, "concurrent evaluation workers")
-	async := fs.Bool("async", false, "use the event-driven asynchronous scheduler (no round barrier)")
-	staleness := fs.Int("staleness", -1, "async staleness bound: max unobserved in-flight evaluations a proposal may lag behind (0 = synchronous rounds; needs -async; omit for unbounded asynchrony)")
+// startCmd is a parsed `wfctl start` invocation: the job spec it runs
+// plus the flags local to a foreground session.
+type startCmd struct {
+	spec      wfd.JobSpec
+	straggler float64
+	gpRefit   bool
+	asJSON    bool
+	progress  bool
+	timeout   time.Duration
+}
+
+// parseStart parses start's flags and job file into a validated spec.
+// The job flags go through the same jobFlags → JobSpec → Validate path as
+// submit; only -gp-refit's strategy is checked here.
+func parseStart(args []string) (*startCmd, error) {
+	fs := newFlagSet("start")
+	jf := addJobFlags(fs)
 	straggler := fs.Float64("straggler", 1, "slow the last worker by this factor (models a straggler machine)")
-	hosts := fs.Int("hosts", 1, "split the workers across this many simulated hosts (each with its own artifact-store partition)")
-	noCache := fs.Bool("no-cache", false, "disable the shared content-addressed artifact store (per-worker image reuse only)")
 	gpRefit := fs.Bool("gp-refit", false, "force the bayesian surrogate back to full O(n³) refits per observation (the pre-incremental baseline, for decision-cost comparisons)")
-	gpWindow := fs.Int("gp-window", 0, "bound the learned surrogate to a sliding window of this many recent observations (min 8; 0 = unbounded); keeps per-decision cost flat on long sessions (bayesian/deeptune only)")
-	faults := fs.String("faults", "", "deterministic fault schedule in the fault DSL, e.g. \"down:1@300,up:1@900,preempt:3@120,buildfail:7#1,retry:3/20/2\"")
-	dispatch := fs.String("dispatch", "", "placement policy: static (default) or locality (prefer hosts that already hold the configuration's image)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	progress := fs.Bool("progress", false, "render a live one-line status from the session event stream")
 	timeout := fs.Duration("timeout", 0, "real-time limit for the session; when it fires the partial report is printed")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
+		return nil, errUsage
+	}
+	job, err := readJob(fs.Arg(0))
+	if err != nil {
+		return nil, err
+	}
+	spec, err := jf.spec(job)
+	if err != nil {
+		return nil, err
+	}
+	if *gpRefit && spec.Searcher != "bayesian" {
+		return nil, fmt.Errorf("-gp-refit only applies to the bayesian strategy's GP surrogate (got -s %s)", spec.Searcher)
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return &startCmd{spec: spec, straggler: *straggler, gpRefit: *gpRefit,
+		asJSON: *asJSON, progress: *progress, timeout: *timeout}, nil
+}
+
+// session builds the spec's session, with -straggler, -progress, and
+// -gp-refit applied on top of what the spec describes.
+func (c *startCmd) session() (*wayfinder.Session, error) {
+	var opts []wayfinder.Option
+	if c.straggler > 1 && c.spec.Workers > 1 {
+		opts = append(opts, wayfinder.WithWorkerSpeedFactors(core.StragglerFleet(c.spec.Workers, c.straggler)))
+	}
+	if c.progress {
+		opts = append(opts, wayfinder.WithObserver(renderProgress))
+	}
+	sess, searcher, err := c.spec.NewSession(opts...)
+	if err != nil {
+		return nil, err
+	}
+	if c.gpRefit {
+		searcher.(*search.Bayesian).SetSurrogateRefit(true)
+	}
+	return sess, nil
+}
+
+// cmdStart runs a job in the foreground: parse → spec → validate →
+// JobSpec.NewSession → Run, exactly the session a daemon builds for the
+// same submit flags. The search space is the OS profile's; the job file
+// shapes it only through favor: and fixed:.
+func cmdStart(args []string) {
+	c, err := parseStart(args)
+	if errors.Is(err, errUsage) {
 		usage()
 	}
-	if err := checkStartFlags(fs, startFlags{
-		Workers: *workers, Async: *async, Staleness: *staleness, Hosts: *hosts,
-		GPRefit: *gpRefit, GPWindow: *gpWindow, Strategy: *strategy,
-		Faults: *faults, Dispatch: *dispatch,
-	}); err != nil {
-		fatal(err)
-	}
-	job := loadJob(fs.Arg(0))
-
-	// Select the OS model. Jobs with their own parameter list search that
-	// space against the named profile's hidden behaviour where names
-	// overlap; jobs without parameters use the profile's full space.
-	var model *simos.Model
-	switch job.OS {
-	case "linux":
-		model = simos.NewLinux(simos.DefaultLinuxOptions())
-	case "unikraft":
-		model = simos.NewUnikraft(1)
-	case "linux-riscv", "riscv":
-		model = simos.NewRiscv(simos.DefaultRiscvOptions())
-	default:
-		fatal(fmt.Errorf("unknown os %q (linux|unikraft|linux-riscv)", job.OS))
-	}
-	for _, class := range slices.Sorted(maps.Keys(job.Favor)) {
-		cl, err := configspace.ParseClass(class)
-		if err != nil {
-			fatal(err)
-		}
-		model.Space.Favor(cl, job.Favor[class])
-	}
-	for _, name := range slices.Sorted(maps.Keys(job.Fixed)) {
-		raw := job.Fixed[name]
-		p, _ := model.Space.Lookup(name)
-		if p == nil {
-			fatal(fmt.Errorf("fixed parameter %q not in the %s space", name, job.OS))
-		}
-		v, err := p.ParseValue(raw)
-		if err != nil {
-			fatal(err)
-		}
-		if err := model.Space.Fix(name, v); err != nil {
-			fatal(err)
-		}
-	}
-
-	appName := job.App
-	if appName == "" {
-		appName = "nginx"
-	}
-	app, err := apps.ByName(appName)
 	if err != nil {
 		fatal(err)
 	}
-
-	var metric core.Metric
-	switch job.Metric {
-	case "throughput", "latency", "performance", "":
-		metric = &core.PerfMetric{App: app}
-	case "memory":
-		metric = core.MemoryMetric{}
-	case "score":
-		metric = &core.ScoreMetric{}
-	default:
-		fatal(fmt.Errorf("unknown metric %q", job.Metric))
-	}
-
-	var s search.Searcher
-	switch *strategy {
-	case "random":
-		s = search.NewRandom(model.Space, *seed)
-	case "grid":
-		s = search.NewGrid(model.Space)
-	case "bayesian":
-		b := search.NewBayesian(model.Space, metric.Maximize(), *seed)
-		b.SetSurrogateRefit(*gpRefit)
-		s = b
-	case "deeptune":
-		cfg := deeptune.DefaultConfig()
-		cfg.Seed = *seed
-		s = search.NewDeepTune(model.Space, metric.Maximize(), cfg)
-	case "unicorn":
-		s = search.NewUnicorn(model.Space, metric.Maximize(), *seed)
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
-	}
-
-	opts := core.Options{
-		Iterations:    job.Iterations,
-		TimeBudgetSec: job.TimeBudgetSec,
-		Seed:          *seed,
-		Workers:       *workers,
-		Hosts:         *hosts,
-		DisableCache:  *noCache,
-	}
-	opts.SurrogateWindow = *gpWindow
-	opts.Dispatch = *dispatch
-	if sched, err := fault.Parse(*faults); err != nil {
-		fatal(err)
-	} else {
-		opts.Faults = sched
-	}
-	if *async {
-		opts.Async = true
-		opts.Staleness = *staleness
-	}
-	if *workers <= 1 && (*async || *straggler > 1) {
+	if c.spec.Workers <= 1 && (c.spec.Async || c.straggler > 1) {
 		fmt.Fprintln(os.Stderr, "wfctl: -async/-staleness/-straggler need -workers > 1; running sequentially")
 	}
-	if *straggler > 1 && *workers > 1 {
-		opts.WorkerSpeedFactors = core.StragglerFleet(*workers, *straggler)
-	}
-	if *iters > 0 {
-		opts.Iterations = *iters
-	}
-	if opts.Iterations == 0 && opts.TimeBudgetSec == 0 { //wfvet:ignore floateq 0 is the unset-flag sentinel, never a computed value
-		opts.Iterations = 100
-	}
-	// The centralized option validation every entry point shares; flag
-	// combinations that escaped the flag-level checks (hosts > workers,
-	// hosts with -no-cache, ...) die here with the same message a library
-	// caller gets.
-	if err := opts.Validate(); err != nil {
-		fatal(err)
-	}
-	var clock vm.Clock
-	eng := core.NewEngine(model, app, metric, s, &clock, *seed)
-	session, err := eng.NewSession(opts)
+	session, err := c.session()
 	if err != nil {
 		fatal(err)
 	}
-	if *progress {
-		session.AddObserver(renderProgress)
-	}
 	ctx := context.Background()
-	if *timeout > 0 {
+	if c.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
 	report, err := session.Run(ctx)
-	if *progress {
+	if c.progress {
 		fmt.Fprintln(os.Stderr) // terminate the live status line
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "wfctl: -timeout %s elapsed after %d observations; reporting the partial session\n",
-			*timeout, len(report.History))
+			c.timeout, len(report.History))
 	} else if err != nil {
 		fatal(err)
 	}
-	if *asJSON {
+	if c.asJSON {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -321,69 +333,6 @@ func cmdStart(args []string) {
 	} else {
 		fmt.Println("no viable configuration found")
 	}
-}
-
-// startFlags carries the flag values checkStartFlags inspects.
-type startFlags struct {
-	Workers   int
-	Async     bool
-	Staleness int
-	Hosts     int
-	GPRefit   bool
-	GPWindow  int
-	Strategy  string
-	Faults    string
-	Dispatch  string
-}
-
-// checkStartFlags rejects the flag combinations only the flag layer can
-// see: whether -staleness was explicitly passed, which strategy
-// -gp-refit/-gp-window ride on, explicit non-positive -workers/-hosts
-// (the library treats zero as "default", so only the CLI can tell
-// `-workers 0` from the flag being omitted), an unparseable -faults DSL,
-// and an unknown -dispatch name. Everything else expressible over
-// core.Options — hosts > workers, staleness vs async, -no-cache vs -hosts,
-// window < 8, fault events out of fleet range, locality without a cache —
-// is validated centrally by Options.Validate, shared with wfbench and
-// library callers. fs may be nil (table tests) — then -staleness is
-// treated as passed whenever it differs from its -1 default.
-func checkStartFlags(fs *flag.FlagSet, f startFlags) error {
-	stalenessSet := f.Staleness != -1
-	if fs != nil {
-		stalenessSet = false
-		fs.Visit(func(fl *flag.Flag) {
-			if fl.Name == "staleness" {
-				stalenessSet = true
-			}
-		})
-	}
-	if f.GPRefit && f.Strategy != "bayesian" {
-		return fmt.Errorf("-gp-refit only applies to the bayesian strategy's GP surrogate (got -s %s)", f.Strategy)
-	}
-	if f.GPWindow != 0 && f.Strategy != "bayesian" && f.Strategy != "deeptune" {
-		return fmt.Errorf("-gp-window only applies to the learned strategies' surrogates (bayesian, deeptune; got -s %s)", f.Strategy)
-	}
-	if stalenessSet && !f.Async {
-		return fmt.Errorf("-staleness only applies to the async scheduler; add -async")
-	}
-	if stalenessSet && f.Staleness < 0 {
-		return fmt.Errorf("-staleness must be ≥ 0 (omit the flag for unbounded asynchrony)")
-	}
-	if f.Workers < 1 {
-		return fmt.Errorf("-workers must be ≥ 1 (got %d)", f.Workers)
-	}
-	if f.Hosts < 1 {
-		return fmt.Errorf("-hosts must be ≥ 1 (got %d)", f.Hosts)
-	}
-	if _, err := fault.Parse(f.Faults); err != nil {
-		return fmt.Errorf("-faults: %v", err)
-	}
-	switch f.Dispatch {
-	case "", core.DispatchStatic, core.DispatchLocality:
-	default:
-		return fmt.Errorf("-dispatch must be %s or %s (got %q)", core.DispatchStatic, core.DispatchLocality, f.Dispatch)
-	}
-	return nil
 }
 
 // renderProgress renders the live one-line session status from the typed

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -117,9 +116,10 @@ type Options struct {
 
 // Validate rejects option combinations that would otherwise run a
 // silently-misconfigured session. It is the single validation authority:
-// Session construction (and therefore Engine.Run), wfctl, and wfbench all
-// call it, so a library caller gets the same errors the CLI surfaces
-// instead of a quietly clamped or reinterpreted session.
+// Engine.NewSession calls it (and therefore every wayfinder.New session,
+// the wfd daemon's and wfctl's through JobSpec.NewSession among them), and
+// wfbench probes it directly, so a library caller gets the same errors the
+// CLI surfaces instead of a quietly clamped or reinterpreted session.
 func (o *Options) Validate() error {
 	if o.Iterations <= 0 && o.TimeBudgetSec <= 0 {
 		return fmt.Errorf("core: no budget given (iterations or virtual time)")
@@ -596,22 +596,6 @@ func (st *evalState) advance(seconds float64) {
 // its builds were satisfied.
 func (st *evalState) jitter(base, frac float64) float64 {
 	return base * (1 + frac*(st.noise.Float64()-0.5))
-}
-
-// Run executes the core loop of §3.1: 1) build and boot an image for the
-// proposed configuration, 2) benchmark the application, 3) ask the search
-// algorithm for the next configuration — until the budget is exhausted —
-// on Options.Workers evaluators at once (async.go).
-//
-// Run is the blocking convenience wrapper over the stepwise Session state
-// machine (session.go); callers that need to observe, interleave, cancel,
-// or checkpoint a session use NewSession directly.
-func (e *Engine) Run(opts Options) (*Report, error) {
-	s, err := e.NewSession(opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background())
 }
 
 // evaluate — the staged Build → Boot → Measure pipeline the scheduler

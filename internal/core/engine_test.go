@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -11,6 +12,17 @@ import (
 	"wayfinder/internal/simos"
 	"wayfinder/internal/vm"
 )
+
+// Run drives a fresh session over opts to completion: the blocking
+// shorthand the engine tests use for eng.NewSession(opts) followed by
+// Run. Library code goes through NewSession (or wayfinder.New) itself.
+func (e *Engine) Run(opts Options) (*Report, error) {
+	s, err := e.NewSession(opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(context.Background())
+}
 
 // smallLinux builds a reduced Linux model for fast engine tests.
 func smallLinux(t testing.TB) *simos.Model {

@@ -6,7 +6,6 @@ import (
 	"wayfinder/internal/apps"
 	"wayfinder/internal/core"
 	"wayfinder/internal/search"
-	"wayfinder/internal/vm"
 )
 
 // Scaling reproduces the Fig 7-style worker-scaling study on the parallel
@@ -40,10 +39,8 @@ func Scaling(scale Scale) (*Result, error) {
 	baseWall := 0.0
 	for _, w := range counts {
 		m := newLinuxRuntimeFavored(scale, 1)
-		s := search.NewRandom(m.Space, 1)
-		var clock vm.Clock
-		eng := core.NewEngine(m, app, &core.PerfMetric{App: app}, s, &clock, 1)
-		rep, err := eng.Run(core.Options{Iterations: scale.Iterations, Seed: 1, Workers: w})
+		rep, err := session(m, app, &core.PerfMetric{App: app}, search.NewRandom(m.Space, 1),
+			core.Options{Iterations: scale.Iterations, Seed: 1, Workers: w})
 		if err != nil {
 			return nil, err
 		}
@@ -102,9 +99,6 @@ func Straggler(scale Scale) (*Result, error) {
 	app := apps.Nginx()
 	run := func(async bool, speed []float64) (*core.Report, error) {
 		m := newLinuxRuntimeFavored(scale, 1)
-		s := search.NewRandom(m.Space, 1)
-		var clock vm.Clock
-		eng := core.NewEngine(m, app, &core.PerfMetric{App: app}, s, &clock, 1)
 		opts := core.Options{
 			Iterations:         scale.Iterations,
 			Seed:               1,
@@ -115,7 +109,7 @@ func Straggler(scale Scale) (*Result, error) {
 			opts.Async = true
 			opts.Staleness = -1 // unbounded
 		}
-		return eng.Run(opts)
+		return session(m, app, &core.PerfMetric{App: app}, search.NewRandom(m.Space, 1), opts)
 	}
 
 	reference, err := run(false, nil)

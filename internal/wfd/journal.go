@@ -241,9 +241,8 @@ func (d *Daemon) recoverDone(dir string, j *job) bool {
 // latest snapshot when one is usable, from scratch otherwise — and queues
 // it.
 func (d *Daemon) recoverInFlight(dir string, j *job) {
-	observer := d.observer(j)
 	if snap, err := os.ReadFile(filepath.Join(dir, "snap.json")); err == nil {
-		sess, err := j.spec.resumeSession(snap, observer, d.jobCorpus(j.spec))
+		sess, err := j.spec.resumeSession(snap, d.sessionOptions(j)...)
 		if err == nil {
 			j.sess = sess
 			d.resumed++
@@ -253,7 +252,7 @@ func (d *Daemon) recoverInFlight(dir string, j *job) {
 		}
 	}
 	if j.sess == nil {
-		sess, err := j.spec.buildSession(observer, d.jobCorpus(j.spec))
+		sess, _, err := j.spec.NewSession(d.sessionOptions(j)...)
 		if err != nil {
 			j.state = stateFailed
 			j.err = fmt.Sprintf("recovery: %v", err)

@@ -96,6 +96,9 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
 	}
+	if spec.Iterations <= 0 {
+		return "", fmt.Errorf("%w: the daemon requires a positive iteration budget (admission control charges tenants up front)", ErrBadSpec)
+	}
 	if spec.Corpus && d.corpus == nil {
 		return "", fmt.Errorf("%w: job asks for the shared corpus but the daemon has none configured (start wfd with -corpus)", ErrBadSpec)
 	}
@@ -134,7 +137,7 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 		done:        make(chan struct{}),
 		journalable: spec.Searcher != "unicorn",
 	}
-	sess, err := spec.buildSession(d.observer(j), d.jobCorpus(spec))
+	sess, _, err := spec.NewSession(d.sessionOptions(j)...)
 	if err != nil {
 		d.mu.Lock()
 		t.active--
@@ -191,18 +194,24 @@ func (d *Daemon) activeLocked() int {
 	return n
 }
 
-// observer builds the session observer wiring a job's events into its hub
-// and the daemon's cross-session build index. It runs synchronously on the
-// stepping goroutine, inside Step.
-func (d *Daemon) observer(j *job) func(core.Event) {
-	return func(ev core.Event) {
+// sessionOptions are the daemon's options on top of a job's spec, for
+// building and resuming alike: the observer wiring the job's events into
+// its hub and the daemon's cross-session build index (it runs
+// synchronously on the stepping goroutine, inside Step), and — for
+// corpus-opted specs — the daemon's shared corpus store.
+func (d *Daemon) sessionOptions(j *job) []wayfinder.Option {
+	opts := []wayfinder.Option{wayfinder.WithObserver(func(ev core.Event) {
 		if ed, ok := ev.(core.EvalDone); ok {
 			d.indexBuild(ed.Result)
 		}
 		if we, ok := wireEvent(ev); ok {
 			j.hub.publish(we)
 		}
+	})}
+	if j.spec.Corpus && d.corpus != nil {
+		opts = append(opts, wayfinder.WithCorpusStore(d.corpus))
 	}
+	return opts
 }
 
 // indexBuild records an actually-compiled image in the cross-session build

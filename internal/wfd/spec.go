@@ -15,7 +15,6 @@ import (
 	"wayfinder/internal/apps"
 	"wayfinder/internal/configspace"
 	"wayfinder/internal/core"
-	"wayfinder/internal/corpus"
 	"wayfinder/internal/deeptune"
 	"wayfinder/internal/fault"
 	"wayfinder/internal/search"
@@ -45,9 +44,10 @@ type JobSpec struct {
 	Searcher string `json:"searcher,omitempty"`
 	// Seed is the session seed.
 	Seed uint64 `json:"seed"`
-	// Iterations is the observation budget. The daemon requires it
+	// Iterations is the observation budget. Daemon.Submit requires it
 	// (> 0): admission control charges tenants for a job's full budget up
-	// front, so unbounded jobs are not admissible.
+	// front, so unbounded jobs are not admissible. A local session may
+	// run on TimeBudgetSec alone.
 	Iterations int `json:"iterations"`
 	// TimeBudgetSec optionally bounds the session's virtual time too.
 	TimeBudgetSec float64 `json:"time_budget_sec,omitempty"`
@@ -89,9 +89,11 @@ type JobSpec struct {
 	WarmStartK int `json:"warm_start_k,omitempty"`
 }
 
-// SpecFromJob lifts a parsed YAML job file into a JobSpec (the wfctl
-// submit path; daemon-level fields — tenant, seed, searcher — are the
-// caller's).
+// SpecFromJob lifts a parsed YAML job file into a JobSpec (the path both
+// wfctl start and wfctl submit take; run-level fields — tenant, seed,
+// searcher, fleet — are the caller's). A job file's params: list and
+// maximize: flag are not carried: the OS profile fixes the space and the
+// metric its direction.
 func SpecFromJob(job *configspace.Job) JobSpec {
 	return JobSpec{
 		Name:          job.Name,
@@ -148,9 +150,11 @@ func (sp JobSpec) options() (core.Options, error) {
 	}, nil
 }
 
-// Validate rejects specs the daemon cannot admit or reconstruct. It
-// builds nothing: the model/searcher construction errors surface at
-// submission via buildSession.
+// Validate rejects specs no session can be built from. It builds
+// nothing: the model/searcher construction errors (a fixed parameter the
+// space lacks) surface from NewSession. The daemon's own admission rules
+// (a positive iteration budget, a configured corpus) live in
+// Daemon.Submit.
 func (sp JobSpec) Validate() error {
 	sp = sp.withDefaults()
 	switch sp.OS {
@@ -170,9 +174,6 @@ func (sp JobSpec) Validate() error {
 	case "random", "grid", "bayesian", "deeptune", "unicorn":
 	default:
 		return fmt.Errorf("%w: unknown searcher %q (random|grid|bayesian|deeptune|unicorn)", ErrBadSpec, sp.Searcher)
-	}
-	if sp.Iterations <= 0 {
-		return fmt.Errorf("%w: the daemon requires a positive iteration budget (admission control charges tenants up front)", ErrBadSpec)
 	}
 	if sp.SurrogateWindow != 0 && sp.Searcher != "bayesian" && sp.Searcher != "deeptune" {
 		return fmt.Errorf("%w: surrogate_window only applies to the learned searchers (bayesian, deeptune; got %q)",
@@ -293,51 +294,49 @@ func (sp JobSpec) assemble() (*simos.Model, *simos.App, core.Metric, search.Sear
 	return model, app, metric, searcher, nil
 }
 
-// buildSession constructs the spec's session from scratch. A corpus-opted
-// spec gets the daemon's shared store: the session queries it for warm
-// starts at construction and deposits into it at completion.
-func (sp JobSpec) buildSession(observer func(core.Event), st *corpus.Store) (*wayfinder.Session, error) {
+// NewSession is the one place a job becomes a session: it builds the
+// spec's model, workload, metric, and searcher and assembles a fresh
+// session over them. opts apply on top of the spec's own options — the
+// daemon's observer and corpus store, wfctl's worker speed factors. The
+// searcher is returned too, for the knobs a spec deliberately does not
+// carry (wfctl -gp-refit); set them before the first step. Callers
+// Validate the spec first.
+func (sp JobSpec) NewSession(opts ...wayfinder.Option) (*wayfinder.Session, search.Searcher, error) {
 	sp = sp.withDefaults()
 	model, app, metric, searcher, err := sp.assemble()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	opts, err := sp.options()
+	sessOpts, err := sp.options()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	wfOpts := []wayfinder.Option{
+	sess, err := wayfinder.New(model, app, append([]wayfinder.Option{
 		wayfinder.WithMetric(metric),
 		wayfinder.WithSearcher(searcher),
-		wayfinder.WithOptions(opts),
-		wayfinder.WithObserver(observer),
+		wayfinder.WithOptions(sessOpts),
+	}, opts...)...)
+	if err != nil {
+		return nil, nil, err
 	}
-	if st != nil {
-		wfOpts = append(wfOpts, wayfinder.WithCorpusStore(st))
-	}
-	return wayfinder.New(model, app, wfOpts...)
+	return sess, searcher, nil
 }
 
 // resumeSession reconstructs the spec's session from a journal snapshot,
-// continuing byte-identically to an uninterrupted run. The corpus store
-// reattaches for deposit only: the snapshot carries the original warm
-// start (seed queue and weights) verbatim, so the resumed session never
-// re-queries a corpus that may have grown since admission.
-func (sp JobSpec) resumeSession(snapshot []byte, observer func(core.Event), st *corpus.Store) (*wayfinder.Session, error) {
+// continuing byte-identically to an uninterrupted run. A corpus store in
+// opts reattaches for deposit only: the snapshot carries the original
+// warm start (seed queue and weights) verbatim, so the resumed session
+// never re-queries a corpus that may have grown since admission.
+func (sp JobSpec) resumeSession(snapshot []byte, opts ...wayfinder.Option) (*wayfinder.Session, error) {
 	sp = sp.withDefaults()
 	model, app, metric, searcher, err := sp.assemble()
 	if err != nil {
 		return nil, err
 	}
-	wfOpts := []wayfinder.Option{
+	return wayfinder.Resume(model, app, snapshot, append([]wayfinder.Option{
 		wayfinder.WithMetric(metric),
 		wayfinder.WithSearcher(searcher),
-		wayfinder.WithObserver(observer),
-	}
-	if st != nil {
-		wfOpts = append(wfOpts, wayfinder.WithCorpusStore(st))
-	}
-	return wayfinder.Resume(model, app, snapshot, wfOpts...)
+	}, opts...)...)
 }
 
 // CanonicalReportJSON marshals a report in the canonical form the daemon's

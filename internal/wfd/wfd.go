@@ -243,15 +243,6 @@ func (d *Daemon) tenantLocked(name string) *tenant {
 	return t
 }
 
-// jobCorpus resolves the corpus store a job's session should see: the
-// daemon's shared store for corpus-opted specs, nil otherwise.
-func (d *Daemon) jobCorpus(sp JobSpec) *corpus.Store {
-	if !sp.Corpus {
-		return nil
-	}
-	return d.corpus
-}
-
 // Shutdown stops the daemon gracefully: steppers drain at their current
 // quantum boundary, then every active job is journaled so a future daemon
 // resumes it exactly where it stopped. Safe to call once.

@@ -56,7 +56,11 @@ func TestSessionMatchesEngineRun(t *testing.T) {
 		m1 := testModel()
 		app := AppNginx()
 		eng := core.NewEngine(m1, app, &core.PerfMetric{App: app}, NewRandomSearcher(m1.Space, 5), &vm.Clock{}, opts.Seed)
-		direct, err := eng.Run(opts)
+		cs, err := eng.NewSession(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := cs.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +77,7 @@ func TestSessionMatchesEngineRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if reportJSON(t, direct) != reportJSON(t, rep) {
-			t.Fatalf("case %d: Session.Run diverged from Engine.Run", i)
+			t.Fatalf("case %d: Session.Run diverged from the core engine session", i)
 		}
 	}
 }
