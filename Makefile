@@ -12,7 +12,8 @@ STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: all build test race fmt vet vet-wf bench bench-cache bench-search \
-	fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer tools lint cover ci
+	fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer wfperf-check \
+	tools lint cover ci
 
 all: build
 
@@ -178,4 +179,12 @@ smoke-faults:
 	$(GO) run -race ./cmd/wfbench -exp elasticity
 	$(GO) run -race ./cmd/wfbench -exp locality
 
-ci: fmt vet vet-wf build race bench bench-cache bench-search fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer
+# wfperf-check vets and race-tests the benchmark harness. cmd/wfperf is a
+# module of its own, so `go build ./...` and `go test ./...` never compile
+# it, yet it builds against the library's public and internal APIs; its
+# tests run each workload at tiny sizes and check the pinned result
+# digests.
+wfperf-check:
+	cd cmd/wfperf && $(GO) vet . && $(GO) test -race -count=1 .
+
+ci: fmt vet vet-wf build race bench bench-cache bench-search fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer wfperf-check

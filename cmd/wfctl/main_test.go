@@ -138,7 +138,7 @@ func TestStartMatchesSubmit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("start %v: %v", args, err)
 		}
-		local, err := wfd.CanonicalReportJSON(rep)
+		local, err := rep.CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,8 +7,8 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -140,33 +140,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if canonicalReport(ref) == canonicalReport(report) {
+	refJSON, err := ref.CanonicalJSON()
+	if err != nil {
+		log.Fatal(err)
+	}
+	reportJSON, err := report.CanonicalJSON()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if bytes.Equal(refJSON, reportJSON) {
 		fmt.Println("verified: snapshot → resume reproduced the uninterrupted session byte-for-byte")
 	} else {
 		log.Fatalf("resumed session diverged from the uninterrupted reference (best %.2f vs %.2f, elapsed %.2f vs %.2f)",
 			report.Best.Metric, ref.Best.Metric, report.ElapsedSec, ref.ElapsedSec)
 	}
-}
-
-// canonicalReport renders a report's full JSON with the wall-time decision
-// costs zeroed — the only content that legitimately varies between runs of
-// the same (seed, workers, staleness, hosts) session.
-func canonicalReport(rep *wayfinder.Report) string {
-	cp := *rep
-	cp.History = append([]wayfinder.EvalResult(nil), rep.History...)
-	for i := range cp.History {
-		cp.History[i].DecisionCost = 0
-	}
-	if cp.Best != nil {
-		best := *cp.Best
-		best.DecisionCost = 0
-		cp.Best = &best
-	}
-	data, err := json.Marshal(&cp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return string(data)
 }
 
 func trim(s string, n int) string {

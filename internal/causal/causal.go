@@ -15,14 +15,12 @@
 // be updated incrementally, so every iteration refits from scratch over a
 // growing dataset. The paper cites O(n³)–O(n⁴) for causal analysis and
 // shows both per-iteration time and memory growing without bound (Fig 7);
-// this implementation reproduces exactly that scaling, measured by the
-// FitStats it records.
+// this implementation reproduces exactly that scaling. FitStats counts each
+// fit's deterministic work; Fig 7 times the fits and reads the heap itself.
 package causal
 
 import (
 	"math"
-	"runtime"
-	"time"
 
 	"wayfinder/internal/stats"
 )
@@ -60,13 +58,8 @@ type Graph struct {
 	residuals [][]float64
 }
 
-// FitStats records the cost of one Fit call.
+// FitStats records the deterministic cost of one Fit call.
 type FitStats struct {
-	// Duration is the wall-clock fit time.
-	Duration time.Duration
-	// HeapBytes is the live-heap size after the fit, capturing the
-	// accumulated model/residual storage.
-	HeapBytes uint64
 	// Tests is the number of conditional-independence tests executed.
 	Tests int
 	// Work counts sample touches (correlation and residual arithmetic over
@@ -96,7 +89,6 @@ func (o *Optimizer) LastStats() FitStats { return o.lastStats }
 // after new observations; there is no incremental path (see the package
 // comment — this is the point).
 func (o *Optimizer) Fit() *Graph {
-	start := time.Now() //wfvet:ignore walltime causal-fit cost is measured real compute time, never session-visible state
 	t := len(o.xs)
 	d := o.dim
 	g := &Graph{Adj: make([][]bool, d+1), Effect: make([]float64, d)}
@@ -189,10 +181,7 @@ func (o *Optimizer) Fit() *Graph {
 		}
 	}
 	o.graphs = append(o.graphs, g)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	//wfvet:ignore walltime causal-fit cost is measured real compute time, never session-visible state
-	o.lastStats = FitStats{Duration: time.Since(start), HeapBytes: ms.HeapAlloc, Tests: tests, Work: work}
+	o.lastStats = FitStats{Tests: tests, Work: work}
 	return g
 }
 

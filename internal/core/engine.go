@@ -511,15 +511,40 @@ func (r *Result) fillConfigKV() {
 // reconstruct the exact configurations via Space.FromKV instead of being
 // left with the lossy display string.
 func (r *Report) MarshalJSON() ([]byte, error) {
+	return r.marshal(func(res Result) Result {
+		res.fillConfigKV()
+		return res
+	})
+}
+
+// Canonical returns the result in the form byte-identity is stated over:
+// its one host-time field, DecisionCost (real time the searcher spent
+// deciding), zeroed, and its config_kv assignment filled in as a report
+// serializes it. Everything else — the configuration, the virtual
+// timings, the cache accounting — is the session's deterministic output.
+func (r Result) Canonical() Result {
+	r.DecisionCost = 0
+	r.fillConfigKV()
+	return r
+}
+
+// CanonicalJSON marshals the report with every result in Canonical form:
+// the bytes the golden hashes, the snapshot/resume suites and the
+// daemon's crash-restart guarantee compare. The report is left
+// unmodified.
+func (r *Report) CanonicalJSON() ([]byte, error) { return r.marshal(Result.Canonical) }
+
+// marshal serializes a copy of the report whose results, Best included,
+// have each been passed through form.
+func (r *Report) marshal(form func(Result) Result) ([]byte, error) {
 	type alias Report
 	cp := *r
 	cp.History = append([]Result(nil), r.History...)
 	for i := range cp.History {
-		cp.History[i].fillConfigKV()
+		cp.History[i] = form(cp.History[i])
 	}
 	if r.Best != nil {
-		best := *r.Best
-		best.fillConfigKV()
+		best := form(*r.Best)
 		cp.Best = &best
 	}
 	return json.Marshal((*alias)(&cp))

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"wayfinder/internal/apps"
 	"wayfinder/internal/configspace"
@@ -12,22 +13,11 @@ import (
 	"wayfinder/internal/vm"
 )
 
-// canonicalJSON marshals a report with the wall-clock DecisionCost fields
-// zeroed — the only Report content that legitimately varies between runs
-// of the same (seed, workers) session.
+// canonicalJSON renders rep.CanonicalJSON as a string, failing the test
+// on a marshal error.
 func canonicalJSON(t *testing.T, rep *Report) string {
 	t.Helper()
-	cp := *rep
-	cp.History = append([]Result(nil), rep.History...)
-	for i := range cp.History {
-		cp.History[i].DecisionCost = 0
-	}
-	if cp.Best != nil {
-		best := *cp.Best
-		best.DecisionCost = 0
-		cp.Best = &best
-	}
-	data, err := json.Marshal(&cp)
+	data, err := rep.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +42,58 @@ func newSearcher(m *simos.Model, kind string, seed uint64) search.Searcher {
 		return search.NewDeepTune(m.Space, true, cfg)
 	}
 	panic("unknown searcher " + kind)
+}
+
+// TestCanonicalJSONZeroesHostTime pins the canonical form: a report whose
+// every history entry and best carry a non-zero DecisionCost
+// canonicalizes to the bytes of a hand-zeroed copy, and the input is left
+// unmodified.
+func TestCanonicalJSONZeroesHostTime(t *testing.T) {
+	rep := parallelRun(t, "random", 3, Options{Iterations: 8, Seed: 3, Workers: 2})
+	if rep.Best == nil {
+		t.Fatal("no best result to canonicalize")
+	}
+	for i := range rep.History {
+		rep.History[i].DecisionCost = time.Duration(i+1) * time.Millisecond
+	}
+	rep.Best.DecisionCost = 42 * time.Millisecond
+	before, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	zeroed := *rep
+	zeroed.History = append([]Result(nil), rep.History...)
+	for i := range zeroed.History {
+		zeroed.History[i].DecisionCost = 0
+	}
+	best := *rep.Best
+	best.DecisionCost = 0
+	zeroed.Best = &best
+	want, err := json.Marshal(&zeroed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := rep.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("canonical form differs from the hand-zeroed copy:\n got %.200s\nwant %.200s", got, want)
+	}
+	after, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("CanonicalJSON modified its input")
+	}
+	for i, res := range rep.History {
+		if res.DecisionCost == 0 || res.ConfigKV != nil {
+			t.Fatalf("history[%d] modified: decision cost %v, config_kv %v", i, res.DecisionCost, res.ConfigKV)
+		}
+	}
 }
 
 func parallelRun(t *testing.T, kind string, seed uint64, opts Options) *Report {

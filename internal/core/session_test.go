@@ -113,26 +113,13 @@ func TestSessionPartialReportValid(t *testing.T) {
 		t.Fatalf("partial history has %d entries", len(rep.History))
 	}
 	for i := range rep.History {
-		if canonicalResultJSON(t, rep.History[i]) != canonicalResultJSON(t, full.History[i]) {
+		if jsonString(t, rep.History[i].Canonical()) != jsonString(t, full.History[i].Canonical()) {
 			t.Fatalf("partial history[%d] diverged from the uninterrupted run", i)
 		}
 	}
 	if rep.Utilization <= 0 || rep.ComputeSec <= 0 || rep.ElapsedSec <= 0 {
 		t.Fatalf("partial report aggregates not finalized: %+v", rep)
 	}
-}
-
-// canonicalResultJSON renders one result with the wall-time decision cost
-// zeroed.
-func canonicalResultJSON(t *testing.T, res Result) string {
-	t.Helper()
-	res.DecisionCost = 0
-	res.fillConfigKV()
-	b, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // TestSessionSnapshotResume: snapshot at an awkward observation count,
@@ -325,7 +312,7 @@ func TestSessionCancellation(t *testing.T) {
 			t.Fatalf("%s: canceled run recorded %d observations, want 9", tc.name, len(rep.History))
 		}
 		for i := range rep.History {
-			if canonicalResultJSON(t, rep.History[i]) != canonicalResultJSON(t, full.History[i]) {
+			if jsonString(t, rep.History[i].Canonical()) != jsonString(t, full.History[i].Canonical()) {
 				t.Fatalf("%s: canceled history[%d] diverged", tc.name, i)
 			}
 		}
@@ -401,11 +388,11 @@ func eventString(t *testing.T, ev Event) string {
 	t.Helper()
 	switch e := ev.(type) {
 	case EvalDone:
-		return "eval:" + canonicalResultJSON(t, e.Result)
+		return "eval:" + jsonString(t, e.Result.Canonical())
 	case NewBest:
-		return "best:" + canonicalResultJSON(t, e.Result)
+		return "best:" + jsonString(t, e.Result.Canonical())
 	case CacheEvent:
-		return "cache:" + e.Source + ":" + canonicalResultJSON(t, e.Result)
+		return "cache:" + e.Source + ":" + jsonString(t, e.Result.Canonical())
 	case RoundBarrier:
 		return "barrier:" + jsonString(t, e)
 	case Progress:

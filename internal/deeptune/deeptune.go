@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"wayfinder/internal/configspace"
 	"wayfinder/internal/nn"
@@ -128,8 +127,7 @@ type DTM struct {
 	// Target normalization (running).
 	yStats stats.Running
 
-	trained  int // number of Update calls
-	lastCost time.Duration
+	trained int // number of Update calls
 
 	// scratch is the batch working memory of PredictBatch and Update.
 	scratch batchScratch
@@ -202,10 +200,6 @@ func (d *DTM) Dim() int { return d.dim }
 // Trained reports the number of incremental updates applied.
 func (d *DTM) Trained() int { return d.trained }
 
-// LastUpdateCost returns the wall-clock duration of the most recent Update
-// (Fig 8's "DeepTune update time").
-func (d *DTM) LastUpdateCost() time.Duration { return d.lastCost }
-
 // normalizeY maps a raw metric value into the model's training scale.
 func (d *DTM) normalizeY(y float64) float64 {
 	sd := d.yStats.StdDev()
@@ -251,7 +245,6 @@ func (d *DTM) Update(xs [][]float64, ys []float64, crashed []bool) error {
 	if d.cfg.BatchSize < 1 {
 		return fmt.Errorf("deeptune: batch size %d is not positive", d.cfg.BatchSize)
 	}
-	start := time.Now() //wfvet:ignore walltime DTM retrain cost is measured real compute time (Fig 8), never session-visible state
 	d.zscorer = stats.FitZScorer(xs)
 	d.yStats = stats.Running{}
 	for i, y := range ys {
@@ -286,7 +279,6 @@ func (d *DTM) Update(xs [][]float64, ys []float64, crashed []bool) error {
 		d.rbfOpt.Step(rbfParams[:])
 	}
 	d.trained++
-	d.lastCost = time.Since(start) //wfvet:ignore walltime DTM retrain cost is measured real compute time (Fig 8), never session-visible state
 	return nil
 }
 

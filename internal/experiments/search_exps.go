@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"runtime"
+	"time"
 	"wayfinder/internal/apps"
 	"wayfinder/internal/causal"
 	"wayfinder/internal/core"
@@ -259,6 +260,13 @@ func Fig7(scale Scale) (*Result, error) {
 		return 10*x[0] - 6*x[1] + 3*math.Sin(3*x[2]) + r.Normal(0, 0.2)
 	}
 	r := rng.New(0xf167)
+	// heapBytes is the live-heap size after a fit or update: the
+	// accumulated model storage the figure's memory panel plots.
+	heapBytes := func() float64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
 
 	// Unicorn run.
 	uni := causal.New(dim, true)
@@ -269,12 +277,12 @@ func Fig7(scale Scale) (*Result, error) {
 			x[d] = r.Float64()
 		}
 		uni.Observe(x, objective(x, r))
+		start := time.Now()
 		uni.Fit()
-		st := uni.LastStats()
 		uniX = append(uniX, float64(i))
-		uniTime = append(uniTime, st.Duration.Seconds())
-		uniMem = append(uniMem, float64(st.HeapBytes))
-		uniWork = append(uniWork, float64(st.Work))
+		uniTime = append(uniTime, time.Since(start).Seconds())
+		uniMem = append(uniMem, heapBytes())
+		uniWork = append(uniWork, float64(uni.LastStats().Work))
 	}
 
 	// DeepTune run: incremental updates on the same growing history.
@@ -300,14 +308,13 @@ func Fig7(scale Scale) (*Result, error) {
 		if len(xs) > 128 {
 			lo = len(xs) - 128
 		}
+		start := time.Now()
 		if err := dtm.Update(xs[lo:], ys[lo:], crashes[lo:]); err != nil {
 			return nil, err
 		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
 		dtX = append(dtX, float64(i))
-		dtTime = append(dtTime, dtm.LastUpdateCost().Seconds())
-		dtMem = append(dtMem, float64(ms.HeapAlloc))
+		dtTime = append(dtTime, time.Since(start).Seconds())
+		dtMem = append(dtMem, heapBytes())
 	}
 	res.Series = append(res.Series,
 		Series{Name: "unicorn-time-s", X: uniX, Y: uniTime},

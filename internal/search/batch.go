@@ -1,10 +1,6 @@
 package search
 
-import (
-	"time"
-
-	"wayfinder/internal/configspace"
-)
+import "wayfinder/internal/configspace"
 
 // BatchSearcher extends Searcher with the batch protocol the parallel
 // evaluation engine speaks: the platform asks for up to n configurations
@@ -106,72 +102,28 @@ func (p pendingSet) count() int {
 // and Observe from its coordinator only, and workers never touch the
 // searcher — that is what makes parallel sessions deterministic.
 //
-// Cost accounting reuses the wrapped searcher's own measurements instead
-// of re-timing calls with a second stopwatch: every strategy resets its
-// accumulator in Propose and accrues into it in Observe, so the adapter
-// pulls the full value after each Propose and only the delta after each
-// Observe. Each self-reported interval is therefore counted exactly once
-// — re-measuring Observe externally while later also pulling the wrapped
-// accumulator would double-count the model-update time that dominates
-// the Fig 8 numbers for Bayesian/DeepTune/Unicorn.
+// DecisionCost is the wrapped searcher's, forwarded: it drains on read,
+// so a round's proposal cost lands on the round's first recorded
+// iteration and each observation's cost on its own.
 type batchAdapter struct {
 	Searcher
 	pending pendingSet
-	cost    time.Duration
-	// lastWrapped is the wrapped searcher's DecisionCost at the last pull,
-	// used to extract Observe deltas from its monotone accumulator.
-	lastWrapped time.Duration
-}
-
-// propose asks the wrapped strategy for one candidate and accrues its
-// self-reported proposal cost (Propose resets the wrapped accumulator, so
-// the post-call value is exactly this call's cost).
-func (b *batchAdapter) propose() *configspace.Config {
-	c := b.Searcher.Propose()
-	d := b.Searcher.DecisionCost()
-	b.cost += d
-	b.lastWrapped = d
-	return c
 }
 
 // ProposeBatch implements BatchSearcher.
 func (b *batchAdapter) ProposeBatch(n int) []*configspace.Config {
 	out := make([]*configspace.Config, 0, n)
 	for len(out) < n {
-		out = append(out, b.pending.draw(b.propose))
+		out = append(out, b.pending.draw(b.Searcher.Propose))
 	}
 	return out
 }
 
 // Observe implements Searcher, clearing the configuration from the
-// pending set before forwarding to the wrapped strategy. The observation
-// cost is the delta the wrapped searcher accrued into its own accumulator
-// — never an external re-measurement, which would count the same
-// model-update time twice.
+// pending set before forwarding to the wrapped strategy.
 func (b *batchAdapter) Observe(o Observation) {
 	b.pending.done(o.Config)
 	b.Searcher.Observe(o)
-	d := b.Searcher.DecisionCost()
-	if d >= b.lastWrapped {
-		b.cost += d - b.lastWrapped
-	} else {
-		// The wrapped accumulator moved backwards (a strategy that resets
-		// outside Propose): treat the new value as freshly accrued.
-		b.cost += d
-	}
-	b.lastWrapped = d
-}
-
-// DecisionCost implements Searcher with batch semantics: it returns the
-// searcher time consumed since the previous DecisionCost call and resets
-// the accumulator. Proposals are drawn for a whole round up front, so the
-// engine's per-iteration stamps attribute the round's proposal cost to
-// the round's first iteration and each observation's cost to its own —
-// summing to the round's true total.
-func (b *batchAdapter) DecisionCost() time.Duration {
-	c := b.cost
-	b.cost = 0
-	return c
 }
 
 // Pending returns the number of proposed-but-unobserved configurations

@@ -153,14 +153,13 @@ func TestBatchProposeSingleIsPlainPropose(t *testing.T) {
 }
 
 type constantSearcher struct {
-	cfg  *configspace.Config
-	cost time.Duration
+	cfg *configspace.Config
 }
 
 func (s *constantSearcher) Name() string                 { return "constant" }
 func (s *constantSearcher) Propose() *configspace.Config { return s.cfg }
 func (s *constantSearcher) Observe(Observation)          {}
-func (s *constantSearcher) DecisionCost() time.Duration  { return s.cost }
+func (s *constantSearcher) DecisionCost() time.Duration  { return 0 }
 
 type countingSearcher struct {
 	Searcher
@@ -189,9 +188,9 @@ func (s *nativeBatcher) ProposeBatch(n int) []*configspace.Config {
 	return out
 }
 
-// costStub mimics the cost convention every real strategy follows —
-// Propose resets the accumulator, Observe accrues into it — but with
-// synthetic durations, so accounting can be cross-checked exactly.
+// costStub keeps the cost convention every real strategy follows —
+// Propose and Observe accrue, DecisionCost drains — but with synthetic
+// durations, so accounting can be cross-checked exactly.
 type costStub struct {
 	space              *configspace.Space
 	rng                *rng.RNG
@@ -201,20 +200,23 @@ type costStub struct {
 
 func (s *costStub) Name() string { return "cost-stub" }
 func (s *costStub) Propose() *configspace.Config {
-	s.cost = s.proposeD
+	s.cost += s.proposeD
 	return s.space.Random(s.rng)
 }
-func (s *costStub) Observe(Observation)         { s.cost += s.observeD }
-func (s *costStub) DecisionCost() time.Duration { return s.cost }
+func (s *costStub) Observe(Observation) { s.cost += s.observeD }
+func (s *costStub) DecisionCost() time.Duration {
+	d := s.cost
+	s.cost = 0
+	return d
+}
 
 func TestBatchCostMatchesSequentialAccounting(t *testing.T) {
-	// Regression: the adapter used to re-time Observe with its own
-	// stopwatch instead of pulling the wrapped searcher's self-reported
-	// delta — so the model-update time the strategies measure themselves
-	// (the Fig 8 "update time") was replaced by an unrelated wall-clock
-	// sample, and any pull of the wrapped accumulator counted it twice.
-	// With synthetic costs the books must balance exactly: n iterations
-	// driven sequentially and in batches account the same total.
+	// The adapter reports the wrapped searcher's own measurements, each
+	// exactly once: neither re-timed (which would replace the Fig 8
+	// "update time" with an unrelated wall-clock sample) nor counted
+	// twice. With synthetic costs the books must balance exactly: n
+	// iterations driven sequentially and in batches account the same
+	// total.
 	space := batchSpace(t)
 	const n = 12
 	const proposeD, observeD = 3 * time.Millisecond, 7 * time.Millisecond

@@ -283,7 +283,7 @@ func (s *DeepTune) Restore(data []byte) error {
 	}
 	s.ys, s.crashes = st.Ys, st.Crashes
 	s.pending = pending
-	s.cost = 0
+	s.stopwatch = stopwatch{}
 	return nil
 }
 

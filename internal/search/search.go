@@ -36,28 +36,32 @@ type Observation struct {
 	Stage string
 }
 
-// Decision-cost stopwatches. Searchers charge their own real compute
-// time — the paper's Fig 8 "update time" axis — so these two helpers are
-// deliberately wall-clock: they measure the strategy's actual CPU cost,
-// never feed the virtual session clock, and never influence what a
-// searcher proposes. Keeping the time.Now/time.Since pair here, behind
-// two reviewed pragmas, is what lets the walltime analyzer ban the wall
-// clock everywhere else in the package.
+// stopwatch is a searcher's decision-cost accumulator: the host time it
+// spends deciding — the paper's Fig 8 "update time" — summed until
+// DecisionCost drains it. Searchers embed it, so its DecisionCost is
+// theirs. It deliberately reads the wall clock: it measures the
+// strategy's actual compute cost, never feeds the virtual session clock,
+// and never influences what a searcher proposes. Keeping the
+// time.Now/time.Since pair here, behind two reviewed pragmas, is what
+// lets the walltime analyzer ban the wall clock everywhere else in the
+// package.
+type stopwatch struct{ spent time.Duration }
 
-// accrue starts a stopwatch that adds its elapsed time to *cost when the
-// returned func runs: `defer accrue(&s.cost)()`.
-func accrue(cost *time.Duration) func() {
+// timed starts timing and returns the func that stops it, adding the
+// elapsed time to the accumulator: `defer s.timed()()`.
+func (w *stopwatch) timed() func() {
 	start := time.Now() //wfvet:ignore walltime decision cost measures real compute time (Fig 8), never session-visible state
 	return func() {
-		*cost += time.Since(start) //wfvet:ignore walltime decision cost measures real compute time (Fig 8), never session-visible state
+		w.spent += time.Since(start) //wfvet:ignore walltime decision cost measures real compute time (Fig 8), never session-visible state
 	}
 }
 
-// restart zeroes *cost and starts a fresh stopwatch — the convention of
-// searchers whose DecisionCost reports the last call, not a running sum.
-func restart(cost *time.Duration) func() {
-	*cost = 0
-	return accrue(cost)
+// DecisionCost implements Searcher: the host time spent since the
+// previous call, drained on read.
+func (w *stopwatch) DecisionCost() time.Duration {
+	d := w.spent
+	w.spent = 0
+	return d
 }
 
 // Searcher decides which configuration to evaluate next.
@@ -68,8 +72,11 @@ type Searcher interface {
 	Propose() *configspace.Config
 	// Observe reports an evaluation result.
 	Observe(o Observation)
-	// DecisionCost returns the wall-clock time spent inside the last
-	// Propose+Observe pair (the paper's Fig 8 "update time").
+	// DecisionCost returns the host time the searcher spent deciding since
+	// the previous DecisionCost call, and resets it (the paper's Fig 8
+	// "update time"). Read once per observation, it is that observation's
+	// Propose+Observe cost; a batch's proposal cost is returned by the
+	// first read after ProposeBatch, once.
 	DecisionCost() time.Duration
 }
 
@@ -103,7 +110,7 @@ type Random struct {
 	k     int
 	rng   *rng.RNG
 	seen  map[uint64]bool
-	cost  time.Duration
+	stopwatch
 }
 
 // NewRandom returns a random searcher that draws uniformly.
@@ -123,7 +130,7 @@ func (s *Random) Name() string { return "random" }
 
 // Propose implements Searcher.
 func (s *Random) Propose() *configspace.Config {
-	defer restart(&s.cost)()
+	defer s.timed()()
 	var base *configspace.Config
 	if s.k > 0 {
 		base = s.space.Default()
@@ -151,9 +158,6 @@ func (s *Random) draw(base *configspace.Config) *configspace.Config {
 // Observe implements Searcher.
 func (s *Random) Observe(Observation) {}
 
-// DecisionCost implements Searcher.
-func (s *Random) DecisionCost() time.Duration { return s.cost }
-
 // Grid explores the space systematically, one parameter value after the
 // other: for each parameter in turn it steps through a small value grid
 // while holding everything else at the incumbent default. The paper omits
@@ -172,7 +176,7 @@ type Grid struct {
 
 	paramIdx int
 	valueIdx int
-	cost     time.Duration
+	stopwatch
 }
 
 // NewGrid returns a grid searcher starting from the space defaults.
@@ -266,7 +270,7 @@ func (s *Grid) step() *configspace.Config {
 
 // Propose implements Searcher.
 func (s *Grid) Propose() *configspace.Config {
-	defer accrue(&s.cost)()
+	defer s.timed()()
 	return s.step()
 }
 
@@ -276,7 +280,7 @@ func (s *Grid) Propose() *configspace.Config {
 // base — its parameter's grid includes the incumbent value — can repeat
 // within a window).
 func (s *Grid) ProposeBatch(n int) []*configspace.Config {
-	defer accrue(&s.cost)()
+	defer s.timed()()
 	out := make([]*configspace.Config, 0, n)
 	for len(out) < n {
 		out = append(out, s.pending.draw(s.step))
@@ -292,17 +296,6 @@ func (s *Grid) Observe(o Observation) { s.pending.done(o.Config) }
 
 // AdoptBase re-centers the sweep on a new base configuration.
 func (s *Grid) AdoptBase(c *configspace.Config) { s.base = c.Clone() }
-
-// DecisionCost implements Searcher with batch semantics: the searcher
-// time consumed since the previous call, drained on read — so a round's
-// ProposeBatch cost is attributed once, to the round's first recorded
-// iteration, exactly as the adapter attributes it for the other
-// strategies.
-func (s *Grid) DecisionCost() time.Duration {
-	c := s.cost
-	s.cost = 0
-	return c
-}
 
 // Bayesian is the Bayesian-optimization baseline: a Gaussian-process
 // surrogate updated on every observation (an O(n²) incremental Cholesky
@@ -332,7 +325,6 @@ type Bayesian struct {
 	haveBest  bool
 	worst     float64
 	haveWorst bool
-	cost      time.Duration
 	fitErrors int
 	pending   pendingSet
 
@@ -346,6 +338,8 @@ type Bayesian struct {
 	poolXs     [][]float64
 	poolHashes []uint64
 	poolEIs    []float64
+
+	stopwatch
 }
 
 // NewBayesian returns a Bayesian-optimization searcher.
@@ -407,7 +401,7 @@ func (s *Bayesian) signed(y float64) float64 {
 
 // Propose implements Searcher.
 func (s *Bayesian) Propose() *configspace.Config {
-	defer accrue(&s.cost)()
+	defer s.timed()()
 	return s.proposeOne()
 }
 
@@ -483,7 +477,7 @@ func (s *Bayesian) proposeOne() *configspace.Config {
 // popped before returning: the surrogate the next Observe updates is
 // exactly the real-history one.
 func (s *Bayesian) ProposeBatch(n int) []*configspace.Config {
-	defer accrue(&s.cost)()
+	defer s.timed()()
 	out := make([]*configspace.Config, 0, n)
 	if n == 1 || s.model.Len() < 3 {
 		// A singleton batch is the adapter's propose-once path verbatim —
@@ -554,7 +548,7 @@ func (s *Bayesian) randomConfig() *configspace.Config { return s.space.Random(s.
 // Observe implements Searcher, clearing the configuration from the
 // pending set before teaching it to the surrogate.
 func (s *Bayesian) Observe(o Observation) {
-	defer accrue(&s.cost)()
+	defer s.timed()()
 	s.pending.done(o.Config)
 	if o.Crashed {
 		// Penalize with the worst observed value so far, in the signed
@@ -578,18 +572,6 @@ func (s *Bayesian) Observe(o Observation) {
 	s.model.Add(o.X, y)
 }
 
-// DecisionCost implements Searcher with batch semantics: the searcher
-// time consumed since the previous call, drained on read (Grid's
-// convention) — sequentially the engine reads once per iteration, so the
-// value is the iteration's Propose+Observe cost exactly as before; across
-// a batch the round's proposal cost lands on the round's first recorded
-// iteration, matching the adapter's attribution.
-func (s *Bayesian) DecisionCost() time.Duration {
-	c := s.cost
-	s.cost = 0
-	return c
-}
-
 // DeepTune adapts the deeptune.Selector to the Searcher interface,
 // carrying the training window the DTM retrains on. Its checkpoint is the
 // trained model itself — weights, optimizer moments, RNG positions and the
@@ -611,11 +593,12 @@ type DeepTune struct {
 	xs      [][]float64
 	ys      []float64
 	crashes []bool
-	cost    time.Duration
 	pending pendingSet
 	// window bounds the training history handed to the DTM (0 = full
 	// history).
 	window int
+
+	stopwatch
 }
 
 // NewDeepTune returns a DeepTune searcher.
@@ -643,7 +626,7 @@ func (s *DeepTune) SetSurrogateWindow(n int) error {
 
 // Propose implements Searcher.
 func (s *DeepTune) Propose() *configspace.Config {
-	defer accrue(&s.cost)()
+	defer s.timed()()
 	return s.sel.Propose()
 }
 
@@ -652,7 +635,7 @@ func (s *DeepTune) Propose() *configspace.Config {
 // on a best-effort basis, its own bounded re-roll standing in for
 // pendingSet.draw; every pick is then recorded in the pending set.
 func (s *DeepTune) ProposeBatch(n int) []*configspace.Config {
-	defer accrue(&s.cost)()
+	defer s.timed()()
 	var skip func(*configspace.Config) bool
 	if len(s.pending) > 0 {
 		skip = func(c *configspace.Config) bool { return s.pending.has(c.Hash()) }
@@ -667,7 +650,7 @@ func (s *DeepTune) ProposeBatch(n int) []*configspace.Config {
 // Observe implements Searcher, clearing the configuration from the
 // pending set before retraining the DTM.
 func (s *DeepTune) Observe(o Observation) {
-	defer accrue(&s.cost)()
+	defer s.timed()()
 	s.pending.done(o.Config)
 	s.xs = append(s.xs, o.X)
 	s.ys = append(s.ys, o.Metric)
@@ -683,15 +666,6 @@ func (s *DeepTune) Observe(o Observation) {
 	// Selector.Observe never fails with aligned histories, which this
 	// adapter maintains by construction.
 	_ = s.sel.Observe(o.Config, o.X, o.Metric, o.Crashed, s.xs, s.ys, s.crashes)
-}
-
-// DecisionCost implements Searcher with batch semantics: the searcher
-// time consumed since the previous call, drained on read (Grid's
-// convention; see Bayesian.DecisionCost).
-func (s *DeepTune) DecisionCost() time.Duration {
-	c := s.cost
-	s.cost = 0
-	return c
 }
 
 // shiftTail drops the first drop elements of s in place — copy-shift, zero
@@ -717,7 +691,7 @@ type Unicorn struct {
 	rng      *rng.RNG
 	maximize bool
 	poolSize int
-	cost     time.Duration
+	stopwatch
 }
 
 // NewUnicorn returns a causal-inference searcher.
@@ -738,7 +712,7 @@ func (s *Unicorn) Name() string { return "unicorn" }
 
 // Propose implements Searcher.
 func (s *Unicorn) Propose() *configspace.Config {
-	defer restart(&s.cost)()
+	defer s.timed()()
 	if s.opt.Len() < 5 {
 		return s.space.Random(s.rng)
 	}
@@ -753,7 +727,7 @@ func (s *Unicorn) Propose() *configspace.Config {
 
 // Observe implements Searcher.
 func (s *Unicorn) Observe(o Observation) {
-	defer accrue(&s.cost)()
+	defer s.timed()()
 	y := o.Metric
 	if o.Crashed {
 		y = 0
@@ -767,6 +741,3 @@ func (s *Unicorn) Observe(o Observation) {
 
 // Optimizer exposes the causal optimizer (for Fig 7 cost accounting).
 func (s *Unicorn) Optimizer() *causal.Optimizer { return s.opt }
-
-// DecisionCost implements Searcher.
-func (s *Unicorn) DecisionCost() time.Duration { return s.cost }

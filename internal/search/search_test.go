@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -325,21 +326,50 @@ func TestGridValuesHugeMax(t *testing.T) {
 	}
 }
 
+// TestDecisionCostRecorded pins the one DecisionCost convention every
+// built-in searcher shares, used directly and through AsBatch: the host
+// time spent since the previous call, drained on read.
 func TestDecisionCostRecorded(t *testing.T) {
 	space := toySpace()
-	r := rng.New(1)
-	_ = r
-	for _, s := range []Searcher{
-		NewRandom(space, 1),
-		NewGrid(space),
-		NewBayesian(space, true, 1),
-		NewUnicorn(space, true, 1),
-	} {
-		enc := configspace.NewEncoder(space)
-		c := s.Propose()
-		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1})
-		if s.DecisionCost() < 0 {
-			t.Fatalf("%s: negative decision cost", s.Name())
+	enc := configspace.NewEncoder(space)
+	builders := map[string]func() Searcher{
+		"random":   func() Searcher { return NewRandom(space, 1) },
+		"grid":     func() Searcher { return NewGrid(space) },
+		"bayesian": func() Searcher { return NewBayesian(space, true, 1) },
+		"deeptune": func() Searcher { return NewDeepTune(space, true, deeptune.DefaultConfig()) },
+		"unicorn":  func() Searcher { return NewUnicorn(space, true, 1) },
+	}
+	for _, name := range slices.Sorted(maps.Keys(builders)) {
+		for _, batched := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/batched=%v", name, batched), func(t *testing.T) {
+				s := builders[name]()
+				propose := func(n int) []*configspace.Config {
+					out := make([]*configspace.Config, n)
+					for i := range out {
+						out[i] = s.Propose()
+					}
+					return out
+				}
+				if batched {
+					b := AsBatch(s)
+					s, propose = b, b.ProposeBatch
+				}
+				c := propose(1)[0]
+				s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1, Stage: "ok"})
+				if d := s.DecisionCost(); d <= 0 {
+					t.Fatalf("Propose+Observe cost %v, want > 0", d)
+				}
+				if d := s.DecisionCost(); d != 0 {
+					t.Fatalf("immediate second read %v, want 0 (drained)", d)
+				}
+				propose(2)
+				if d := s.DecisionCost(); d <= 0 {
+					t.Fatalf("two-proposal round cost %v, want > 0", d)
+				}
+				if d := s.DecisionCost(); d != 0 {
+					t.Fatalf("two-proposal round cost returned twice (second read %v)", d)
+				}
+			})
 		}
 	}
 }

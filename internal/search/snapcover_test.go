@@ -20,9 +20,9 @@ var randomSpec = snapcover.Spec{
 		"seen": "Seen",
 	},
 	Excluded: map[string]string{
-		"space": "construction-time: the restore target is built over the same space",
-		"k":     "construction-time mutation width",
-		"cost":  "per-call decision stopwatch, reported not replayed; the next Propose rewrites it",
+		"space":     "construction-time: the restore target is built over the same space",
+		"k":         "construction-time mutation width",
+		"stopwatch": "decision-cost stopwatch, host time drained by DecisionCost, never replayed",
 	},
 }
 
@@ -46,8 +46,8 @@ func TestGridStateCoverage(t *testing.T) {
 			"pending":  "Pending",
 		},
 		Excluded: map[string]string{
-			"space": "construction-time: the restore target is built over the same space",
-			"cost":  "accumulating decision stopwatch, reported not replayed",
+			"space":     "construction-time: the restore target is built over the same space",
+			"stopwatch": "decision-cost stopwatch, host time drained by DecisionCost, never replayed",
 		},
 	})
 }
@@ -65,11 +65,11 @@ func TestBayesianStateCoverage(t *testing.T) {
 			"model":     "GP",
 		},
 		Excluded: map[string]string{
-			"space":    "construction-time: the restore target is built over the same space",
-			"enc":      "derived from the space at construction",
-			"maximize": "construction-time optimization direction",
-			"poolSize": "construction-time candidate-pool size",
-			"cost":     "accumulating decision stopwatch, reported not replayed",
+			"space":     "construction-time: the restore target is built over the same space",
+			"enc":       "derived from the space at construction",
+			"maximize":  "construction-time optimization direction",
+			"poolSize":  "construction-time candidate-pool size",
+			"stopwatch": "decision-cost stopwatch, host time drained by DecisionCost, never replayed",
 			// The surrogate's window/adaptation knobs live inside gp.State;
 			// the proposal scratch is redrawn from the RNG every proposal.
 			"pool":       "reusable proposal scratch, redrawn every proposal",
@@ -92,8 +92,8 @@ func TestDeepTuneStateCoverage(t *testing.T) {
 			"xs": "Selector",
 		},
 		Excluded: map[string]string{
-			"cost":   "accumulating decision stopwatch, reported not replayed; Restore resets it",
-			"window": "session-level knob: reapplied by the session (SetSurrogateWindow from Options) before Restore",
+			"stopwatch": "decision-cost stopwatch, host time drained by DecisionCost, never replayed; Restore resets it",
+			"window":    "session-level knob: reapplied by the session (SetSurrogateWindow from Options) before Restore",
 		},
 	})
 }
@@ -138,12 +138,11 @@ func TestDTMStateCoverage(t *testing.T) {
 			"trained": "Trained",
 		},
 		Excluded: map[string]string{
-			"cfg":      "construction-time hyperparameters",
-			"dim":      "construction-time feature dimension",
-			"relu1":    "stateless ReLU: its activation cache is rewritten by every forward pass",
-			"relu2":    "stateless ReLU: its activation cache is rewritten by every forward pass",
-			"lastCost": "wall-clock retrain stopwatch, reported not replayed",
-			"scratch":  "PredictBatch and Update batch scratch, rewritten by every batch",
+			"cfg":     "construction-time hyperparameters",
+			"dim":     "construction-time feature dimension",
+			"relu1":   "stateless ReLU: its activation cache is rewritten by every forward pass",
+			"relu2":   "stateless ReLU: its activation cache is rewritten by every forward pass",
+			"scratch": "PredictBatch and Update batch scratch, rewritten by every batch",
 		},
 	})
 }

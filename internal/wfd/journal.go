@@ -164,16 +164,7 @@ func (d *Daemon) recover() error {
 			continue
 		}
 		spec = spec.withDefaults()
-		t := d.tenantLocked(spec.Tenant)
-		j := &job{
-			id:          id,
-			seq:         seq,
-			spec:        spec,
-			tenant:      t,
-			hub:         newHub(d.cfg.EventLogCap),
-			done:        make(chan struct{}),
-			journalable: spec.Searcher != "unicorn",
-		}
+		j := d.newJob(id, seq, spec, d.tenantLocked(spec.Tenant))
 
 		switch {
 		case d.recoverDone(dir, j):

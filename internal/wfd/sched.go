@@ -128,15 +128,7 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	t.committed += spec.Iterations
 	d.mu.Unlock()
 
-	j := &job{
-		id:          fmt.Sprintf("j%06d", seq),
-		seq:         seq,
-		spec:        spec,
-		tenant:      t,
-		hub:         newHub(d.cfg.EventLogCap),
-		done:        make(chan struct{}),
-		journalable: spec.Searcher != "unicorn",
-	}
+	j := d.newJob(fmt.Sprintf("j%06d", seq), seq, spec, t)
 	sess, _, err := spec.NewSession(d.sessionOptions(j)...)
 	if err != nil {
 		d.mu.Lock()
@@ -171,6 +163,21 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	d.cfg.Logf("wfd: admitted %s tenant=%s %s/%s/%s seed=%d iters=%d",
 		j.id, spec.Tenant, spec.OS, spec.Searcher, spec.Metric, spec.Seed, spec.Iterations)
 	return j.id, nil
+}
+
+// newJob returns a queued job for a defaulted spec: admitted by Submit or
+// re-registered by recovery. Its snapshots are journaled when its
+// searcher checkpoints.
+func (d *Daemon) newJob(id string, seq int, spec JobSpec, t *tenant) *job {
+	return &job{
+		id:          id,
+		seq:         seq,
+		spec:        spec,
+		tenant:      t,
+		hub:         newHub(d.cfg.EventLogCap),
+		done:        make(chan struct{}),
+		journalable: searchers[spec.Searcher].checkpoints,
+	}
 }
 
 // insertLocked registers a job keeping d.order sorted by seq (submissions
@@ -335,7 +342,7 @@ func (d *Daemon) stepper() {
 // finish completes a job: canonical report to the journal, accounting
 // released, waiters and subscribers notified.
 func (d *Daemon) finish(j *job) {
-	bytes, err := CanonicalReportJSON(j.sess.Report())
+	bytes, err := j.sess.Report().CanonicalJSON()
 	if err != nil {
 		d.terminate(j, stateFailed, fmt.Sprintf("marshal report: %v", err))
 		return

@@ -6,7 +6,6 @@
 package wfd
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -127,6 +126,66 @@ func (sp JobSpec) withDefaults() JobSpec {
 	return sp
 }
 
+// The job vocabulary: one name→entry table each for OS profiles, metrics
+// and searchers. Validate, the session builders and the daemon's
+// journaling rule read these and nothing else, so a name means the same
+// thing everywhere.
+
+// osProfiles maps each OS name (and alias) to its model constructor.
+var osProfiles = map[string]func() *simos.Model{
+	"linux":       func() *simos.Model { return simos.NewLinux(simos.DefaultLinuxOptions()) },
+	"unikraft":    func() *simos.Model { return simos.NewUnikraft(1) },
+	"linux-riscv": newRiscv,
+	"riscv":       newRiscv,
+}
+
+func newRiscv() *simos.Model { return simos.NewRiscv(simos.DefaultRiscvOptions()) }
+
+// metrics maps each metric name (and alias) to its constructor over the
+// job's workload.
+var metrics = map[string]func(app *simos.App) core.Metric{
+	"throughput":  newPerfMetric,
+	"performance": newPerfMetric,
+	"latency":     newPerfMetric,
+	"memory":      func(*simos.App) core.Metric { return core.MemoryMetric{} },
+	"score":       func(*simos.App) core.Metric { return &core.ScoreMetric{} },
+}
+
+func newPerfMetric(app *simos.App) core.Metric { return &core.PerfMetric{App: app} }
+
+// searcherEntry is one strategy a job can name.
+type searcherEntry struct {
+	// build constructs a fresh searcher from spec-determined arguments.
+	build func(space *configspace.Space, maximize bool, seed uint64) search.Searcher
+	// windowed: the searcher implements search.Windowed, so
+	// surrogate_window applies to it.
+	windowed bool
+	// checkpoints: the searcher implements search.Checkpointable, so its
+	// jobs journal snapshots and may warm-start from the corpus.
+	checkpoints bool
+}
+
+// searchers maps each searcher name to its entry.
+var searchers = map[string]searcherEntry{
+	"random": {checkpoints: true, build: func(space *configspace.Space, _ bool, seed uint64) search.Searcher {
+		return search.NewRandom(space, seed)
+	}},
+	"grid": {checkpoints: true, build: func(space *configspace.Space, _ bool, _ uint64) search.Searcher {
+		return search.NewGrid(space)
+	}},
+	"bayesian": {windowed: true, checkpoints: true, build: func(space *configspace.Space, maximize bool, seed uint64) search.Searcher {
+		return search.NewBayesian(space, maximize, seed)
+	}},
+	"deeptune": {windowed: true, checkpoints: true, build: func(space *configspace.Space, maximize bool, seed uint64) search.Searcher {
+		cfg := deeptune.DefaultConfig()
+		cfg.Seed = seed
+		return search.NewDeepTune(space, maximize, cfg)
+	}},
+	"unicorn": {build: func(space *configspace.Space, maximize bool, seed uint64) search.Searcher {
+		return search.NewUnicorn(space, maximize, seed)
+	}},
+}
+
 // options maps the spec onto session options. It fails only on an
 // unparseable fault schedule — everything else defers to Options.Validate.
 func (sp JobSpec) options() (core.Options, error) {
@@ -157,32 +216,27 @@ func (sp JobSpec) options() (core.Options, error) {
 // Daemon.Submit.
 func (sp JobSpec) Validate() error {
 	sp = sp.withDefaults()
-	switch sp.OS {
-	case "linux", "unikraft", "linux-riscv", "riscv":
-	default:
+	if _, ok := osProfiles[sp.OS]; !ok {
 		return fmt.Errorf("%w: unknown os %q (linux|unikraft|linux-riscv)", ErrBadSpec, sp.OS)
 	}
 	if _, err := apps.ByName(sp.App); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	switch sp.Metric {
-	case "throughput", "performance", "latency", "memory", "score":
-	default:
+	if _, ok := metrics[sp.Metric]; !ok {
 		return fmt.Errorf("%w: unknown metric %q (throughput|memory|score)", ErrBadSpec, sp.Metric)
 	}
-	switch sp.Searcher {
-	case "random", "grid", "bayesian", "deeptune", "unicorn":
-	default:
+	strategy, ok := searchers[sp.Searcher]
+	if !ok {
 		return fmt.Errorf("%w: unknown searcher %q (random|grid|bayesian|deeptune|unicorn)", ErrBadSpec, sp.Searcher)
 	}
-	if sp.SurrogateWindow != 0 && sp.Searcher != "bayesian" && sp.Searcher != "deeptune" {
+	if sp.SurrogateWindow != 0 && !strategy.windowed {
 		return fmt.Errorf("%w: surrogate_window only applies to the learned searchers (bayesian, deeptune; got %q)",
 			ErrBadSpec, sp.Searcher)
 	}
 	if sp.WarmStartK != 0 && !sp.Corpus {
 		return fmt.Errorf("%w: warm_start_k requires corpus", ErrBadSpec)
 	}
-	if sp.WarmStartK > 0 && sp.Searcher == "unicorn" {
+	if sp.WarmStartK > 0 && !strategy.checkpoints {
 		return fmt.Errorf("%w: warm_start_k needs a checkpointable searcher (unicorn restarts from scratch after a crash and would re-query a grown corpus)", ErrBadSpec)
 	}
 	for _, class := range slices.Sorted(maps.Keys(sp.Favor)) {
@@ -204,17 +258,11 @@ func (sp JobSpec) Validate() error {
 // and fixed parameters applied — identically on every (re)construction,
 // which the deterministic-resume guarantee requires.
 func (sp JobSpec) buildModel() (*simos.Model, error) {
-	var model *simos.Model
-	switch sp.OS {
-	case "linux":
-		model = simos.NewLinux(simos.DefaultLinuxOptions())
-	case "unikraft":
-		model = simos.NewUnikraft(1)
-	case "linux-riscv", "riscv":
-		model = simos.NewRiscv(simos.DefaultRiscvOptions())
-	default:
+	newModel, ok := osProfiles[sp.OS]
+	if !ok {
 		return nil, fmt.Errorf("%w: unknown os %q", ErrBadSpec, sp.OS)
 	}
+	model := newModel()
 	for _, class := range slices.Sorted(maps.Keys(sp.Favor)) {
 		cl, err := configspace.ParseClass(class)
 		if err != nil {
@@ -239,41 +287,10 @@ func (sp JobSpec) buildModel() (*simos.Model, error) {
 	return model, nil
 }
 
-// buildMetric constructs the spec's metric.
-func (sp JobSpec) buildMetric(app *simos.App) (core.Metric, error) {
-	switch sp.Metric {
-	case "throughput", "performance", "latency":
-		return &core.PerfMetric{App: app}, nil
-	case "memory":
-		return core.MemoryMetric{}, nil
-	case "score":
-		return &core.ScoreMetric{}, nil
-	}
-	return nil, fmt.Errorf("%w: unknown metric %q", ErrBadSpec, sp.Metric)
-}
-
-// buildSearcher constructs a fresh searcher with spec-determined
-// constructor arguments (what Snapshot/Resume requires).
-func (sp JobSpec) buildSearcher(model *simos.Model, maximize bool) (search.Searcher, error) {
-	switch sp.Searcher {
-	case "random":
-		return search.NewRandom(model.Space, sp.Seed), nil
-	case "grid":
-		return search.NewGrid(model.Space), nil
-	case "bayesian":
-		return search.NewBayesian(model.Space, maximize, sp.Seed), nil
-	case "deeptune":
-		cfg := deeptune.DefaultConfig()
-		cfg.Seed = sp.Seed
-		return search.NewDeepTune(model.Space, maximize, cfg), nil
-	case "unicorn":
-		return search.NewUnicorn(model.Space, maximize, sp.Seed), nil
-	}
-	return nil, fmt.Errorf("%w: unknown searcher %q", ErrBadSpec, sp.Searcher)
-}
-
 // assemble builds the construction inputs shared by fresh and resumed
-// sessions.
+// sessions: the model, the workload, the metric, and a fresh searcher
+// with spec-determined constructor arguments (what Snapshot/Resume
+// requires).
 func (sp JobSpec) assemble() (*simos.Model, *simos.App, core.Metric, search.Searcher, error) {
 	model, err := sp.buildModel()
 	if err != nil {
@@ -283,15 +300,16 @@ func (sp JobSpec) assemble() (*simos.Model, *simos.App, core.Metric, search.Sear
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	metric, err := sp.buildMetric(app)
-	if err != nil {
-		return nil, nil, nil, nil, err
+	newMetric, ok := metrics[sp.Metric]
+	if !ok {
+		return nil, nil, nil, nil, fmt.Errorf("%w: unknown metric %q", ErrBadSpec, sp.Metric)
 	}
-	searcher, err := sp.buildSearcher(model, metric.Maximize())
-	if err != nil {
-		return nil, nil, nil, nil, err
+	strategy, ok := searchers[sp.Searcher]
+	if !ok {
+		return nil, nil, nil, nil, fmt.Errorf("%w: unknown searcher %q", ErrBadSpec, sp.Searcher)
 	}
-	return model, app, metric, searcher, nil
+	metric := newMetric(app)
+	return model, app, metric, strategy.build(model.Space, metric.Maximize(), sp.Seed), nil
 }
 
 // NewSession is the one place a job becomes a session: it builds the
@@ -337,23 +355,4 @@ func (sp JobSpec) resumeSession(snapshot []byte, opts ...wayfinder.Option) (*way
 		wayfinder.WithMetric(metric),
 		wayfinder.WithSearcher(searcher),
 	}, opts...)...)
-}
-
-// CanonicalReportJSON marshals a report in the canonical form the daemon's
-// byte-identical crash-restart guarantee is stated over: the wall-time
-// DecisionCost fields — real time spent in the searcher, the one
-// non-virtual quantity a report carries — are zeroed; everything else
-// (history, configurations, virtual timings, cache accounting) is exact.
-func CanonicalReportJSON(rep *core.Report) ([]byte, error) {
-	cp := *rep
-	cp.History = append([]core.Result(nil), rep.History...)
-	for i := range cp.History {
-		cp.History[i].DecisionCost = 0
-	}
-	if rep.Best != nil {
-		best := *rep.Best
-		best.DecisionCost = 0
-		cp.Best = &best
-	}
-	return json.Marshal(&cp)
 }

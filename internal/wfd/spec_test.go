@@ -2,10 +2,14 @@ package wfd
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
 	"wayfinder/internal/configspace"
+	"wayfinder/internal/search"
+	"wayfinder/internal/simos"
 )
 
 func TestSpecFromJob(t *testing.T) {
@@ -163,5 +167,26 @@ func TestSpecSurrogateWindowRuns(t *testing.T) {
 	}
 	if !strings.Contains(string(rep), `"searcher":"bayesian"`) {
 		t.Errorf("report missing searcher: %.120s", rep)
+	}
+}
+
+// TestSearcherTableMatchesInterfaces pins each searcher entry's flags to
+// what its built searcher implements: windowed to search.Windowed,
+// checkpoints to search.Checkpointable. Validate's surrogate_window and
+// warm_start_k rules and the daemon's journaling rule read the flags.
+func TestSearcherTableMatchesInterfaces(t *testing.T) {
+	space := simos.NewUnikraft(1).Space
+	for _, name := range slices.Sorted(maps.Keys(searchers)) {
+		entry := searchers[name]
+		s := entry.build(space, true, 1)
+		if s.Name() != name {
+			t.Errorf("entry %q builds searcher %q", name, s.Name())
+		}
+		if _, ok := s.(search.Windowed); ok != entry.windowed {
+			t.Errorf("%s: windowed = %v, but implements search.Windowed = %v", name, entry.windowed, ok)
+		}
+		if _, ok := s.(search.Checkpointable); ok != entry.checkpoints {
+			t.Errorf("%s: checkpoints = %v, but implements search.Checkpointable = %v", name, entry.checkpoints, ok)
+		}
 	}
 }

@@ -28,8 +28,8 @@
 // rename). After kill -9, a restarted daemon resumes every in-flight job
 // from its latest snapshot and completes it byte-identically to an
 // uninterrupted run: sessions are pure functions of their spec, so the
-// canonical final report (CanonicalReportJSON, which zeroes the wall-time
-// decision-cost fields) is invariant under crashes, restarts, scheduling
+// canonical final report (core.Report.CanonicalJSON, which zeroes the
+// host-time decision-cost fields) is invariant under crashes, restarts, scheduling
 // interleavings, and quantum sizes. A job whose searcher cannot
 // checkpoint (unicorn) or whose snapshot is unreadable restarts from
 // scratch — wasted work, same bytes. `make smoke-wfd` pins the guarantee

@@ -23,20 +23,11 @@ func testModel() *Model {
 	return m
 }
 
-// reportJSON canonicalizes a report (decision costs are wall time).
+// reportJSON renders rep.CanonicalJSON as a string, failing the test on a
+// marshal error.
 func reportJSON(t *testing.T, rep *Report) string {
 	t.Helper()
-	cp := *rep
-	cp.History = append([]EvalResult(nil), rep.History...)
-	for i := range cp.History {
-		cp.History[i].DecisionCost = 0
-	}
-	if cp.Best != nil {
-		best := *cp.Best
-		best.DecisionCost = 0
-		cp.Best = &best
-	}
-	data, err := json.Marshal(&cp)
+	data, err := rep.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,19 +228,11 @@ func TestPublicResume(t *testing.T) {
 	}
 	// The first 20 observations are the original session's exactly.
 	for i := range fullRep.History {
-		a, b := fullRep.History[i], extRep.History[i]
-		a.DecisionCost, b.DecisionCost = 0, 0
-		if a.ConfigKV == nil && a.Config != nil {
-			a.ConfigKV = a.Config.KV()
-		}
-		if b.ConfigKV == nil && b.Config != nil {
-			b.ConfigKV = b.Config.KV()
-		}
-		aj, err := json.Marshal(a)
+		aj, err := json.Marshal(fullRep.History[i].Canonical())
 		if err != nil {
 			t.Fatal(err)
 		}
-		bj, err := json.Marshal(b)
+		bj, err := json.Marshal(extRep.History[i].Canonical())
 		if err != nil {
 			t.Fatal(err)
 		}
