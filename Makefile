@@ -125,6 +125,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeepTuneRestore$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzBayesianRestore$$' -fuzztime $(FUZZTIME) ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzUnicornRestore$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzDTMRestore$$' -fuzztime $(FUZZTIME) ./internal/deeptune
 	$(GO) test -run '^$$' -fuzz '^FuzzJobFile$$' -fuzztime $(FUZZTIME) ./internal/wfd
 

@@ -13,7 +13,6 @@
 //	wfctl start -s random -workers 8 -hosts 4 -faults "down:1@300,up:1@900,retry:3/20/2" job.yaml
 //	wfctl start -s random -workers 8 -hosts 4 -dispatch locality job.yaml
 //	wfctl start -s random -workers 8 -no-cache job.yaml
-//	wfctl start -s bayesian -gp-refit job.yaml
 //	wfctl start -s bayesian -gp-window 512 job.yaml
 //	wfctl start -s random -json job.yaml
 //	wfctl start -s random -progress job.yaml    # live one-line status
@@ -24,8 +23,8 @@
 // -faults, and -dispatch. Both map a job file and those flags onto the
 // same wfd.JobSpec, and start builds its session with JobSpec.NewSession,
 // the constructor the daemon uses, so `start` and `submit` with the same
-// flags produce the same canonical report. -straggler, -gp-refit, -json,
-// -progress, and -timeout are start's own.
+// flags produce the same canonical report. -straggler, -json, -progress,
+// and -timeout are start's own.
 //
 // The target OS named in the job file selects the simulated model
 // ("linux", "unikraft", "linux-riscv"); the app field selects the
@@ -51,7 +50,6 @@ import (
 	wayfinder "wayfinder"
 	"wayfinder/internal/configspace"
 	"wayfinder/internal/core"
-	"wayfinder/internal/search"
 	"wayfinder/internal/wfd"
 )
 
@@ -204,7 +202,6 @@ func cmdCreate(args []string) {
 type startCmd struct {
 	spec      wfd.JobSpec
 	straggler float64
-	gpRefit   bool
 	asJSON    bool
 	progress  bool
 	timeout   time.Duration
@@ -212,12 +209,11 @@ type startCmd struct {
 
 // parseStart parses start's flags and job file into a validated spec.
 // The job flags go through the same jobFlags → JobSpec → Validate path as
-// submit; only -gp-refit's strategy is checked here.
+// submit.
 func parseStart(args []string) (*startCmd, error) {
 	fs := newFlagSet("start")
 	jf := addJobFlags(fs)
 	straggler := fs.Float64("straggler", 1, "slow the last worker by this factor (models a straggler machine)")
-	gpRefit := fs.Bool("gp-refit", false, "force the bayesian surrogate back to full O(n³) refits per observation (the pre-incremental baseline, for decision-cost comparisons)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	progress := fs.Bool("progress", false, "render a live one-line status from the session event stream")
 	timeout := fs.Duration("timeout", 0, "real-time limit for the session; when it fires the partial report is printed")
@@ -233,18 +229,15 @@ func parseStart(args []string) (*startCmd, error) {
 	if err != nil {
 		return nil, err
 	}
-	if *gpRefit && spec.Searcher != "bayesian" {
-		return nil, fmt.Errorf("-gp-refit only applies to the bayesian strategy's GP surrogate (got -s %s)", spec.Searcher)
-	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &startCmd{spec: spec, straggler: *straggler, gpRefit: *gpRefit,
+	return &startCmd{spec: spec, straggler: *straggler,
 		asJSON: *asJSON, progress: *progress, timeout: *timeout}, nil
 }
 
-// session builds the spec's session, with -straggler, -progress, and
-// -gp-refit applied on top of what the spec describes.
+// session builds the spec's session, with -straggler and -progress
+// applied on top of what the spec describes.
 func (c *startCmd) session() (*wayfinder.Session, error) {
 	var opts []wayfinder.Option
 	if c.straggler > 1 && c.spec.Workers > 1 {
@@ -253,14 +246,7 @@ func (c *startCmd) session() (*wayfinder.Session, error) {
 	if c.progress {
 		opts = append(opts, wayfinder.WithObserver(renderProgress))
 	}
-	sess, searcher, err := c.spec.NewSession(opts...)
-	if err != nil {
-		return nil, err
-	}
-	if c.gpRefit {
-		searcher.(*search.Bayesian).SetSurrogateRefit(true)
-	}
-	return sess, nil
+	return c.spec.NewSession(opts...)
 }
 
 // cmdStart runs a job in the foreground: parse → spec → validate →

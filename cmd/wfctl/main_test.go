@@ -17,10 +17,10 @@ const minimalJob = "testdata/minimal.yaml"
 
 // TestCheckStartFlags pins start's flag validation. The combinations only
 // the CLI can see (explicit zero workers or hosts, -staleness without
-// -async or below zero, -gp-refit off the bayesian strategy) fail in the
-// flag layer; the rest (the fault DSL, the dispatch name, a surrogate
-// window on a strategy without a surrogate) fail in JobSpec.Validate,
-// which submit's specs meet at the daemon too.
+// -async or below zero) fail in the flag layer; the rest (the fault DSL,
+// the dispatch name, a surrogate window on a strategy without a
+// surrogate) fail in JobSpec.Validate, which submit's specs meet at the
+// daemon too.
 func TestCheckStartFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -33,8 +33,6 @@ func TestCheckStartFlags(t *testing.T) {
 		{"staleness without async", []string{"-staleness", "2"}, "-staleness"},
 		{"staleness negative", []string{"-async", "-workers", "4", "-staleness", "-1"}, "-staleness"},
 		{"staleness with async", []string{"-async", "-staleness", "2", "-workers", "4"}, ""},
-		{"gp-refit off-strategy", []string{"-gp-refit"}, "-gp-refit"},
-		{"gp-refit bayesian", []string{"-gp-refit", "-s", "bayesian"}, ""},
 		{"gp-window off-strategy", []string{"-gp-window", "64", "-s", "random"}, "surrogate_window only applies"},
 		{"gp-window deeptune", []string{"-gp-window", "64"}, ""},
 		{"faults valid", []string{"-workers", "2", "-hosts", "2", "-faults", "down:1@300,up:1@900,retry:3/20/2"}, ""},

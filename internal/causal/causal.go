@@ -20,8 +20,10 @@
 package causal
 
 import (
+	"fmt"
 	"math"
 
+	"wayfinder/internal/nn"
 	"wayfinder/internal/stats"
 )
 
@@ -81,6 +83,46 @@ func (o *Optimizer) Observe(x []float64, y float64) {
 
 // Len returns the number of observations.
 func (o *Optimizer) Len() int { return len(o.xs) }
+
+// State is the optimizer's dynamic state: its observation set. The
+// fitted graphs are not part of it, because Fit is a pure function of the
+// observations and SelectNext reads only the newest graph.
+type State struct {
+	Xs []nn.Vec `json:"xs"`
+	Ys nn.Vec   `json:"ys"`
+}
+
+// State returns the observation set. It shares the observation rows,
+// which Observe never rewrites.
+func (o *Optimizer) State() *State {
+	st := &State{Xs: make([]nn.Vec, len(o.xs)), Ys: o.ys}
+	for i, x := range o.xs {
+		st.Xs[i] = x
+	}
+	return st
+}
+
+// RestoreState replaces the observation set with st's and refits once,
+// leaving the optimizer as the checkpointed one was after its last
+// Observe and Fit. The retained graphs restart at that one graph.
+func (o *Optimizer) RestoreState(st *State) error {
+	if len(st.Xs) != len(st.Ys) {
+		return fmt.Errorf("causal: state has %d feature rows and %d outcomes", len(st.Xs), len(st.Ys))
+	}
+	xs := make([][]float64, len(st.Xs))
+	for i, x := range st.Xs {
+		if len(x) != o.dim {
+			return fmt.Errorf("causal: state row %d has %d features, want %d", i, len(x), o.dim)
+		}
+		xs[i] = x
+	}
+	o.xs, o.ys = xs, st.Ys
+	o.graphs, o.lastStats = nil, FitStats{}
+	if len(o.xs) > 0 {
+		o.Fit()
+	}
+	return nil
+}
 
 // LastStats returns the cost of the most recent Fit.
 func (o *Optimizer) LastStats() FitStats { return o.lastStats }

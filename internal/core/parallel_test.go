@@ -96,6 +96,26 @@ func TestCanonicalJSONZeroesHostTime(t *testing.T) {
 	}
 }
 
+// TestBestCarriesDecisionCost: the best result is a copy of its history
+// entry, host-time decision cost included. The canonical form zeroes both,
+// so only a non-canonical report can show the two apart.
+func TestBestCarriesDecisionCost(t *testing.T) {
+	rep := parallelRun(t, "bayesian", 3, Options{Iterations: 12, Seed: 3})
+	if rep.Best == nil {
+		t.Fatal("no best result")
+	}
+	entry := rep.History[rep.Best.Iteration]
+	if entry.Iteration != rep.Best.Iteration {
+		t.Fatalf("history[%d] is iteration %d", rep.Best.Iteration, entry.Iteration)
+	}
+	if entry.DecisionCost <= 0 {
+		t.Fatalf("best's history entry (iteration %d) records no decision cost", entry.Iteration)
+	}
+	if rep.Best.DecisionCost != entry.DecisionCost {
+		t.Fatalf("best decision cost %v, its history entry's %v", rep.Best.DecisionCost, entry.DecisionCost)
+	}
+}
+
 func parallelRun(t *testing.T, kind string, seed uint64, opts Options) *Report {
 	t.Helper()
 	m := smallLinux(t)

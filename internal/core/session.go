@@ -253,16 +253,26 @@ func (s *Session) markDone() {
 	s.emit(SessionDone{Report: s.report})
 }
 
-// record appends one result to the report, maintains best/crash
-// accounting, publishes the evaluation's image to the shared artifact
-// store (commitArtifact — in observation order, so store state is a pure
+// record publishes the evaluation's image to the shared artifact store
+// (commitArtifact — in observation order, so store state is a pure
 // function of the observation sequence), reports the observation back
 // through the batch view (so pending-set bookkeeping sees it and decision
-// costs are read with batch semantics), and emits the observation's
-// events.
+// costs are read with batch semantics), stamps the decision cost on the
+// result, appends it to the report, maintains best/crash accounting, and
+// emits the observation's events. The cost is stamped first, so the
+// history entry and the best result carry the same one.
 func (s *Session) record(res Result) {
 	e, report := s.eng, s.report
 	s.commitArtifact(report, &res)
+	s.batcher.Observe(search.Observation{
+		Config:  res.Config,
+		X:       e.enc.Encode(res.Config),
+		Metric:  res.Metric,
+		Crashed: res.Crashed,
+		Stage:   res.Stage,
+	})
+	res.DecisionCost = s.batcher.DecisionCost()
+	s.decisionNS += res.DecisionCost
 	report.History = append(report.History, res)
 	var prevBest *Result
 	improved := false
@@ -277,16 +287,6 @@ func (s *Session) record(res Result) {
 		report.BestTimeSec = res.EndSec
 		improved = true
 	}
-	s.batcher.Observe(search.Observation{
-		Config:  res.Config,
-		X:       e.enc.Encode(res.Config),
-		Metric:  res.Metric,
-		Crashed: res.Crashed,
-		Stage:   res.Stage,
-	})
-	dc := s.batcher.DecisionCost()
-	report.History[len(report.History)-1].DecisionCost = dc
-	s.decisionNS += dc
 	// Grid adopts improvements as its sweep base.
 	if g, ok := e.Searcher.(*search.Grid); ok && report.Best != nil && report.Best.Config != nil {
 		g.AdoptBase(report.Best.Config)
@@ -378,11 +378,14 @@ func (s *Session) Usage() Usage {
 	}
 }
 
-// checkpointable returns the searcher's checkpoint interface, or an error
-// naming the strategy when it does not support one.
+// checkpointable returns the checkpoint interface of the session's batch
+// view — the searcher itself, or the adapter that wraps the searcher's
+// checkpoint with its pending set — or an error naming the strategy when
+// the searcher does not support one.
 func (s *Session) checkpointable() (search.Checkpointable, error) {
-	if ck, ok := s.eng.Searcher.(search.Checkpointable); ok {
-		return ck, nil
+	ck, ok := s.batcher.(search.Checkpointable)
+	if _, inner := s.eng.Searcher.(search.Checkpointable); !ok || !inner {
+		return nil, fmt.Errorf("core: searcher %q does not implement search.Checkpointable", s.eng.Searcher.Name())
 	}
-	return nil, fmt.Errorf("core: searcher %q does not implement search.Checkpointable", s.eng.Searcher.Name())
+	return ck, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wayfinder/internal/apps"
+	"wayfinder/internal/search"
 	"wayfinder/internal/vm"
 )
 
@@ -127,7 +128,7 @@ func TestSessionPartialReportValid(t *testing.T) {
 // byte-identical to an uninterrupted run for every Checkpointable searcher
 // and every scheduler.
 func TestSessionSnapshotResume(t *testing.T) {
-	kinds := []string{"random", "grid", "bayesian", "deeptune"}
+	kinds := []string{"random", "grid", "bayesian", "deeptune", "unicorn"}
 	for _, tc := range sessionOptsMatrix {
 		for _, kind := range kinds {
 			if kind == "deeptune" && testing.Short() {
@@ -231,22 +232,37 @@ func TestSessionSnapshotResumeScoreMetric(t *testing.T) {
 	}
 }
 
+// uncheckpointed is a custom strategy without checkpoint support: a
+// Random searcher with its Checkpoint and Restore methods hidden.
+type uncheckpointed struct{ search.Searcher }
+
+func (uncheckpointed) Name() string { return "uncheckpointed" }
+
 // TestSessionSnapshotRequiresCheckpointable: strategies without checkpoint
-// support fail loudly, naming themselves.
+// support fail loudly, naming themselves, even though the batch adapter
+// around them has Checkpoint and Restore methods.
 func TestSessionSnapshotRequiresCheckpointable(t *testing.T) {
-	sess, err := newSessionEngine(t, "unicorn", 3).NewSession(Options{Iterations: 4, Seed: 3})
+	m := smallLinux(t)
+	app := apps.Nginx()
+	eng := NewEngine(m, app, &PerfMetric{App: app}, uncheckpointed{search.NewRandom(m.Space, 3)}, &vm.Clock{}, 3)
+	sess, err := eng.NewSession(Options{Iterations: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.Step(2)
-	if _, err := sess.Snapshot(); err == nil {
+	_, err = sess.Snapshot()
+	if err == nil {
 		t.Fatal("expected snapshot of a non-checkpointable searcher to fail")
+	}
+	if want := `core: searcher "uncheckpointed" does not implement search.Checkpointable`; err.Error() != want {
+		t.Fatalf("snapshot error %q, want %q", err, want)
 	}
 }
 
 // TestResumeRejectsNonPositiveAdapterPending: a batch-adapter pending
 // count of zero or less never occurs in a valid snapshot, so Resume
-// returns an error for it instead of dropping it.
+// returns an error for it instead of dropping it. The adapter's pending
+// set travels inside the searcher state.
 func TestResumeRejectsNonPositiveAdapterPending(t *testing.T) {
 	opts := Options{Iterations: 24, Seed: 5, Workers: 4}
 	sess, err := newSessionEngine(t, "random", 5).NewSession(opts)
@@ -263,7 +279,8 @@ func TestResumeRejectsNonPositiveAdapterPending(t *testing.T) {
 		if err := json.Unmarshal(snap, &doc); err != nil {
 			t.Fatal(err)
 		}
-		pending, ok := doc["adapter_pending"].(map[string]any)
+		state, _ := doc["searcher_state"].(map[string]any)
+		pending, ok := state["pending"].(map[string]any)
 		if !ok || len(pending) == 0 {
 			t.Fatal("mid-flight snapshot carries no adapter pending set")
 		}

@@ -32,8 +32,8 @@ func TestSessionSnapshotCoverage(t *testing.T) {
 			// clock; workers carry the rest of the evaluator state.
 			"wall":    "Workers",
 			"workers": "Workers",
-			// The batch view wraps the searcher; its dynamic state is the
-			// searcher checkpoint.
+			// The batch view's checkpoint is the searcher's, wrapped with
+			// the adapter's pending set when the searcher is adapted.
 			"batcher": "SearcherState",
 			// Recomputed on restore by summing Report.History decision costs.
 			"decisionNS": "Report",
@@ -53,11 +53,10 @@ func TestSessionSnapshotCoverage(t *testing.T) {
 			"corpusAnnounced": "event bookkeeping: a restored warm session harmlessly re-announces its warm start to its (re-registered) observers",
 		},
 		Synthesized: map[string]string{
-			"Version":        "snapshot format tag",
-			"SearcherName":   "validation: checked against the restore engine's searcher",
-			"MetricName":     "validation: checked against the restore engine's metric",
-			"MetricState":    "the engine metric's CheckpointMetric payload; the metric lives on the (excluded) engine",
-			"AdapterPending": "the batch adapter's pending multiset, read through batcher; native batchers carry theirs in SearcherState",
+			"Version":      "snapshot format tag",
+			"SearcherName": "validation: checked against the restore engine's searcher",
+			"MetricName":   "validation: checked against the restore engine's metric",
+			"MetricState":  "the engine metric's CheckpointMetric payload; the metric lives on the (excluded) engine",
 		},
 	})
 }

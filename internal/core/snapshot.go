@@ -1,7 +1,9 @@
 // Session serialization: Snapshot captures the state machine's complete
 // state — options, report, worker clocks and RNG streams, artifact-store
 // contents and in-flight build tickets, unobserved in-flight evaluations,
-// the searcher's checkpoint (search.Checkpointable), and any stateful
+// the checkpoint of the BatchSearcher the session proposes through
+// (search.Checkpointable: the searcher's own state, wrapped with the batch
+// adapter's pending set when the searcher is adapted), and any stateful
 // metric — and RestoreSession rebuilds a Session that continues
 // byte-identically to the uninterrupted run. Snapshots are taken between
 // steps (any observation boundary, including mid-batch: an in-flight
@@ -28,8 +30,9 @@ import (
 // per-scheduler mode and round buffer when the schedulers became one.
 // Version 3 carries DeepTune's trained model in the searcher state instead
 // of an observation history to replay, and reduces the corpus warm DTM to
-// a flag.
-const snapshotVersion = 3
+// a flag. Version 4 moves the batch adapter's pending set inside the
+// searcher state and gives Unicorn a checkpoint.
+const snapshotVersion = 4
 
 // workerSnap is one worker's serialized evaluation state.
 type workerSnap struct {
@@ -114,9 +117,8 @@ type sessionSnapshot struct {
 	// Inflight is the per-worker unobserved completions (null = idle).
 	Inflight []*evalSnap `json:"inflight,omitempty"`
 
-	SearcherState  json.RawMessage `json:"searcher_state"`
-	AdapterPending map[uint64]int  `json:"adapter_pending,omitempty"`
-	MetricState    json.RawMessage `json:"metric_state,omitempty"`
+	SearcherState json.RawMessage `json:"searcher_state"`
+	MetricState   json.RawMessage `json:"metric_state,omitempty"`
 
 	// CorpusSeedKVs are the resolved-but-unconsumed warm-start seed
 	// configurations; WarmDTM records that the live session warm-started
@@ -126,14 +128,6 @@ type sessionSnapshot struct {
 	// that may have grown since (Options.Corpus is json:"-").
 	CorpusSeedKVs []map[string]string `json:"corpus_seed_kvs,omitempty"`
 	WarmDTM       bool                `json:"warm_dtm,omitempty"`
-}
-
-// pendingCheckpointer is the batch-adapter state interface (implemented by
-// search's unexported adapter; native batchers carry pending state inside
-// their own checkpoints).
-type pendingCheckpointer interface {
-	PendingSnapshot() map[uint64]int
-	RestorePending(map[uint64]int) error
 }
 
 // CheckpointableMetric is the optional Metric extension stateful metrics
@@ -149,9 +143,9 @@ type CheckpointableMetric interface {
 }
 
 // Snapshot serializes the session's complete state. It requires the
-// searcher to implement search.Checkpointable (Random, uniform or
-// mutation-based, Grid, Bayesian, and DeepTune do) and must be called
-// between steps — never concurrently with Run. The session remains usable afterwards.
+// searcher to implement search.Checkpointable (every built-in searcher
+// does) and must be called between steps — never concurrently with Run.
+// The session remains usable afterwards.
 func (s *Session) Snapshot() ([]byte, error) {
 	ck, err := s.checkpointable()
 	if err != nil {
@@ -219,11 +213,6 @@ func (s *Session) Snapshot() ([]byte, error) {
 		if ev != nil {
 			es := s.snapEval(ev)
 			snap.Inflight[i] = &es
-		}
-	}
-	if pc, ok := s.batcher.(pendingCheckpointer); ok {
-		if pending := pc.PendingSnapshot(); len(pending) > 0 {
-			snap.AdapterPending = pending
 		}
 	}
 	if cm, ok := s.eng.Metric.(CheckpointableMetric); ok {
@@ -411,22 +400,13 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 		s.warmDTM = true
 	}
 
-	// Searcher, adapter, and metric state.
+	// Searcher and metric state.
 	ck, err := s.checkpointable()
 	if err != nil {
 		return nil, err
 	}
 	if err := ck.Restore(snap.SearcherState); err != nil {
 		return nil, err
-	}
-	if len(snap.AdapterPending) > 0 {
-		pc, ok := s.batcher.(pendingCheckpointer)
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot carries batch-adapter state but the session has no adapter")
-		}
-		if err := pc.RestorePending(snap.AdapterPending); err != nil {
-			return nil, err
-		}
 	}
 	if len(snap.MetricState) > 0 {
 		cm, ok := e.Metric.(CheckpointableMetric)

@@ -104,7 +104,9 @@ func (p pendingSet) count() int {
 //
 // DecisionCost is the wrapped searcher's, forwarded: it drains on read,
 // so a round's proposal cost lands on the round's first recorded
-// iteration and each observation's cost on its own.
+// iteration and each observation's cost on its own. Its checkpoint
+// (checkpoint.go) is the wrapped searcher's, together with the pending
+// set the adapter owns.
 type batchAdapter struct {
 	Searcher
 	pending pendingSet

@@ -10,10 +10,14 @@
 // Every searcher serializes its state directly: RNG words, seen/pending
 // hashes, ladder position, the GP's observation list plus its
 // incremental-factor bookkeeping (gp.State, whose unwindowed form the gp
-// package still refactorizes on restore), and DeepTune's trained model —
+// package still refactorizes on restore), DeepTune's trained model —
 // DTM tensors, Adam moments, training RNG positions, normalization and
 // the training window (deeptune.SelectorState), restored without a single
-// retrain. Float tensors travel as nn.Vec, bit-exact.
+// retrain — and Unicorn's observation set (causal.State), from which
+// restore refits the causal graph once. The batch adapter wraps its
+// searcher's checkpoint with its own pending multiset, so a session
+// checkpoints exactly the BatchSearcher it proposes through. Float
+// tensors travel as nn.Vec, bit-exact.
 package search
 
 import (
@@ -24,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 
+	"wayfinder/internal/causal"
 	"wayfinder/internal/deeptune"
 	"wayfinder/internal/gp"
 	"wayfinder/internal/nn"
@@ -33,9 +38,10 @@ import (
 // Checkpoint serializes the strategy's full dynamic state, and Restore —
 // called on a freshly-constructed searcher with identical constructor
 // arguments — rebuilds it so the resumed session proposes byte-identically
-// to an uninterrupted one. Random (uniform or mutation-based), Grid,
-// Bayesian, and DeepTune implement it; strategies that do not (Unicorn, custom ones)
-// make their sessions snapshot with an explanatory error.
+// to an uninterrupted one. Every built-in strategy implements it — Random
+// (uniform or mutation-based), Grid, Bayesian, DeepTune and Unicorn — and
+// so does the AsBatch adapter around any of them; a custom strategy that
+// does not makes its session's Snapshot fail with an explanatory error.
 type Checkpointable interface {
 	Searcher
 	// Checkpoint returns an opaque serialization of the searcher's dynamic
@@ -71,21 +77,12 @@ func decodePending(enc map[string]int) (pendingSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("search: bad pending hash %q: %w", s, err)
 		}
-		if err := checkPendingCount(h, enc[s]); err != nil {
-			return nil, err
+		if enc[s] <= 0 {
+			return nil, fmt.Errorf("search: pending count %d for hash %s, want > 0", enc[s], hashKey(h))
 		}
 		out[h] = enc[s]
 	}
 	return out, nil
-}
-
-// checkPendingCount rejects the non-positive counts a pendingSet never
-// holds.
-func checkPendingCount(h uint64, c int) error {
-	if c <= 0 {
-		return fmt.Errorf("search: pending count %d for hash %s, want > 0", c, hashKey(h))
-	}
-	return nil
 }
 
 // encodeSeen renders a seen-set deterministically (sorted).
@@ -287,21 +284,82 @@ func (s *DeepTune) Restore(data []byte) error {
 	return nil
 }
 
-// PendingSnapshot exports the adapter's pending multiset for session
-// checkpointing — the one piece of batch-protocol state that lives outside
-// a wrapped single-proposal searcher.
-func (b *batchAdapter) PendingSnapshot() map[uint64]int { return maps.Clone(b.pending) }
+// unicornState is the serialized form of Unicorn: the candidate-pool RNG
+// position and the causal optimizer's observation set.
+type unicornState struct {
+	RNG    [4]uint64     `json:"rng"`
+	Causal *causal.State `json:"causal"`
+}
 
-// RestorePending overwrites the adapter's pending multiset with a snapshot
-// taken by PendingSnapshot. A zero or negative count is an error, as in
-// decodePending; the adapter is left unchanged.
-func (b *batchAdapter) RestorePending(pending map[uint64]int) error {
-	for _, h := range slices.Sorted(maps.Keys(pending)) {
-		if err := checkPendingCount(h, pending[h]); err != nil {
-			return err
-		}
+// Checkpoint implements Checkpointable.
+func (s *Unicorn) Checkpoint() ([]byte, error) {
+	return json.Marshal(unicornState{RNG: s.rng.State(), Causal: s.opt.State()})
+}
+
+// Restore implements Checkpointable: it overlays the observation set and
+// refits the causal graph once.
+func (s *Unicorn) Restore(data []byte) error {
+	var st unicornState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("search: unicorn checkpoint: %w", err)
 	}
-	b.pending = make(pendingSet, len(pending))
-	maps.Copy(b.pending, pending)
+	if st.Causal == nil {
+		return fmt.Errorf("search: unicorn checkpoint has no causal state")
+	}
+	if err := s.opt.RestoreState(st.Causal); err != nil {
+		return fmt.Errorf("search: unicorn checkpoint: %w", err)
+	}
+	s.rng.SetState(st.RNG)
 	return nil
+}
+
+// adapterState is the serialized form of the batch adapter: the wrapped
+// searcher's own checkpoint and the adapter's pending multiset.
+type adapterState struct {
+	Searcher json.RawMessage `json:"searcher"`
+	Pending  map[string]int  `json:"pending,omitempty"`
+}
+
+// Checkpoint implements Checkpointable for a wrapped searcher that does.
+func (b *batchAdapter) Checkpoint() ([]byte, error) {
+	ck, err := b.wrapped()
+	if err != nil {
+		return nil, err
+	}
+	inner, err := ck.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(adapterState{Searcher: inner, Pending: encodePending(b.pending)})
+}
+
+// Restore implements Checkpointable for a wrapped searcher that does. A
+// malformed pending set fails before the wrapped searcher is touched.
+func (b *batchAdapter) Restore(data []byte) error {
+	ck, err := b.wrapped()
+	if err != nil {
+		return err
+	}
+	var st adapterState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("search: batch adapter checkpoint: %w", err)
+	}
+	pending, err := decodePending(st.Pending)
+	if err != nil {
+		return err
+	}
+	if err := ck.Restore(st.Searcher); err != nil {
+		return err
+	}
+	b.pending = pending
+	return nil
+}
+
+// wrapped returns the wrapped searcher's checkpoint interface.
+func (b *batchAdapter) wrapped() (Checkpointable, error) {
+	ck, ok := b.Searcher.(Checkpointable)
+	if !ok {
+		return nil, fmt.Errorf("search: searcher %q does not implement search.Checkpointable", b.Name())
+	}
+	return ck, nil
 }

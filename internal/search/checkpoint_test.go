@@ -1,8 +1,6 @@
 package search
 
 import (
-	"maps"
-	"slices"
 	"testing"
 
 	"wayfinder/internal/configspace"
@@ -24,7 +22,7 @@ func observe(s Searcher, enc *configspace.Encoder, c *configspace.Config, y floa
 	s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: y, Crashed: crashed, Stage: "ok"})
 }
 
-// driveAndCheckpoint runs a propose/observe prefix, checkpoints, restores
+// assertCheckpointContinuity runs a propose/observe prefix, checkpoints, restores
 // into fresh, and asserts both searchers propose identically afterwards.
 func assertCheckpointContinuity(t *testing.T, name string, space *configspace.Space,
 	orig Checkpointable, fresh Checkpointable, prefix, tail int) {
@@ -143,6 +141,17 @@ func TestDeepTuneCheckpoint(t *testing.T) {
 	assertCheckpointContinuity(t, "deeptune", space, mk(), mk(), 8, 4)
 }
 
+// TestUnicornCheckpoint covers Unicorn directly and through the batch
+// adapter a session wraps it in. The prefix runs past the 5-observation
+// cold start, so the restored searcher proposes from its refitted graph.
+func TestUnicornCheckpoint(t *testing.T) {
+	space := checkpointSpace(t)
+	assertCheckpointContinuity(t, "unicorn", space,
+		NewUnicorn(space, true, 7), NewUnicorn(space, true, 7), 12, 8)
+	adapted := func() Checkpointable { return AsBatch(NewUnicorn(space, false, 7)).(Checkpointable) }
+	assertCheckpointContinuity(t, "unicorn-adapter", space, adapted(), adapted(), 12, 8)
+}
+
 func TestDeepTuneRestoreRejectsUsedSearcher(t *testing.T) {
 	space := checkpointSpace(t)
 	cfg := deeptune.DefaultConfig()
@@ -161,6 +170,9 @@ func TestDeepTuneRestoreRejectsUsedSearcher(t *testing.T) {
 	}
 }
 
+// TestAdapterPendingSnapshot: the adapter's checkpoint carries its pending
+// multiset next to the wrapped searcher's state, and Restore rejects a
+// count a pending set never holds, leaving the adapter as it was.
 func TestAdapterPendingSnapshot(t *testing.T) {
 	space := checkpointSpace(t)
 	b := AsBatch(NewRandom(space, 4)).(*batchAdapter)
@@ -168,9 +180,12 @@ func TestAdapterPendingSnapshot(t *testing.T) {
 	if len(batch) != 3 || b.Pending() != 3 {
 		t.Fatalf("batch %d, pending %d", len(batch), b.Pending())
 	}
-	snap := b.PendingSnapshot()
+	data, err := b.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	b2 := AsBatch(NewRandom(space, 4)).(*batchAdapter)
-	if err := b2.RestorePending(snap); err != nil {
+	if err := b2.Restore(data); err != nil {
 		t.Fatal(err)
 	}
 	if b2.Pending() != 3 {
@@ -182,13 +197,12 @@ func TestAdapterPendingSnapshot(t *testing.T) {
 	if b2.Pending() != 0 {
 		t.Fatalf("pending %d after observing the batch", b2.Pending())
 	}
-	// A count a pending set never holds is an error, and leaves the
-	// adapter as it was.
-	first := slices.Sorted(maps.Keys(snap))[0]
 	for _, bad := range []int{0, -1} {
-		snap[first] = bad
-		if err := b.RestorePending(snap); err == nil {
-			t.Fatalf("RestorePending accepted a count of %d", bad)
+		mutated := mutateJSON(t, data, func(st map[string]any) {
+			st["pending"].(map[string]any)[firstPendingKey(t, st)] = bad
+		})
+		if err := b.Restore(mutated); err == nil {
+			t.Fatalf("Restore accepted a pending count of %d", bad)
 		}
 		if b.Pending() != 3 {
 			t.Fatalf("rejected restore changed the pending count to %d", b.Pending())

@@ -166,3 +166,85 @@ func FuzzBayesianRestore(f *testing.F) {
 		_, _ = s.Checkpoint() // a restored NaN can fail to re-encode; that is an error, not a panic
 	})
 }
+
+// fuzzUnicorn builds the searcher FuzzUnicornRestore restores into: a
+// Unicorn behind the batch adapter, as a session checkpoints it.
+func fuzzUnicorn(space *configspace.Space) Checkpointable {
+	return AsBatch(NewUnicorn(space, true, 5)).(Checkpointable)
+}
+
+// unicornCheckpoints returns valid checkpoints of the fuzz searcher: one
+// before any observation and one past the cold start with a pending
+// batch.
+func unicornCheckpoints(tb testing.TB) (fresh, trainedPending []byte) {
+	tb.Helper()
+	space := fuzzSpace()
+	enc := configspace.NewEncoder(space)
+	run := func(obs, batch int) []byte {
+		s := fuzzUnicorn(space)
+		for i := 0; i < obs; i++ {
+			observe(s, enc, s.Propose(), float64(10*i), i%4 == 2)
+		}
+		s.(BatchSearcher).ProposeBatch(batch)
+		data, err := s.Checkpoint()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return data
+	}
+	return run(0, 0), run(7, 2)
+}
+
+// raggedUnicorn returns a valid trained checkpoint whose second causal
+// feature row has lost two dimensions.
+func raggedUnicorn(tb testing.TB, trained []byte) []byte {
+	return mutateJSON(tb, trained, func(st map[string]any) {
+		causal := st["searcher"].(map[string]any)["causal"].(map[string]any)
+		causal["xs"].([]any)[1] = "AAAAAAAAAAA=" // one float64
+	})
+}
+
+// TestUnicornRestoreRejectsMalformed is the Unicorn counterpart, through
+// the batch adapter: a bad pending count or a bad causal state fails.
+func TestUnicornRestoreRejectsMalformed(t *testing.T) {
+	_, trained := unicornCheckpoints(t)
+	causal := func(st map[string]any) map[string]any {
+		return st["searcher"].(map[string]any)["causal"].(map[string]any)
+	}
+	space := fuzzSpace()
+	assertRestoreRejects(t, func() Checkpointable { return fuzzUnicorn(space) }, map[string][]byte{
+		"truncated":     trained[:len(trained)/2],
+		"no searcher":   mutateJSON(t, trained, func(st map[string]any) { delete(st, "searcher") }),
+		"no causal":     mutateJSON(t, trained, func(st map[string]any) { delete(st["searcher"].(map[string]any), "causal") }),
+		"ragged rows":   raggedUnicorn(t, trained),
+		"ys misaligned": mutateJSON(t, trained, func(st map[string]any) { causal(st)["ys"] = "AAAAAAAAAAA=" }),
+		"pending zero": mutateJSON(t, trained, func(st map[string]any) {
+			st["pending"].(map[string]any)[firstPendingKey(t, st)] = 0
+		}),
+	})
+}
+
+// FuzzUnicornRestore feeds mutated and truncated checkpoints to Restore:
+// it must return an error or leave a searcher that proposes, observes and
+// checkpoints without panicking.
+func FuzzUnicornRestore(f *testing.F) {
+	fresh, trained := unicornCheckpoints(f)
+	for _, data := range [][]byte{fresh, trained, raggedUnicorn(f, trained), trained[:len(trained)/2]} {
+		f.Add(data)
+	}
+	space := fuzzSpace()
+	enc := configspace.NewEncoder(space)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := fuzzUnicorn(space)
+		if err := s.Restore(data); err != nil {
+			return
+		}
+		for i := 0; i < 2; i++ {
+			for _, c := range s.(BatchSearcher).ProposeBatch(2) {
+				observe(s, enc, c, float64(i), i == 1)
+			}
+		}
+		observe(s, enc, s.Propose(), 3, false)
+		_, _ = s.Checkpoint()
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wayfinder/internal/causal"
 	"wayfinder/internal/deeptune"
 	"wayfinder/internal/snapcover"
 )
@@ -94,6 +95,51 @@ func TestDeepTuneStateCoverage(t *testing.T) {
 		Excluded: map[string]string{
 			"stopwatch": "decision-cost stopwatch, host time drained by DecisionCost, never replayed; Restore resets it",
 			"window":    "session-level knob: reapplied by the session (SetSurrogateWindow from Options) before Restore",
+		},
+	})
+}
+
+func TestUnicornStateCoverage(t *testing.T) {
+	snapcover.Pair(t, reflect.TypeFor[Unicorn](), reflect.TypeFor[unicornState](), snapcover.Spec{
+		Covered: map[string]string{
+			"rng": "RNG",
+			"opt": "Causal",
+		},
+		Excluded: map[string]string{
+			"space":     "construction-time: the restore target is built over the same space",
+			"enc":       "derived from the space at construction",
+			"maximize":  "construction-time optimization direction",
+			"poolSize":  "construction-time candidate-pool size",
+			"stopwatch": "decision-cost stopwatch, host time drained by DecisionCost, never replayed",
+		},
+	})
+}
+
+func TestCausalStateCoverage(t *testing.T) {
+	snapcover.Pair(t, reflect.TypeFor[causal.Optimizer](), reflect.TypeFor[causal.State](), snapcover.Spec{
+		Covered: map[string]string{
+			"xs": "Xs",
+			"ys": "Ys",
+			// Fit is a pure function of the observations, so RestoreState
+			// refits the newest graph and its stats from Xs and Ys.
+			"graphs":    "Xs",
+			"lastStats": "Xs",
+		},
+		Excluded: map[string]string{
+			"Alpha":    "construction-time CI-test threshold",
+			"Maximize": "construction-time optimization direction",
+			"dim":      "construction-time feature dimension",
+		},
+	})
+}
+
+// The adapter's own state is its pending set; everything else is the
+// wrapped searcher's checkpoint.
+func TestAdapterStateCoverage(t *testing.T) {
+	snapcover.Pair(t, reflect.TypeFor[batchAdapter](), reflect.TypeFor[adapterState](), snapcover.Spec{
+		Covered: map[string]string{
+			"Searcher": "Searcher",
+			"pending":  "Pending",
 		},
 	})
 }

@@ -187,11 +187,11 @@ func TestCorpusAdmission(t *testing.T) {
 	if err := (JobSpec{Searcher: "random", Seed: 1, Iterations: 10, WarmStartK: 2}).Validate(); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("warm_start_k without corpus: %v, want ErrBadSpec", err)
 	}
-	if err := (JobSpec{Searcher: "unicorn", Seed: 1, Iterations: 10, Corpus: true, WarmStartK: 2}).Validate(); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("warm_start_k on unicorn: %v, want ErrBadSpec", err)
+	// Unicorn checkpoints like every other searcher, so a resumed job
+	// replays its warm start from the snapshot: warm_start_k applies.
+	if err := (JobSpec{Searcher: "unicorn", Seed: 1, Iterations: 10, Corpus: true, WarmStartK: 2}).Validate(); err != nil {
+		t.Fatalf("warm_start_k on unicorn rejected: %v", err)
 	}
-	// Deposit-only unicorn is fine: deposits are idempotent, so even a
-	// from-scratch restart re-deposits the same bytes.
 	if err := (JobSpec{Searcher: "unicorn", Seed: 1, Iterations: 10, Corpus: true}).Validate(); err != nil {
 		t.Fatalf("deposit-only unicorn rejected: %v", err)
 	}

@@ -243,7 +243,7 @@ func (d *Daemon) recoverInFlight(dir string, j *job) {
 		}
 	}
 	if j.sess == nil {
-		sess, _, err := j.spec.NewSession(d.sessionOptions(j)...)
+		sess, err := j.spec.NewSession(d.sessionOptions(j)...)
 		if err != nil {
 			j.state = stateFailed
 			j.err = fmt.Sprintf("recovery: %v", err)

@@ -290,11 +290,12 @@ func TestRestartStaleDeepTuneSnapshotFromScratch(t *testing.T) {
 	}
 }
 
-// TestRestartUnicornFromScratch: a non-checkpointable searcher cannot be
-// journaled; after a crash its job restarts from zero and still completes
-// with the same bytes as an uninterrupted run.
-func TestRestartUnicornFromScratch(t *testing.T) {
-	spec := JobSpec{Tenant: "u", Searcher: "unicorn", Seed: 3, Iterations: 36}
+// TestRestartUnicornResumesFromSnapshot: a Unicorn job journals like any
+// other — its snapshot carries the causal observation set and the batch
+// adapter's pending set — so after a crash it resumes from the journal
+// and still completes with the same bytes as an uninterrupted run.
+func TestRestartUnicornResumesFromSnapshot(t *testing.T) {
+	spec := JobSpec{Tenant: "u", Searcher: "unicorn", Seed: 3, Iterations: 24, Workers: 2}
 	reference := runToCompletion(t, Config{Steppers: 1, Quantum: 4}, []JobSpec{spec})
 
 	state := t.TempDir()
@@ -310,8 +311,8 @@ func TestRestartUnicornFromScratch(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if st, _ := d1.JobStatusByID(id); st.Observed >= 12 {
-			if st.Journalable {
-				t.Fatal("unicorn job reported journalable")
+			if !st.Journalable {
+				t.Fatal("unicorn job reported not journalable")
 			}
 			break
 		}
@@ -321,8 +322,11 @@ func TestRestartUnicornFromScratch(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	d1.Kill()
-	if _, err := os.Stat(filepath.Join(state, "jobs", id, "snap.json")); err == nil {
-		t.Fatal("unicorn job left a snapshot")
+	if st, _ := d1.JobStatusByID(id); st.State == "done" {
+		t.Fatal("job finished before the kill; nothing was in flight")
+	}
+	if _, err := os.Stat(filepath.Join(state, "jobs", id, "snap.json")); err != nil {
+		t.Fatalf("no snapshot journaled: %v", err)
 	}
 
 	d2, err := New(cfg)
@@ -330,9 +334,8 @@ func TestRestartUnicornFromScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Kill()
-	st := d2.Status()
-	if st.Recovered != 1 || st.Resumed != 0 {
-		t.Fatalf("recovered=%d resumed=%d, want 1/0 (from scratch)", st.Recovered, st.Resumed)
+	if st := d2.Status(); st.Recovered != 1 || st.Resumed != 1 {
+		t.Fatalf("recovered=%d resumed=%d, want 1/1 (from the snapshot)", st.Recovered, st.Resumed)
 	}
 	waitAll(t, d2, id)
 	got, err := d2.ReportJSON(id)
@@ -340,7 +343,7 @@ func TestRestartUnicornFromScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, reference[id]) {
-		t.Error("unicorn report after from-scratch restart differs from uninterrupted run")
+		t.Error("unicorn report after resuming from its snapshot differs from the uninterrupted run")
 	}
 }
 

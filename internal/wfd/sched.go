@@ -66,9 +66,8 @@ type job struct {
 	state     jobState
 	canceling bool // cancel requested while running
 
-	// journalable: the job's snapshot can be written (checkpointable
-	// searcher, no snapshot errors so far). Non-journalable in-flight jobs
-	// restart from scratch after a crash.
+	// journalable: no snapshot of the job has failed so far. A job
+	// demoted by a failed snapshot restarts from scratch after a crash.
 	journalable  bool
 	sinceJournal int // observations since the last snapshot
 
@@ -129,7 +128,7 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	d.mu.Unlock()
 
 	j := d.newJob(fmt.Sprintf("j%06d", seq), seq, spec, t)
-	sess, _, err := spec.NewSession(d.sessionOptions(j)...)
+	sess, err := spec.NewSession(d.sessionOptions(j)...)
 	if err != nil {
 		d.mu.Lock()
 		t.active--
@@ -166,8 +165,8 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 }
 
 // newJob returns a queued job for a defaulted spec: admitted by Submit or
-// re-registered by recovery. Its snapshots are journaled when its
-// searcher checkpoints.
+// re-registered by recovery. It starts journalable: every searcher a spec
+// can name checkpoints.
 func (d *Daemon) newJob(id string, seq int, spec JobSpec, t *tenant) *job {
 	return &job{
 		id:          id,
@@ -176,7 +175,7 @@ func (d *Daemon) newJob(id string, seq int, spec JobSpec, t *tenant) *job {
 		tenant:      t,
 		hub:         newHub(d.cfg.EventLogCap),
 		done:        make(chan struct{}),
-		journalable: searchers[spec.Searcher].checkpoints,
+		journalable: true,
 	}
 }
 

@@ -37,9 +37,8 @@ type JobSpec struct {
 	// performance/latency), memory, or score.
 	Metric string `json:"metric,omitempty"`
 	// Searcher selects the strategy: deeptune (default), random, grid,
-	// bayesian, or unicorn. All but unicorn checkpoint, so their jobs
-	// resume from journal snapshots; unicorn jobs restart from scratch
-	// after a crash (same final bytes, wasted work).
+	// bayesian, or unicorn. Every one checkpoints, so a job resumes from
+	// its journal snapshot after a crash.
 	Searcher string `json:"searcher,omitempty"`
 	// Seed is the session seed.
 	Seed uint64 `json:"seed"`
@@ -82,9 +81,8 @@ type JobSpec struct {
 	// WarmStartK warm-starts the session from its K nearest corpus
 	// neighbors: their best configs dispatch as the first proposals, and
 	// a deeptune searcher restores the nearest neighbor's model weights.
-	// Requires Corpus and a checkpointable searcher — a crashed unicorn
-	// job would restart from scratch and re-query a corpus that has since
-	// grown, breaking deterministic resume.
+	// Requires Corpus. A resumed job replays its original warm start from
+	// the snapshot rather than re-querying a corpus that has since grown.
 	WarmStartK int `json:"warm_start_k,omitempty"`
 }
 
@@ -127,9 +125,8 @@ func (sp JobSpec) withDefaults() JobSpec {
 }
 
 // The job vocabulary: one name→entry table each for OS profiles, metrics
-// and searchers. Validate, the session builders and the daemon's
-// journaling rule read these and nothing else, so a name means the same
-// thing everywhere.
+// and searchers. Validate and the session builders read these and
+// nothing else, so a name means the same thing everywhere.
 
 // osProfiles maps each OS name (and alias) to its model constructor.
 var osProfiles = map[string]func() *simos.Model{
@@ -160,23 +157,20 @@ type searcherEntry struct {
 	// windowed: the searcher implements search.Windowed, so
 	// surrogate_window applies to it.
 	windowed bool
-	// checkpoints: the searcher implements search.Checkpointable, so its
-	// jobs journal snapshots and may warm-start from the corpus.
-	checkpoints bool
 }
 
 // searchers maps each searcher name to its entry.
 var searchers = map[string]searcherEntry{
-	"random": {checkpoints: true, build: func(space *configspace.Space, _ bool, seed uint64) search.Searcher {
+	"random": {build: func(space *configspace.Space, _ bool, seed uint64) search.Searcher {
 		return search.NewRandom(space, seed)
 	}},
-	"grid": {checkpoints: true, build: func(space *configspace.Space, _ bool, _ uint64) search.Searcher {
+	"grid": {build: func(space *configspace.Space, _ bool, _ uint64) search.Searcher {
 		return search.NewGrid(space)
 	}},
-	"bayesian": {windowed: true, checkpoints: true, build: func(space *configspace.Space, maximize bool, seed uint64) search.Searcher {
+	"bayesian": {windowed: true, build: func(space *configspace.Space, maximize bool, seed uint64) search.Searcher {
 		return search.NewBayesian(space, maximize, seed)
 	}},
-	"deeptune": {windowed: true, checkpoints: true, build: func(space *configspace.Space, maximize bool, seed uint64) search.Searcher {
+	"deeptune": {windowed: true, build: func(space *configspace.Space, maximize bool, seed uint64) search.Searcher {
 		cfg := deeptune.DefaultConfig()
 		cfg.Seed = seed
 		return search.NewDeepTune(space, maximize, cfg)
@@ -235,9 +229,6 @@ func (sp JobSpec) Validate() error {
 	}
 	if sp.WarmStartK != 0 && !sp.Corpus {
 		return fmt.Errorf("%w: warm_start_k requires corpus", ErrBadSpec)
-	}
-	if sp.WarmStartK > 0 && !strategy.checkpoints {
-		return fmt.Errorf("%w: warm_start_k needs a checkpointable searcher (unicorn restarts from scratch after a crash and would re-query a grown corpus)", ErrBadSpec)
 	}
 	for _, class := range slices.Sorted(maps.Keys(sp.Favor)) {
 		if _, err := configspace.ParseClass(class); err != nil {
@@ -315,29 +306,23 @@ func (sp JobSpec) assemble() (*simos.Model, *simos.App, core.Metric, search.Sear
 // NewSession is the one place a job becomes a session: it builds the
 // spec's model, workload, metric, and searcher and assembles a fresh
 // session over them. opts apply on top of the spec's own options — the
-// daemon's observer and corpus store, wfctl's worker speed factors. The
-// searcher is returned too, for the knobs a spec deliberately does not
-// carry (wfctl -gp-refit); set them before the first step. Callers
-// Validate the spec first.
-func (sp JobSpec) NewSession(opts ...wayfinder.Option) (*wayfinder.Session, search.Searcher, error) {
+// daemon's observer and corpus store, wfctl's worker speed factors.
+// Callers Validate the spec first.
+func (sp JobSpec) NewSession(opts ...wayfinder.Option) (*wayfinder.Session, error) {
 	sp = sp.withDefaults()
 	model, app, metric, searcher, err := sp.assemble()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sessOpts, err := sp.options()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sess, err := wayfinder.New(model, app, append([]wayfinder.Option{
+	return wayfinder.New(model, app, append([]wayfinder.Option{
 		wayfinder.WithMetric(metric),
 		wayfinder.WithSearcher(searcher),
 		wayfinder.WithOptions(sessOpts),
 	}, opts...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sess, searcher, nil
 }
 
 // resumeSession reconstructs the spec's session from a journal snapshot,

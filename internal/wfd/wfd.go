@@ -30,9 +30,9 @@
 // uninterrupted run: sessions are pure functions of their spec, so the
 // canonical final report (core.Report.CanonicalJSON, which zeroes the
 // host-time decision-cost fields) is invariant under crashes, restarts, scheduling
-// interleavings, and quantum sizes. A job whose searcher cannot
-// checkpoint (unicorn) or whose snapshot is unreadable restarts from
-// scratch — wasted work, same bytes. `make smoke-wfd` pins the guarantee
+// interleavings, and quantum sizes. Every searcher a spec can name
+// checkpoints; a job whose snapshot failed or is unreadable (a stale
+// format version, say) restarts from scratch — wasted work, same bytes. `make smoke-wfd` pins the guarantee
 // in CI with a real SIGKILL.
 //
 // # Cross-session build index

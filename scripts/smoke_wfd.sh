@@ -6,8 +6,10 @@
 # it with SIGKILL mid-flight, restarts it over the same state dir, and
 # asserts:
 #
-#   - the restarted daemon recovered every job (at least one resumed
-#     from a journal snapshot rather than restarting from scratch);
+#   - the restarted daemon recovered every job, and the Unicorn job — the
+#     searcher whose checkpoint refits its causal graph on restore —
+#     resumed from its journal snapshot rather than restarting from
+#     scratch;
 #   - every job's canonical final report is byte-identical to the
 #     uninterrupted reference run.
 #
@@ -57,17 +59,26 @@ wait_ready() {
 	done
 }
 
-# submit_workload submits the same three jobs (different searchers and
+# submit_workload submits the same four jobs (different searchers and
 # seeds) and prints their ids. Submission order is fixed, so job ids are
-# deterministic across runs: j000001 j000002 j000003.
+# deterministic across runs: j000001 .. j000004. The Unicorn job is short
+# (every observation refits its causal graph from scratch, slow under
+# the race detector) but long enough to be in flight at the kill.
+UNICORN=j000004
 submit_workload() {
 	"$WORK/wfctl" submit -d "$SOCK" -tenant alice -s random -seed 11 "$WORK/job.yaml"
 	"$WORK/wfctl" submit -d "$SOCK" -tenant alice -s bayesian -seed 12 "$WORK/job.yaml"
 	"$WORK/wfctl" submit -d "$SOCK" -tenant bob -s deeptune -seed 13 "$WORK/job.yaml"
+	"$WORK/wfctl" submit -d "$SOCK" -tenant carol -s unicorn -seed 14 -l 24 "$WORK/job.yaml"
 }
 
 served_count() {
 	"$WORK/wfctl" status -d "$SOCK" | sed -n 's/^served \([0-9]*\) observations.*/\1/p'
+}
+
+# observed_count prints how many observations job $1 has recorded.
+observed_count() {
+	"$WORK/wfctl" status -d "$SOCK" "$1" | sed -n 's/^  observed \([0-9]*\)\/.*/\1/p'
 }
 
 echo "smoke-wfd: reference run (uninterrupted)"
@@ -91,18 +102,20 @@ wait_ready wfd1.log
 GIDS=$(submit_workload)
 [ "$GIDS" = "$IDS" ] || { echo "smoke-wfd: job ids diverged: $GIDS vs $IDS"; exit 1; }
 
-# Let the daemon serve roughly a third of the 360-observation demand,
+# Let the daemon serve roughly a third of the 384-observation demand, and
+# the Unicorn job past its first journal snapshot (after 8 observations),
 # then SIGKILL it: no drain, no shutdown snapshots — only the periodic
 # journal survives.
 i=0
 while :; do
 	served=$(served_count || echo 0)
-	[ "${served:-0}" -ge 120 ] && break
+	uni=$(observed_count "$UNICORN" || echo 0)
+	[ "${served:-0}" -ge 128 ] && [ "${uni:-0}" -ge 12 ] && break
 	i=$((i + 1))
-	[ "$i" -gt 2400 ] && { echo "smoke-wfd: daemon never reached mid-flight (served=$served)"; exit 1; }
+	[ "$i" -gt 2400 ] && { echo "smoke-wfd: daemon never reached mid-flight (served=$served, unicorn=$uni)"; exit 1; }
 	sleep 0.05
 done
-echo "smoke-wfd: kill -9 at $served/360 observations"
+echo "smoke-wfd: kill -9 at $served/384 observations (unicorn at $uni/24)"
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
@@ -113,15 +126,15 @@ echo "smoke-wfd: restarting over the same state dir"
 DAEMON_PID=$!
 wait_ready wfd2.log
 
-grep -q "resumed from snapshot" "$WORK/wfd2.log" || {
-	echo "smoke-wfd: no job resumed from a journal snapshot"
+grep -q "$UNICORN resumed from snapshot" "$WORK/wfd2.log" || {
+	echo "smoke-wfd: the unicorn job $UNICORN did not resume from its journal snapshot"
 	cat "$WORK/wfd2.log"
 	exit 1
 }
 
 status=$("$WORK/wfctl" status -d "$SOCK")
-echo "$status" | grep -q "recovered 3" || {
-	echo "smoke-wfd: expected 3 recovered jobs; status was:"
+echo "$status" | grep -q "recovered 4" || {
+	echo "smoke-wfd: expected 4 recovered jobs; status was:"
 	echo "$status"
 	exit 1
 }

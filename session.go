@@ -51,8 +51,8 @@ type (
 )
 
 // Checkpointable is the optional searcher extension session snapshots
-// require; Random (uniform or mutation-based), Grid, Bayesian, and
-// DeepTune implement it.
+// require; every built-in searcher — Random (uniform or mutation-based),
+// Grid, Bayesian, DeepTune, and Unicorn — implements it.
 type Checkpointable = search.Checkpointable
 
 // Usage is a session's cumulative quantum accounting — observations,
@@ -83,7 +83,6 @@ type sessionConfig struct {
 
 	budgetSet   bool
 	topologySet bool
-	searcherSet bool
 }
 
 // Option configures a Session at construction.
@@ -92,7 +91,7 @@ type Option func(*sessionConfig)
 // WithSearcher selects the search strategy (default: DeepTune with the
 // paper's hyperparameters, seeded from the session seed).
 func WithSearcher(s Searcher) Option {
-	return func(c *sessionConfig) { c.searcher = s; c.searcherSet = true }
+	return func(c *sessionConfig) { c.searcher = s }
 }
 
 // WithMetric selects the optimization metric (default: the application's

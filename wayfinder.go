@@ -57,8 +57,8 @@
 //	}
 //
 // Sessions checkpoint and resume byte-identically — searcher state
-// included, via the search package's Checkpointable interface (Random,
-// uniform or mutation-based, Grid, Bayesian, DeepTune):
+// included, via the search package's Checkpointable interface, which
+// every built-in searcher implements:
 //
 //	snap, err := session.Snapshot()           // []byte, JSON
 //	...
