@@ -116,10 +116,12 @@ bench-search:
 # warm start restores: mutated and truncated inputs must fail Restore
 # with an error, never panic. FuzzJobFile covers the job-file path wfctl
 # start and submit share (parse, spec, validate): every input ends in an
-# error or a spec. `go test -fuzz` takes one target per run, hence one
-# line each; the committed seeds under internal/search/testdata/fuzz,
-# internal/deeptune/testdata/fuzz and internal/wfd/testdata/fuzz run with
-# every plain `go test` as well.
+# error or a spec. FuzzFaultParse covers the fault-schedule DSL: every
+# input ends in an error or a schedule that survives String → Parse
+# unchanged. `go test -fuzz` takes one target per run, hence one line
+# each; the committed seeds under internal/search/testdata/fuzz,
+# internal/deeptune/testdata/fuzz, internal/wfd/testdata/fuzz and
+# internal/fault/testdata/fuzz run with every plain `go test` as well.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -128,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnicornRestore$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzDTMRestore$$' -fuzztime $(FUZZTIME) ./internal/deeptune
 	$(GO) test -run '^$$' -fuzz '^FuzzJobFile$$' -fuzztime $(FUZZTIME) ./internal/wfd
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime $(FUZZTIME) ./internal/fault
 
 # smoke builds and runs the end-to-end example programs with a small
 # budget: quickstart exercises the blocking Session lifecycle, streaming

@@ -28,6 +28,7 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
+	"time"
 
 	"wayfinder/internal/wfd"
 )
@@ -75,7 +76,11 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	srv := &http.Server{Handler: wfd.NewHandler(d)}
+	// ReadHeaderTimeout drops a client that opens a connection and never
+	// finishes its request headers; bodies and event streams are not
+	// bounded in time, since a streaming client legitimately stays for a
+	// whole job.
+	srv := &http.Server{Handler: wfd.NewHandler(d), ReadHeaderTimeout: 10 * time.Second}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

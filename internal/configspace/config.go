@@ -2,19 +2,30 @@ package configspace
 
 import (
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"math"
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Config is a concrete assignment of a value to every parameter in a Space.
 // The paper calls these "permutations".
+//
+// Hash, CompileKey and BootKey are memoized: each digest is computed on
+// first use and kept until a setter (Set, SetIndex, or a Space's
+// RandomInto, MutateInto or NeighborInto writing into the Config)
+// invalidates it. Reads, digests included, are safe from several
+// goroutines at once; mutating a Config while another goroutine reads it
+// is not.
 type Config struct {
 	space  *Space
 	values []Value
+
+	// hash, compileKey and bootKey memoize the digests; 0 means "not yet
+	// computed", so a digest whose true value is 0 is merely recomputed.
+	hash, compileKey, bootKey atomic.Uint64
 }
 
 func newConfig(s *Space) *Config {
@@ -24,11 +35,21 @@ func newConfig(s *Space) *Config {
 // Space returns the space the configuration belongs to.
 func (c *Config) Space() *Space { return c.space }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, memoized digests included.
 func (c *Config) Clone() *Config {
 	out := newConfig(c.space)
 	copy(out.values, c.values)
+	out.hash.Store(c.hash.Load())
+	out.compileKey.Store(c.compileKey.Load())
+	out.bootKey.Store(c.bootKey.Load())
 	return out
+}
+
+// invalidate drops the memoized digests; every write to values calls it.
+func (c *Config) invalidate() {
+	c.hash.Store(0)
+	c.compileKey.Store(0)
+	c.bootKey.Store(0)
 }
 
 // Value returns the value of the i-th parameter.
@@ -72,6 +93,7 @@ func (c *Config) Set(name string, v Value) error {
 		return fmt.Errorf("configspace: %s: value %s out of domain", name, p.FormatValue(v))
 	}
 	c.values[i] = v
+	c.invalidate()
 	return nil
 }
 
@@ -84,7 +106,10 @@ func (c *Config) MustSet(name string, v Value) {
 
 // SetIndex assigns the i-th parameter without domain checking; the caller
 // must guarantee validity. Used on hot paths by the samplers.
-func (c *Config) SetIndex(i int, v Value) { c.values[i] = v }
+func (c *Config) SetIndex(i int, v Value) {
+	c.values[i] = v
+	c.invalidate()
+}
 
 // Equal reports whether two configurations over the same space assign
 // identical values.
@@ -136,20 +161,47 @@ func (c *Config) OnlyBootOrRuntimeDiff(o *Config) bool {
 }
 
 // Hash returns a stable 64-bit fingerprint of the assignment, used for
-// deduplicating explored configurations.
+// deduplicating explored configurations: 64-bit FNV-1a over, per value in
+// space order, the 8 little-endian bytes of I, the bytes of S, then 0x00.
 func (c *Config) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range c.values {
-		u := uint64(v.I)
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(u >> (8 * b))
-		}
-		h.Write(buf[:])
-		h.Write([]byte(v.S))
-		h.Write([]byte{0})
+	if h := c.hash.Load(); h != 0 {
+		return h
 	}
-	return h.Sum64()
+	h := uint64(fnvOffset)
+	for _, v := range c.values {
+		h = foldValue(h, v)
+	}
+	c.hash.Store(h)
+	return h
+}
+
+// The 64-bit FNV-1a parameters (the constants hash/fnv's New64a uses).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// foldString folds the bytes of s into the FNV-1a state h.
+func foldString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// foldValue folds v's digest bytes into the FNV-1a state h: the 8
+// little-endian bytes of v.I, the bytes of v.S, then a 0x00 terminator.
+func foldValue(h uint64, v Value) uint64 {
+	u := uint64(v.I)
+	for b := 0; b < 8; b++ {
+		h ^= u & 0xff
+		h *= fnvPrime
+		u >>= 8
+	}
+	h = foldString(h, v.S)
+	h *= fnvPrime // h ^= 0x00 is a no-op
+	return h
 }
 
 // Stage-digest salts keep CompileKey, BootKey, and Hash trivially distinct
@@ -166,7 +218,7 @@ const (
 // pairwise OnlyBootOrRuntimeDiff comparison with a digest any cache can
 // index on.
 func (c *Config) CompileKey() uint64 {
-	return c.stageKey(compileKeySalt, false)
+	return c.stageKey(&c.compileKey, compileKeySalt, false)
 }
 
 // BootKey returns the canonical digest of the build+boot-stage assignment:
@@ -175,31 +227,27 @@ func (c *Config) CompileKey() uint64 {
 // can serve the other by applying runtime deltas live (the reboot-skip
 // predicate, previously the pairwise OnlyRuntimeDiff comparison).
 func (c *Config) BootKey() uint64 {
-	return c.stageKey(bootKeySalt, true)
+	return c.stageKey(&c.bootKey, bootKeySalt, true)
 }
 
-// stageKey hashes the values of the compile-time (and, when includeBoot is
-// set, boot-time) parameters in space order. The included subset is fixed
-// per space, so sequence positions line up across configurations and
-// digest equality is exactly value equality over the subset.
-func (c *Config) stageKey(salt string, includeBoot bool) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(salt))
-	var buf [8]byte
+// stageKey hashes the salt, then the values of the compile-time (and,
+// when includeBoot is set, boot-time) parameters in space order, as Hash
+// does, memoizing the digest in memo. The included subset is fixed per
+// space, so sequence positions line up across configurations and digest
+// equality is exactly value equality over the subset.
+func (c *Config) stageKey(memo *atomic.Uint64, salt string, includeBoot bool) uint64 {
+	if h := memo.Load(); h != 0 {
+		return h
+	}
+	h := foldString(fnvOffset, salt)
 	for i, p := range c.space.Params() {
 		if p.Class == Runtime || (p.Class == BootTime && !includeBoot) {
 			continue
 		}
-		v := c.values[i]
-		u := uint64(v.I)
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(u >> (8 * b))
-		}
-		h.Write(buf[:])
-		h.Write([]byte(v.S))
-		h.Write([]byte{0})
+		h = foldValue(h, c.values[i])
 	}
-	return h.Sum64()
+	memo.Store(h)
+	return h
 }
 
 // String renders the non-default assignments compactly, sorted by name.

@@ -259,6 +259,7 @@ func (s *Space) Random(r *rng.RNG) *Config {
 // with a Random draw: the same RNG draws in the same order, so redrawing
 // a reused configuration consumes the stream exactly as Random does.
 func (s *Space) RandomInto(c *Config, r *rng.RNG) {
+	c.invalidate()
 	for i, p := range s.params {
 		if p.Fixed || s.favored[p.Class] <= 0 {
 			c.values[i] = p.Default
@@ -283,6 +284,7 @@ func (s *Space) Mutate(base *Config, k int, r *rng.RNG) *Config {
 // Mutate does.
 func (s *Space) MutateInto(dst, base *Config, k int, r *rng.RNG) {
 	copy(dst.values, base.values)
+	dst.invalidate()
 	if len(s.mutable) == 0 {
 		return
 	}
@@ -313,6 +315,7 @@ func (s *Space) Neighbor(base *Config, r *rng.RNG) *Config {
 // Neighbor does.
 func (s *Space) NeighborInto(dst, base *Config, r *rng.RNG) {
 	copy(dst.values, base.values)
+	dst.invalidate()
 	if len(s.mutable) == 0 {
 		return
 	}

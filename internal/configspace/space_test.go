@@ -163,7 +163,7 @@ func refMutate(s *Space, base *Config, k int, r *rng.RNG) *Config {
 			continue
 		}
 		seen[pick] = true
-		c.values[pick] = sampleValue(s.params[pick], r)
+		c.SetIndex(pick, sampleValue(s.params[pick], r))
 	}
 	return c
 }
@@ -191,9 +191,9 @@ func refNeighbor(s *Space, base *Config, r *rng.RNG) *Config {
 			next = cur + 1
 		}
 		next = max(p.Min, min(next, p.Max))
-		c.values[pick] = IntValue(next)
+		c.SetIndex(pick, IntValue(next))
 	default:
-		c.values[pick] = sampleValue(p, r)
+		c.SetIndex(pick, sampleValue(p, r))
 	}
 	return c
 }

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"wayfinder/internal/apps"
+	"wayfinder/internal/configspace"
 	"wayfinder/internal/search"
+	"wayfinder/internal/simos"
 	"wayfinder/internal/vm"
 )
 
@@ -162,6 +164,94 @@ func TestSessionSnapshotResume(t *testing.T) {
 			if canonicalJSON(t, full) != canonicalJSON(t, rep) {
 				t.Fatalf("%s/%s: snapshot-at-13 + resume diverged from the uninterrupted run", tc.name, kind)
 			}
+		}
+	}
+}
+
+// tinyLinux is smallLinux narrowed to a grid-like space: every parameter
+// but three runtime booleans is fixed, so the space holds eight
+// configurations. A searcher exhausts it within a few proposals, after
+// which pending dedup re-asks it whenever a proposal is already in flight.
+func tinyLinux(t testing.TB) *simos.Model {
+	t.Helper()
+	m := smallLinux(t)
+	free := 0
+	for _, p := range m.Space.Params() {
+		if p.Class == configspace.Runtime && p.Type == configspace.Bool && free < 3 {
+			free++
+			continue
+		}
+		if err := m.Space.Fix(p.Name, p.Default); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if free != 3 {
+		t.Fatalf("model has %d runtime booleans, want 3", free)
+	}
+	return m
+}
+
+// TestSessionSnapshotResumePendingDedup: on a space so small that four
+// async workers keep proposing configurations already in flight, the
+// pending set (the batch adapter's for random and unicorn, the native
+// batchers' own for grid, bayesian and deeptune) steers which proposals
+// are redrawn, and resume must still be byte-identical. As a control, the
+// same snapshot with the pending set deleted must diverge: that is what
+// shows this case can see a lost pending set, which the larger space of
+// TestSessionSnapshotResume cannot. It also pins that a configuration's
+// memoized hash keeps pendingSet.done clearing what draw recorded.
+func TestSessionSnapshotResumePendingDedup(t *testing.T) {
+	opts := Options{Iterations: 30, Seed: 11, Workers: 4, Async: true, Staleness: -1}
+	for _, kind := range []string{"random", "grid", "bayesian", "deeptune", "unicorn"} {
+		build := func() *Engine {
+			m := tinyLinux(t)
+			app := apps.Nginx()
+			return NewEngine(m, app, &PerfMetric{App: app}, newSearcher(m, kind, 11), &vm.Clock{}, 11)
+		}
+		full, err := build().Run(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		want := canonicalJSON(t, full)
+		sess, err := build().NewSession(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		sess.Step(13)
+		snap, err := sess.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: snapshot: %v", kind, err)
+		}
+		resume := func(snap []byte) string {
+			resumed, err := build().RestoreSession(snap)
+			if err != nil {
+				t.Fatalf("%s: restore: %v", kind, err)
+			}
+			rep, err := resumed.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s: resumed run: %v", kind, err)
+			}
+			return canonicalJSON(t, rep)
+		}
+		if resume(snap) != want {
+			t.Fatalf("%s: snapshot-at-13 + resume diverged from the uninterrupted run", kind)
+		}
+
+		var doc map[string]any
+		if err := json.Unmarshal(snap, &doc); err != nil {
+			t.Fatal(err)
+		}
+		state, _ := doc["searcher_state"].(map[string]any)
+		if pending, _ := state["pending"].(map[string]any); len(pending) == 0 {
+			t.Fatalf("%s: mid-flight snapshot carries no pending set", kind)
+		}
+		delete(state, "pending")
+		lost, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resume(lost) == want {
+			t.Fatalf("%s: resume without the pending set matched the uninterrupted run; the case cannot see a lost pending set", kind)
 		}
 	}
 }

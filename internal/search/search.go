@@ -131,28 +131,27 @@ func (s *Random) Name() string { return "random" }
 // Propose implements Searcher.
 func (s *Random) Propose() *configspace.Config {
 	defer s.timed()()
-	var base *configspace.Config
-	if s.k > 0 {
-		base = s.space.Default()
-	}
 	for attempt := 0; attempt < 64; attempt++ {
-		c := s.draw(base)
+		c := s.draw()
 		if h := c.Hash(); !s.seen[h] {
 			s.seen[h] = true
 			return c
 		}
 	}
 	// Space effectively exhausted near the sampler: accept a duplicate.
-	return s.draw(base)
+	return s.draw()
 }
 
-// draw samples one candidate: a mutation of base, or a uniform draw when
-// base is nil.
-func (s *Random) draw(base *configspace.Config) *configspace.Config {
-	if base == nil {
+// draw samples one candidate: a uniform draw, or with k > 0 the space's
+// default with k parameters re-drawn in place (Mutate's RNG stream, one
+// allocation).
+func (s *Random) draw() *configspace.Config {
+	if s.k <= 0 {
 		return s.space.Random(s.rng)
 	}
-	return s.space.Mutate(base, s.k, s.rng)
+	c := s.space.Default()
+	s.space.MutateInto(c, c, s.k, s.rng)
+	return c
 }
 
 // Observe implements Searcher.

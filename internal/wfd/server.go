@@ -70,9 +70,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxSubmitBytes bounds a submit body. A JobSpec is well under a
+// kilobyte even with favor: and fixed: maps, so the bound only stops a
+// client that streams a body without end.
+const maxSubmitBytes = 1 << 20
+
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
+	if err := json.NewDecoder(body).Decode(&spec); err != nil {
 		httpError(w, errors.Join(ErrBadSpec, err))
 		return
 	}

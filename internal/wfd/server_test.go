@@ -2,9 +2,12 @@ package wfd
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -211,5 +214,32 @@ func TestServerTCP(t *testing.T) {
 	}
 	if err := c.Cancel(ctx, "j999999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cancel unknown over TCP: got %v, want ErrNotFound", err)
+	}
+}
+
+// TestSubmitBodyBounded: a submit body past maxSubmitBytes is cut off
+// mid-decode and answered 400 (the status the client maps to ErrBadSpec)
+// with ErrBadSpec's message, and no job is admitted.
+func TestSubmitBodyBounded(t *testing.T) {
+	d, err := New(Config{Steppers: 1, Quantum: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Kill)
+	body := `{"searcher":"random","iterations":4,"name":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	rec := httptest.NewRecorder()
+	NewHandler(d).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized submit: status %d, want %d", rec.Code, http.StatusBadRequest)
+	}
+	var msg map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &msg); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(msg["error"], ErrBadSpec.Error()) {
+		t.Fatalf("oversized submit: error %q does not carry %q", msg["error"], ErrBadSpec)
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized submit admitted %d jobs", len(jobs))
 	}
 }
