@@ -23,8 +23,12 @@ build:
 test:
 	$(GO) test ./...
 
+# race sets go test's timeout explicitly: on a 2-vCPU host the daemon
+# package alone takes ~9 min under the race detector, and the default
+# 10-minute timeout trips when it races side by side with the experiments
+# package.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # fmt fails (listing the offenders) when any file is not gofmt-clean.
 fmt:
@@ -118,10 +122,14 @@ bench-search:
 # start and submit share (parse, spec, validate): every input ends in an
 # error or a spec. FuzzFaultParse covers the fault-schedule DSL: every
 # input ends in an error or a schedule that survives String → Parse
-# unchanged. `go test -fuzz` takes one target per run, hence one line
-# each; the committed seeds under internal/search/testdata/fuzz,
-# internal/deeptune/testdata/fuzz, internal/wfd/testdata/fuzz and
-# internal/fault/testdata/fuzz run with every plain `go test` as well.
+# unchanged. FuzzFromKV covers the snapshot and corpus config decoder:
+# every name → value map ends in an error or an in-domain configuration
+# that survives KV → FromKV unchanged. `go test -fuzz` takes one target
+# per run, hence one line each; the committed seeds under
+# internal/search/testdata/fuzz, internal/deeptune/testdata/fuzz,
+# internal/wfd/testdata/fuzz, internal/fault/testdata/fuzz and
+# internal/configspace/testdata/fuzz run with every plain `go test` as
+# well.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -131,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDTMRestore$$' -fuzztime $(FUZZTIME) ./internal/deeptune
 	$(GO) test -run '^$$' -fuzz '^FuzzJobFile$$' -fuzztime $(FUZZTIME) ./internal/wfd
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzFromKV$$' -fuzztime $(FUZZTIME) ./internal/configspace
 
 # smoke builds and runs the end-to-end example programs with a small
 # budget: quickstart exercises the blocking Session lifecycle, streaming

@@ -307,10 +307,9 @@ func BenchmarkBayesianPropose(b *testing.B) {
 	if err := s.SetSurrogateWindow(window); err != nil {
 		b.Fatal(err)
 	}
-	enc := configspace.NewEncoder(m.Space)
 	r := rng.New(2)
 	feed := func(c *configspace.Config) {
-		s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+		s.Observe(search.Observation{Config: c, Metric: r.Float64() * 100, Stage: "ok"})
 	}
 	for i := 0; i < window+window/4; i++ {
 		feed(m.Space.Random(r))
@@ -338,10 +337,9 @@ func BenchmarkBayesianProposeBatch(b *testing.B) {
 	m := simos.NewLinux(simos.LinuxOptions{FillerRuntime: 80, FillerBoot: 10, FillerCompile: 30, Seed: 1})
 	m.Space.Favor(configspace.CompileTime, 0)
 	s := search.NewBayesian(m.Space, true, 1)
-	enc := configspace.NewEncoder(m.Space)
 	r := rng.New(2)
 	feed := func(c *configspace.Config) {
-		s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+		s.Observe(search.Observation{Config: c, Metric: r.Float64() * 100, Stage: "ok"})
 	}
 	for i := 0; i < 96; i++ {
 		feed(m.Space.Random(r))
@@ -367,16 +365,15 @@ func BenchmarkDeepTuneObserve(b *testing.B) {
 	cfg := deeptune.DefaultConfig()
 	cfg.Seed = 1
 	s := search.NewDeepTune(m.Space, true, cfg)
-	enc := configspace.NewEncoder(m.Space)
 	r := rng.New(3)
 	for i := 0; i < 32; i++ {
 		c := m.Space.Random(r)
-		s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+		s.Observe(search.Observation{Config: c, Metric: r.Float64() * 100, Stage: "ok"})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := m.Space.Random(r)
-		s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+		s.Observe(search.Observation{Config: c, Metric: r.Float64() * 100, Stage: "ok"})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -13,15 +14,21 @@ import (
 // Config is a concrete assignment of a value to every parameter in a Space.
 // The paper calls these "permutations".
 //
+// The assignment is a pointer-free value vector, one int64 per parameter
+// in space order: an enum's index into Param.Values, any other type's
+// integer. The garbage collector never scans it, and copying or comparing
+// two configurations is a copy or comparison of integers. Value builds the
+// API view from the space's parameter table.
+//
 // Hash, CompileKey and BootKey are memoized: each digest is computed on
 // first use and kept until a setter (Set, SetIndex, or a Space's
-// RandomInto, MutateInto or NeighborInto writing into the Config)
-// invalidates it. Reads, digests included, are safe from several
+// DefaultInto, RandomInto, MutateInto or NeighborInto writing into the
+// Config) invalidates it. Reads, digests included, are safe from several
 // goroutines at once; mutating a Config while another goroutine reads it
 // is not.
 type Config struct {
-	space  *Space
-	values []Value
+	space *Space
+	raw   []int64
 
 	// hash, compileKey and bootKey memoize the digests; 0 means "not yet
 	// computed", so a digest whose true value is 0 is merely recomputed.
@@ -29,7 +36,7 @@ type Config struct {
 }
 
 func newConfig(s *Space) *Config {
-	return &Config{space: s, values: make([]Value, s.Len())}
+	return &Config{space: s, raw: make([]int64, s.Len())}
 }
 
 // Space returns the space the configuration belongs to.
@@ -37,23 +44,22 @@ func (c *Config) Space() *Space { return c.space }
 
 // Clone returns a deep copy, memoized digests included.
 func (c *Config) Clone() *Config {
-	out := newConfig(c.space)
-	copy(out.values, c.values)
+	out := &Config{space: c.space, raw: slices.Clone(c.raw)}
 	out.hash.Store(c.hash.Load())
 	out.compileKey.Store(c.compileKey.Load())
 	out.bootKey.Store(c.bootKey.Load())
 	return out
 }
 
-// invalidate drops the memoized digests; every write to values calls it.
+// invalidate drops the memoized digests; every write to raw calls it.
 func (c *Config) invalidate() {
 	c.hash.Store(0)
 	c.compileKey.Store(0)
 	c.bootKey.Store(0)
 }
 
-// Value returns the value of the i-th parameter.
-func (c *Config) Value(i int) Value { return c.values[i] }
+// Value returns the value of the i-th parameter. It does not allocate.
+func (c *Config) Value(i int) Value { return c.space.params[i].value(c.raw[i]) }
 
 // Get returns the value of the named parameter. The boolean reports whether
 // the parameter exists.
@@ -62,7 +68,7 @@ func (c *Config) Get(name string) (Value, bool) {
 	if i < 0 {
 		return Value{}, false
 	}
-	return c.values[i], true
+	return c.Value(i), true
 }
 
 // GetInt returns the integer value of a named Bool/Tristate/Int/Hex
@@ -92,7 +98,7 @@ func (c *Config) Set(name string, v Value) error {
 	if !p.InDomain(v) {
 		return fmt.Errorf("configspace: %s: value %s out of domain", name, p.FormatValue(v))
 	}
-	c.values[i] = v
+	c.raw[i] = p.raw(v)
 	c.invalidate()
 	return nil
 }
@@ -105,32 +111,30 @@ func (c *Config) MustSet(name string, v Value) {
 }
 
 // SetIndex assigns the i-th parameter without domain checking; the caller
-// must guarantee validity. Used on hot paths by the samplers.
+// must guarantee validity. An enum string outside the domain has no index
+// to store, so it panics naming the parameter.
 func (c *Config) SetIndex(i int, v Value) {
-	c.values[i] = v
+	p := c.space.params[i]
+	r := p.raw(v)
+	if p.Type == Enum && r < 0 {
+		panic(fmt.Sprintf("configspace: SetIndex: %s: %q not in enum domain", p.Name, v.S))
+	}
+	c.raw[i] = r
 	c.invalidate()
 }
 
 // Equal reports whether two configurations over the same space assign
 // identical values.
 func (c *Config) Equal(o *Config) bool {
-	if c.space != o.space || len(c.values) != len(o.values) {
-		return false
-	}
-	for i := range c.values {
-		if c.values[i] != o.values[i] {
-			return false
-		}
-	}
-	return true
+	return c.space == o.space && slices.Equal(c.raw, o.raw)
 }
 
 // Diff returns the indices of parameters whose values differ between c and
 // o. Both configurations must belong to the same space.
 func (c *Config) Diff(o *Config) []int {
 	var out []int
-	for i := range c.values {
-		if c.values[i] != o.values[i] {
+	for i := range c.raw {
+		if c.raw[i] != o.raw[i] {
 			out = append(out, i)
 		}
 	}
@@ -161,15 +165,17 @@ func (c *Config) OnlyBootOrRuntimeDiff(o *Config) bool {
 }
 
 // Hash returns a stable 64-bit fingerprint of the assignment, used for
-// deduplicating explored configurations: 64-bit FNV-1a over, per value in
+// deduplicating explored configurations: 64-bit FNV-1a over, per Value in
 // space order, the 8 little-endian bytes of I, the bytes of S, then 0x00.
+// An enum's bytes are its string's, from the parameter table, so the
+// digest does not depend on how the value vector stores it.
 func (c *Config) Hash() uint64 {
 	if h := c.hash.Load(); h != 0 {
 		return h
 	}
 	h := uint64(fnvOffset)
-	for _, v := range c.values {
-		h = foldValue(h, v)
+	for i, p := range c.space.params {
+		h = foldRaw(h, p, c.raw[i])
 	}
 	c.hash.Store(h)
 	return h
@@ -190,18 +196,33 @@ func foldString(h uint64, s string) uint64 {
 	return h
 }
 
-// foldValue folds v's digest bytes into the FNV-1a state h: the 8
-// little-endian bytes of v.I, the bytes of v.S, then a 0x00 terminator.
-func foldValue(h uint64, v Value) uint64 {
-	u := uint64(v.I)
-	for b := 0; b < 8; b++ {
+// fnvPow[k] is fnvPrime^k. Folding a zero byte is a bare multiply (h ^= 0
+// is a no-op), so a run of k zero bytes folds as one multiply by fnvPow[k].
+var fnvPow = func() (pow [10]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime
+	}
+	return pow
+}()
+
+// foldRaw folds the digest bytes of parameter p's value r into the FNV-1a
+// state h: the 8 little-endian bytes of its Value's I, the bytes of its S,
+// then a 0x00 terminator. An enum's I is zero and its S comes from the
+// parameter table; an integer's S is empty, so its high zero bytes and the
+// terminator fold as one multiply.
+func foldRaw(h uint64, p *Param, r int64) uint64 {
+	if p.Type == Enum {
+		return foldString(h*fnvPow[8], p.Values[r]) * fnvPrime
+	}
+	u := uint64(r)
+	n := (bits.Len64(u) + 7) / 8 // bytes up to the highest nonzero one
+	for b := 0; b < n; b++ {
 		h ^= u & 0xff
 		h *= fnvPrime
 		u >>= 8
 	}
-	h = foldString(h, v.S)
-	h *= fnvPrime // h ^= 0x00 is a no-op
-	return h
+	return h * fnvPow[9-n]
 }
 
 // Stage-digest salts keep CompileKey, BootKey, and Hash trivially distinct
@@ -244,7 +265,7 @@ func (c *Config) stageKey(memo *atomic.Uint64, salt string, includeBoot bool) ui
 		if p.Class == Runtime || (p.Class == BootTime && !includeBoot) {
 			continue
 		}
-		h = foldValue(h, c.values[i])
+		h = foldRaw(h, p, c.raw[i])
 	}
 	memo.Store(h)
 	return h
@@ -254,10 +275,10 @@ func (c *Config) stageKey(memo *atomic.Uint64, salt string, includeBoot bool) ui
 func (c *Config) String() string {
 	var parts []string
 	for i, p := range c.space.Params() {
-		if c.values[i] == p.Default {
+		if c.raw[i] == c.space.defaults[i] {
 			continue
 		}
-		parts = append(parts, p.Name+"="+p.FormatValue(c.values[i]))
+		parts = append(parts, p.Name+"="+p.FormatValue(c.Value(i)))
 	}
 	sort.Strings(parts)
 	if len(parts) == 0 {
@@ -272,10 +293,10 @@ func (c *Config) String() string {
 func (c *Config) KV() map[string]string {
 	out := map[string]string{}
 	for i, p := range c.space.Params() {
-		if c.values[i] == p.Default {
+		if c.raw[i] == c.space.defaults[i] {
 			continue
 		}
-		out[p.Name] = p.FormatValue(c.values[i])
+		out[p.Name] = p.FormatValue(c.Value(i))
 	}
 	return out
 }
@@ -367,19 +388,16 @@ func (e *Encoder) EncodeInto(c *Config, dst []float64) {
 		dst[i] = 0
 	}
 	for i, p := range e.space.Params() {
-		off := e.offsets[i]
-		v := c.Value(i)
+		off, r := e.offsets[i], c.raw[i]
 		switch p.Type {
 		case Bool:
-			dst[off] = float64(v.I)
+			dst[off] = float64(r)
 		case Tristate:
-			dst[off] = float64(v.I) / 2
+			dst[off] = float64(r) / 2
 		case Int, Hex:
-			dst[off] = normalizeInt(v.I, p.Min, p.Max)
+			dst[off] = normalizeInt(r, p.Min, p.Max)
 		case Enum:
-			if idx := p.enumIndex(v.S); idx >= 0 {
-				dst[off+idx] = 1
-			}
+			dst[off+int(r)] = 1 // an enum's value is its one-hot slot
 		}
 	}
 }

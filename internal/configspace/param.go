@@ -123,7 +123,10 @@ const (
 
 // Value is a concrete value of some parameter. Exactly one representation
 // is meaningful for a given parameter type: I for Bool (0/1), Tristate
-// (0/1/2), Int and Hex; S for Enum.
+// (0/1/2), Int and Hex; S for Enum. The other field must be zero. Value is
+// the API view of a configuration: a Config stores each value as one
+// int64 (an enum as its index into Param.Values) and builds the Value on
+// read.
 type Value struct {
 	I int64
 	S string
@@ -147,7 +150,10 @@ func TriValue(v TristateValue) Value { return Value{I: int64(v)} }
 func EnumValue(s string) Value { return Value{S: s} }
 
 // Param describes one configuration parameter: its identity, type, class,
-// default value, and domain.
+// default value, and domain. Once added to a Space, a Param belongs to
+// that space, and its fields must not change except through the space's
+// Fix and SetDefaultsFrom: the space keeps its defaults as a value vector,
+// and its configurations store enums as indices into Values.
 type Param struct {
 	// Name is the canonical parameter name, e.g. "net.core.somaxconn" for a
 	// runtime sysctl or "CONFIG_PREEMPT" for a compile-time option.
@@ -177,6 +183,9 @@ func (p *Param) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("configspace: parameter with empty name")
 	}
+	if (p.Type == Enum && p.Default.I != 0) || (p.Type != Enum && p.Default.S != "") {
+		return fmt.Errorf("configspace: %s: %s default sets the other type's field", p.Name, p.Type)
+	}
 	switch p.Type {
 	case Bool:
 		if p.Default.I != 0 && p.Default.I != 1 {
@@ -197,6 +206,11 @@ func (p *Param) Validate() error {
 		if len(p.Values) == 0 {
 			return fmt.Errorf("configspace: %s: enum with no values", p.Name)
 		}
+		for i, v := range p.Values {
+			if p.enumIndex(v) != i {
+				return fmt.Errorf("configspace: %s: duplicate enum value %q", p.Name, v)
+			}
+		}
 		if p.enumIndex(p.Default.S) < 0 {
 			return fmt.Errorf("configspace: %s: default %q not in enum domain", p.Name, p.Default.S)
 		}
@@ -206,8 +220,15 @@ func (p *Param) Validate() error {
 	return nil
 }
 
-// InDomain reports whether v is a legal value for the parameter.
+// InDomain reports whether v is a legal value for the parameter. A value
+// that sets the other type's field (an enum's I, a non-enum's S) is not.
 func (p *Param) InDomain(v Value) bool {
+	if p.Type == Enum {
+		return v.I == 0 && p.enumIndex(v.S) >= 0
+	}
+	if v.S != "" {
+		return false
+	}
 	switch p.Type {
 	case Bool:
 		return v.I == 0 || v.I == 1
@@ -215,10 +236,26 @@ func (p *Param) InDomain(v Value) bool {
 		return v.I >= 0 && v.I <= 2
 	case Int, Hex:
 		return v.I >= p.Min && v.I <= p.Max
-	case Enum:
-		return p.enumIndex(v.S) >= 0
 	}
 	return false
+}
+
+// raw returns v's value-vector form: an enum's index into Values (-1 when
+// v.S is not in the domain), any other type's integer.
+func (p *Param) raw(v Value) int64 {
+	if p.Type == Enum {
+		return int64(p.enumIndex(v.S))
+	}
+	return v.I
+}
+
+// value returns the Value a value-vector entry stands for, the inverse of
+// raw. It does not allocate: an enum's string is the one in Values.
+func (p *Param) value(r int64) Value {
+	if p.Type == Enum {
+		return Value{S: p.Values[r]}
+	}
+	return Value{I: r}
 }
 
 func (p *Param) enumIndex(s string) int {
@@ -279,6 +316,11 @@ func (p *Param) FormatValue(v Value) string {
 // ParseValue parses a value in the parameter's natural syntax (the inverse
 // of FormatValue). It accepts the common Kconfig spellings.
 func (p *Param) ParseValue(s string) (Value, error) {
+	if p.Type == Enum && p.enumIndex(s) >= 0 {
+		// Matched verbatim first, so an enum value with surrounding space
+		// round-trips through FormatValue.
+		return EnumValue(s), nil
+	}
 	s = strings.TrimSpace(s)
 	switch p.Type {
 	case Bool:

@@ -29,6 +29,10 @@ type Space struct {
 	// a Space shared between goroutines stays safe to propose from.
 	mutable []int
 	weights []float64
+
+	// defaults is the default configuration's value vector. Add, Fix and
+	// SetDefaultsFrom keep it current with every Param.Default.
+	defaults []int64
 }
 
 // NewSpace returns an empty space with the given name.
@@ -55,6 +59,7 @@ func (s *Space) Add(p *Param) error {
 	}
 	s.byName[p.Name] = len(s.params)
 	s.params = append(s.params, p)
+	s.defaults = append(s.defaults, p.raw(p.Default))
 	s.track(len(s.params) - 1)
 	return nil
 }
@@ -128,7 +133,7 @@ func (s *Space) ClassWeight(class Class) float64 { return s.favored[class] }
 // it (§3.5, security-aware mode). Returns an error for unknown names or
 // out-of-domain values.
 func (s *Space) Fix(name string, v Value) error {
-	p, _ := s.Lookup(name)
+	p, i := s.Lookup(name)
 	if p == nil {
 		return fmt.Errorf("configspace: fix of unknown parameter %q", name)
 	}
@@ -137,6 +142,7 @@ func (s *Space) Fix(name string, v Value) error {
 	}
 	p.Fixed = true
 	p.Default = v
+	s.defaults[i] = p.raw(v)
 	s.reindex()
 	return nil
 }
@@ -200,30 +206,37 @@ func (s *Space) LogCardinality() float64 {
 	return sum
 }
 
-// Default returns the OS's default configuration.
+// Default returns the OS's default configuration: a copy of the space's
+// defaults vector.
 func (s *Space) Default() *Config {
-	c := newConfig(s)
-	for i, p := range s.params {
-		c.values[i] = p.Default
-	}
-	return c
+	return &Config{space: s, raw: slices.Clone(s.defaults)}
 }
 
-// sampleValue draws a uniform value from p's domain. Integer parameters are
-// sampled log-uniformly when their range spans multiple orders of magnitude,
-// matching how the probing heuristic of §3.4 builds ranges (default scaled
-// by powers of ten): a plain uniform draw would almost never visit the
-// small end of a [16, 1e7] range.
-func sampleValue(p *Param, r *rng.RNG) Value {
+// DefaultInto overwrites every value of c, a configuration of this space,
+// with the default.
+func (s *Space) DefaultInto(c *Config) {
+	copy(c.raw, s.defaults)
+	c.invalidate()
+}
+
+// sampleRaw draws a uniform value from p's domain, in value-vector form.
+// Integer parameters are sampled log-uniformly when their range spans
+// multiple orders of magnitude, matching how the probing heuristic of §3.4
+// builds ranges (default scaled by powers of ten): a plain uniform draw
+// would almost never visit the small end of a [16, 1e7] range.
+func sampleRaw(p *Param, r *rng.RNG) int64 {
 	switch p.Type {
 	case Bool:
-		return BoolValue(r.Bool())
+		if r.Bool() {
+			return 1
+		}
+		return 0
 	case Tristate:
-		return TriValue(TristateValue(r.Intn(3)))
+		return int64(r.Intn(3))
 	case Int, Hex:
 		lo, hi := p.Min, p.Max
 		if lo == hi {
-			return IntValue(lo)
+			return lo
 		}
 		if lo > 0 && float64(hi)/float64(lo) >= 100 {
 			lg := math.Log(float64(lo)) + r.Float64()*(math.Log(float64(hi))-math.Log(float64(lo)))
@@ -234,13 +247,13 @@ func sampleValue(p *Param, r *rng.RNG) Value {
 			if v > hi {
 				v = hi
 			}
-			return IntValue(v)
+			return v
 		}
-		return IntValue(lo + r.Int63n(hi-lo+1))
+		return lo + r.Int63n(hi-lo+1)
 	case Enum:
-		return EnumValue(p.Values[r.Intn(len(p.Values))])
+		return int64(r.Intn(len(p.Values)))
 	}
-	return Value{}
+	return 0
 }
 
 // Random returns a configuration with every non-fixed parameter drawn
@@ -262,10 +275,10 @@ func (s *Space) RandomInto(c *Config, r *rng.RNG) {
 	c.invalidate()
 	for i, p := range s.params {
 		if p.Fixed || s.favored[p.Class] <= 0 {
-			c.values[i] = p.Default
+			c.raw[i] = s.defaults[i]
 			continue
 		}
-		c.values[i] = sampleValue(p, r)
+		c.raw[i] = sampleRaw(p, r)
 	}
 }
 
@@ -283,7 +296,9 @@ func (s *Space) Mutate(base *Config, k int, r *rng.RNG) *Config {
 // so redrawing a reused configuration consumes the stream exactly as
 // Mutate does.
 func (s *Space) MutateInto(dst, base *Config, k int, r *rng.RNG) {
-	copy(dst.values, base.values)
+	if dst != base {
+		copy(dst.raw, base.raw)
+	}
 	dst.invalidate()
 	if len(s.mutable) == 0 {
 		return
@@ -297,7 +312,7 @@ func (s *Space) MutateInto(dst, base *Config, k int, r *rng.RNG) {
 			continue
 		}
 		seen = append(seen, pick)
-		dst.values[pick] = sampleValue(s.params[pick], r)
+		dst.raw[pick] = sampleRaw(s.params[pick], r)
 	}
 }
 
@@ -314,7 +329,9 @@ func (s *Space) Neighbor(base *Config, r *rng.RNG) *Config {
 // Neighbor of base (dst may be base), consuming the RNG exactly as
 // Neighbor does.
 func (s *Space) NeighborInto(dst, base *Config, r *rng.RNG) {
-	copy(dst.values, base.values)
+	if dst != base {
+		copy(dst.raw, base.raw)
+	}
 	dst.invalidate()
 	if len(s.mutable) == 0 {
 		return
@@ -323,7 +340,7 @@ func (s *Space) NeighborInto(dst, base *Config, r *rng.RNG) {
 	p := s.params[pick]
 	switch p.Type {
 	case Int, Hex:
-		cur := dst.values[pick].I
+		cur := dst.raw[pick]
 		factor := 1.0 + r.Float64() // step in [1,2)
 		var next int64
 		if r.Bool() {
@@ -340,9 +357,9 @@ func (s *Space) NeighborInto(dst, base *Config, r *rng.RNG) {
 		if next > p.Max {
 			next = p.Max
 		}
-		dst.values[pick] = IntValue(next)
+		dst.raw[pick] = next
 	default:
-		dst.values[pick] = sampleValue(p, r)
+		dst.raw[pick] = sampleRaw(p, r)
 	}
 }
 
@@ -356,11 +373,14 @@ func (s *Space) SetDefaultsFrom(c *Config) error {
 		return fmt.Errorf("configspace: SetDefaultsFrom with config from a different space")
 	}
 	for i, p := range s.params {
-		if !p.InDomain(c.values[i]) {
+		if !p.InDomain(c.Value(i)) {
 			return fmt.Errorf("configspace: %s: baseline value out of domain", p.Name)
 		}
-		p.Default = c.values[i]
 	}
+	for i, p := range s.params {
+		p.Default = c.Value(i)
+	}
+	copy(s.defaults, c.raw)
 	return nil
 }
 

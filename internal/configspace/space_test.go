@@ -179,7 +179,7 @@ func refNeighbor(s *Space, base *Config, r *rng.RNG) *Config {
 	p := s.params[pick]
 	switch p.Type {
 	case Int, Hex:
-		cur := c.values[pick].I
+		cur := c.raw[pick]
 		factor := 1.0 + r.Float64()
 		var next int64
 		if r.Bool() {
@@ -231,13 +231,13 @@ func TestMutateAndNeighborIntoMatchReference(t *testing.T) {
 				want = refNeighbor(s, base, rs[0])
 				got[0] = s.Neighbor(base, rs[1])
 				s.NeighborInto(reused, base, rs[2])
-				copy(inPlace.values, base.values)
+				copy(inPlace.raw, base.raw)
 				s.NeighborInto(inPlace, inPlace, rs[3])
 			} else {
 				want = refMutate(s, base, k, rs[0])
 				got[0] = s.Mutate(base, k, rs[1])
 				s.MutateInto(reused, base, k, rs[2])
-				copy(inPlace.values, base.values)
+				copy(inPlace.raw, base.raw)
 				s.MutateInto(inPlace, inPlace, k, rs[3])
 			}
 			got[1], got[2] = reused, inPlace

@@ -562,6 +562,8 @@ type Engine struct {
 	Searcher search.Searcher
 	Clock    *vm.Clock
 
+	// enc encodes the configurations a finished session deposits into
+	// the transfer corpus; searchers that learn encode their own.
 	enc  *configspace.Encoder
 	seed uint64
 }

@@ -266,7 +266,6 @@ func (s *Session) record(res Result) {
 	s.commitArtifact(report, &res)
 	s.batcher.Observe(search.Observation{
 		Config:  res.Config,
-		X:       e.enc.Encode(res.Config),
 		Metric:  res.Metric,
 		Crashed: res.Crashed,
 		Stage:   res.Stage,

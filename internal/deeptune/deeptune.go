@@ -674,7 +674,11 @@ func (s *Selector) generatePool() []*configspace.Config {
 				s.space.NeighborInto(c, s.best, s.rng)
 			}
 		case s.cfg.PoolMutateK > 0:
-			s.space.MutateInto(c, s.space.Default(), 1+s.rng.Intn(s.cfg.PoolMutateK), s.rng)
+			// Reset to the space's current default in place: SetDefaultsFrom
+			// may have rebased it since the last pool (Fig 11).
+			k := 1 + s.rng.Intn(s.cfg.PoolMutateK)
+			s.space.DefaultInto(c)
+			s.space.MutateInto(c, c, k, s.rng)
 		default:
 			s.space.RandomInto(c, s.rng)
 		}

@@ -1,6 +1,7 @@
 package deeptune
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -810,11 +811,21 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 }
 
 // TestPoolCandidatesHandedOutStayPut pins the pool's in-place redraw: a
-// steady-state generatePool allocates nothing, and a configuration a
-// proposal handed out is never overwritten by later proposals.
+// steady-state generatePool allocates nothing, in uniform and in
+// mutate-from-default mode, and a configuration a proposal handed out is
+// never overwritten by later proposals.
 func TestPoolCandidatesHandedOutStayPut(t *testing.T) {
+	for _, mutateK := range []int{0, 4} {
+		t.Run(fmt.Sprintf("PoolMutateK=%d", mutateK), func(t *testing.T) {
+			checkPoolHandedOutStayPut(t, mutateK)
+		})
+	}
+}
+
+func checkPoolHandedOutStayPut(t *testing.T, mutateK int) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 1
+	cfg.PoolMutateK = mutateK
 	sel := NewSelector(selectorSpace(), true, cfg)
 	r := rng.New(6)
 	var xs [][]float64
@@ -844,5 +855,33 @@ func TestPoolCandidatesHandedOutStayPut(t *testing.T) {
 	sel.generatePool() // refill the slots handed out last
 	if allocs := testing.AllocsPerRun(10, func() { sel.generatePool() }); allocs != 0 {
 		t.Fatalf("steady-state generatePool allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestPoolMutateKStream: the in-place mutate-from-default pool draws the
+// same candidates from the same RNG stream as mutating a fresh Default,
+// and follows the space's default when SetDefaultsFrom rebases it.
+func TestPoolMutateKStream(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PoolMutateK = 3
+	space := selectorSpace()
+	sel := NewSelector(space, true, cfg)
+	ref := rng.New(0)
+	for round := 0; round < 3; round++ {
+		if round == 2 {
+			if err := space.SetDefaultsFrom(space.Random(rng.New(4))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref.SetState(sel.rng.State())
+		for i, c := range sel.generatePool() {
+			want := space.Mutate(space.Default(), 1+ref.Intn(cfg.PoolMutateK), ref)
+			if !c.Equal(want) {
+				t.Fatalf("round %d candidate %d: %s, want %s", round, i, c, want)
+			}
+		}
+		if ref.State() != sel.rng.State() {
+			t.Fatalf("round %d: the pool consumed the RNG differently", round)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"wayfinder/internal/apps"
-	"wayfinder/internal/configspace"
 	"wayfinder/internal/core"
 	"wayfinder/internal/deeptune"
 	"wayfinder/internal/gp"
@@ -208,18 +207,17 @@ func Searcherscale(scale Scale) (*Result, error) {
 	{
 		m := newLinuxRuntimeFavored(scale, 1)
 		s := search.NewBayesian(m.Space, true, 2)
-		enc := configspace.NewEncoder(m.Space)
 		r := rng.New(2)
 		for i := 0; i < 96; i++ {
 			c := m.Space.Random(r)
-			s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+			s.Observe(search.Observation{Config: c, Metric: r.Float64() * 100, Stage: "ok"})
 		}
 		const reps = 8
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			batch := s.ProposeBatch(8)
 			for _, c := range batch {
-				s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+				s.Observe(search.Observation{Config: c, Metric: r.Float64() * 100, Stage: "ok"})
 			}
 		}
 		perOp := time.Since(start).Seconds() / reps
@@ -232,15 +230,14 @@ func Searcherscale(scale Scale) (*Result, error) {
 		cfg := deeptune.DefaultConfig()
 		cfg.Seed = 3
 		s := search.NewDeepTune(m.Space, true, cfg)
-		enc := configspace.NewEncoder(m.Space)
 		r := rng.New(3)
 		for i := 0; i < 32; i++ {
 			c := m.Space.Random(r)
-			s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: r.Float64() * 100, Stage: "ok"})
+			s.Observe(search.Observation{Config: c, Metric: r.Float64() * 100, Stage: "ok"})
 		}
 		c := m.Space.Random(r)
 		start := time.Now()
-		s.Observe(search.Observation{Config: c, X: enc.Encode(c), Metric: 50, Stage: "ok"})
+		s.Observe(search.Observation{Config: c, Metric: 50, Stage: "ok"})
 		snapshot.Rows = append(snapshot.Rows,
 			[]string{"deeptune-observe", fmtF(time.Since(start).Seconds()*1e9, 0), "incremental DTM retrain, 32-obs history"})
 	}

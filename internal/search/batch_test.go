@@ -23,9 +23,8 @@ func observeAll(b BatchSearcher, cfgs []*configspace.Config) {
 	if len(cfgs) == 0 {
 		return
 	}
-	enc := configspace.NewEncoder(cfgs[0].Space())
 	for _, c := range cfgs {
-		b.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1, Stage: "ok"})
+		b.Observe(Observation{Config: c, Metric: 1, Stage: "ok"})
 	}
 }
 
@@ -92,9 +91,8 @@ func TestBatchObserveForwards(t *testing.T) {
 	underlying := NewBayesian(space, true, 3)
 	b := AsBatch(underlying)
 	cfgs := b.ProposeBatch(5)
-	enc := configspace.NewEncoder(space)
 	for i, c := range cfgs {
-		b.Observe(Observation{Config: c, X: enc.Encode(c), Metric: float64(i), Stage: "ok"})
+		b.Observe(Observation{Config: c, Metric: float64(i), Stage: "ok"})
 	}
 	if underlying.model.Len() != 5 {
 		t.Fatalf("surrogate saw %d observations, want 5", underlying.model.Len())
@@ -225,10 +223,9 @@ func TestBatchCostMatchesSequentialAccounting(t *testing.T) {
 	// iteration (what the sequential engine records).
 	seq := &costStub{space: space, rng: rng.New(1), proposeD: proposeD, observeD: observeD}
 	seqTotal := time.Duration(0)
-	enc := configspace.NewEncoder(space)
 	for i := 0; i < n; i++ {
 		c := seq.Propose()
-		seq.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1})
+		seq.Observe(Observation{Config: c, Metric: 1})
 		seqTotal += seq.DecisionCost()
 	}
 
@@ -241,7 +238,7 @@ func TestBatchCostMatchesSequentialAccounting(t *testing.T) {
 	for round := 0; round < n/4; round++ {
 		cfgs := b.ProposeBatch(4)
 		for _, c := range cfgs {
-			b.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1})
+			b.Observe(Observation{Config: c, Metric: 1})
 			batchTotal += b.DecisionCost()
 		}
 	}

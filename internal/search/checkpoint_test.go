@@ -18,8 +18,8 @@ func checkpointSpace(t testing.TB) *configspace.Space {
 }
 
 // observe feeds a synthetic observation for config c.
-func observe(s Searcher, enc *configspace.Encoder, c *configspace.Config, y float64, crashed bool) {
-	s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: y, Crashed: crashed, Stage: "ok"})
+func observe(s Searcher, c *configspace.Config, y float64, crashed bool) {
+	s.Observe(Observation{Config: c, Metric: y, Crashed: crashed, Stage: "ok"})
 }
 
 // assertCheckpointContinuity runs a propose/observe prefix, checkpoints, restores
@@ -27,11 +27,10 @@ func observe(s Searcher, enc *configspace.Encoder, c *configspace.Config, y floa
 func assertCheckpointContinuity(t *testing.T, name string, space *configspace.Space,
 	orig Checkpointable, fresh Checkpointable, prefix, tail int) {
 	t.Helper()
-	enc := configspace.NewEncoder(space)
 	noise := rng.New(99)
 	for i := 0; i < prefix; i++ {
 		c := orig.Propose()
-		observe(orig, enc, c, 100+10*noise.Float64(), i%5 == 4)
+		observe(orig, c, 100+10*noise.Float64(), i%5 == 4)
 	}
 	data, err := orig.Checkpoint()
 	if err != nil {
@@ -47,8 +46,8 @@ func assertCheckpointContinuity(t *testing.T, name string, space *configspace.Sp
 			t.Fatalf("%s: proposal %d diverged after restore:\n got %s\nwant %s", name, i, b, a)
 		}
 		y := 100 + 10*noise.Float64()
-		observe(orig, enc, a, y, false)
-		observe(fresh, enc, b, y, false)
+		observe(orig, a, y, false)
+		observe(fresh, b, y, false)
 	}
 }
 
@@ -93,12 +92,11 @@ func TestBayesianCheckpointBatchPending(t *testing.T) {
 	// Checkpoint with a non-empty pending set (mid-batch, as an async
 	// session would): the restored searcher must dedup against it.
 	space := checkpointSpace(t)
-	enc := configspace.NewEncoder(space)
 	orig := NewBayesian(space, true, 7)
 	noise := rng.New(5)
 	for i := 0; i < 8; i++ {
 		c := orig.Propose()
-		observe(orig, enc, c, 50+noise.Float64(), false)
+		observe(orig, c, 50+noise.Float64(), false)
 	}
 	batch := orig.ProposeBatch(4) // leaves 4 pending
 	if orig.pending.count() != 4 {
@@ -118,8 +116,8 @@ func TestBayesianCheckpointBatchPending(t *testing.T) {
 	// Observe the batch on both; trajectories stay aligned.
 	for _, c := range batch {
 		y := 60 + noise.Float64()
-		observe(orig, enc, c, y, false)
-		observe(fresh, enc, c, y, false)
+		observe(orig, c, y, false)
+		observe(fresh, c, y, false)
 	}
 	for i := 0; i < 4; i++ {
 		a, b := orig.Propose(), fresh.Propose()
@@ -127,8 +125,8 @@ func TestBayesianCheckpointBatchPending(t *testing.T) {
 			t.Fatalf("proposal %d diverged after mid-batch restore", i)
 		}
 		y := 70 + noise.Float64()
-		observe(orig, enc, a, y, false)
-		observe(fresh, enc, b, y, false)
+		observe(orig, a, y, false)
+		observe(fresh, b, y, false)
 	}
 }
 
@@ -156,15 +154,14 @@ func TestDeepTuneRestoreRejectsUsedSearcher(t *testing.T) {
 	space := checkpointSpace(t)
 	cfg := deeptune.DefaultConfig()
 	cfg.Seed = 7
-	enc := configspace.NewEncoder(space)
 	orig := NewDeepTune(space, true, cfg)
-	observe(orig, enc, orig.Propose(), 1, false)
+	observe(orig, orig.Propose(), 1, false)
 	data, err := orig.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	used := NewDeepTune(space, true, cfg)
-	observe(used, enc, used.Propose(), 2, false)
+	observe(used, used.Propose(), 2, false)
 	if err := used.Restore(data); err == nil {
 		t.Fatal("Restore accepted a searcher with prior observations")
 	}

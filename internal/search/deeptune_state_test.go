@@ -122,10 +122,9 @@ func corpusWarmSnapshot(t *testing.T, space *configspace.Space) *nn.Snapshot {
 	cfg := dtTestConfig()
 	cfg.Seed = 11
 	donor := NewDeepTune(space, true, cfg)
-	enc := configspace.NewEncoder(space)
 	r := rng.New(3)
 	for i := 0; i < 6; i++ {
-		observe(donor, enc, donor.Propose(), 80+20*r.Float64(), i == 2)
+		observe(donor, donor.Propose(), 80+20*r.Float64(), i == 2)
 	}
 	snap, err := donor.sel.Model().Snapshot(map[string]string{"app": "donor"})
 	if err != nil {
@@ -194,7 +193,7 @@ func TestDeepTuneCheckpointBitExact(t *testing.T) {
 				return tc.crashEvery > 0 && step%tc.crashEvery == 0
 			}
 			for i := 0; i < tc.prefix; i++ {
-				observe(orig, enc, orig.Propose(), 100+10*noise.Float64(), crashed())
+				observe(orig, orig.Propose(), 100+10*noise.Float64(), crashed())
 			}
 			var batch []*configspace.Config
 			if tc.batch > 0 {
@@ -219,8 +218,8 @@ func TestDeepTuneCheckpointBitExact(t *testing.T) {
 			assertDTPredictionsEqual(t, "after restore", orig, fresh, probes)
 			for i, c := range batch {
 				y, cr := 100+10*noise.Float64(), crashed()
-				observe(orig, enc, c, y, cr)
-				observe(fresh, enc, c, y, cr)
+				observe(orig, c, y, cr)
+				observe(fresh, c, y, cr)
 				assertDTStateEqual(t, fmt.Sprintf("pending %d", i), orig, fresh)
 			}
 			for i := 0; i < tc.tail; i++ {
@@ -229,8 +228,8 @@ func TestDeepTuneCheckpointBitExact(t *testing.T) {
 					t.Fatalf("proposal %d diverged after restore:\n got %s\nwant %s", i, b, a)
 				}
 				y, cr := 100+10*noise.Float64(), crashed()
-				observe(orig, enc, a, y, cr)
-				observe(fresh, enc, b, y, cr)
+				observe(orig, a, y, cr)
+				observe(fresh, b, y, cr)
 				assertDTStateEqual(t, fmt.Sprintf("tail %d", i), orig, fresh)
 				assertDTPredictionsEqual(t, fmt.Sprintf("tail %d", i), orig, fresh, probes)
 			}
@@ -265,7 +264,6 @@ func fuzzDeepTune(space *configspace.Space) *DeepTune {
 func fuzzCheckpoints(tb testing.TB) [][]byte {
 	tb.Helper()
 	space := fuzzSpace()
-	enc := configspace.NewEncoder(space)
 	s := fuzzDeepTune(space)
 	var out [][]byte
 	for i := 0; i <= 6; i++ {
@@ -280,7 +278,7 @@ func fuzzCheckpoints(tb testing.TB) [][]byte {
 			out = append(out, data)
 		}
 		if i < 6 {
-			observe(s, enc, s.Propose(), float64(10*i), i%3 == 1)
+			observe(s, s.Propose(), float64(10*i), i%3 == 1)
 		}
 	}
 	return out
@@ -350,7 +348,6 @@ func FuzzDeepTuneRestore(f *testing.F) {
 		f.Add(data)
 	}
 	space := fuzzSpace()
-	enc := configspace.NewEncoder(space)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzDeepTune(space)
 		if err := s.Restore(data); err != nil {
@@ -358,7 +355,7 @@ func FuzzDeepTuneRestore(f *testing.F) {
 		}
 		for i := 0; i < 2; i++ {
 			for _, c := range s.ProposeBatch(2) {
-				observe(s, enc, c, float64(i), i == 1)
+				observe(s, c, float64(i), i == 1)
 			}
 		}
 		_, _ = s.Checkpoint() // a restored NaN incumbent cannot re-encode; that is an error, not a panic

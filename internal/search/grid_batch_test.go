@@ -31,10 +31,9 @@ func TestGridNativeBatchMatchesAdapter(t *testing.T) {
 	if AsBatch(native) != BatchSearcher(native) {
 		t.Fatal("Grid should be used natively by AsBatch")
 	}
-	enc := configspace.NewEncoder(space)
 
 	observe := func(b BatchSearcher, c *configspace.Config, metric float64) {
-		b.Observe(Observation{Config: c, X: enc.Encode(c), Metric: metric, Stage: "ok"})
+		b.Observe(Observation{Config: c, Metric: metric, Stage: "ok"})
 	}
 	var best *configspace.Config
 	for round := 0; round < 24; round++ {
@@ -96,9 +95,8 @@ func TestGridNativeBatchAvoidsPendingDuplicates(t *testing.T) {
 	if g.pending.count() != 4 {
 		t.Fatalf("pending = %d, want 4", g.pending.count())
 	}
-	enc := configspace.NewEncoder(space)
 	for _, c := range batch {
-		g.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1, Stage: "ok"})
+		g.Observe(Observation{Config: c, Metric: 1, Stage: "ok"})
 	}
 	if g.pending.count() != 0 {
 		t.Fatalf("pending = %d after observing everything, want 0", g.pending.count())

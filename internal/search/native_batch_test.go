@@ -23,7 +23,6 @@ func syntheticMetric(c *configspace.Config) (float64, bool) {
 // batch=1 determinism contract for the learned searchers.
 func driveSingletonRounds(t *testing.T, native, adapter BatchSearcher, space *configspace.Space, rounds int) {
 	t.Helper()
-	enc := configspace.NewEncoder(space)
 	for round := 0; round < rounds; round++ {
 		a := native.ProposeBatch(1)
 		b := adapter.ProposeBatch(1)
@@ -39,7 +38,7 @@ func driveSingletonRounds(t *testing.T, native, adapter BatchSearcher, space *co
 			if s == adapter {
 				c = b[0]
 			}
-			s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: metric, Crashed: crashed, Stage: "ok"})
+			s.Observe(Observation{Config: c, Metric: metric, Crashed: crashed, Stage: "ok"})
 		}
 	}
 }
@@ -92,11 +91,10 @@ func TestDeepTuneNativeBatchSingleMatchesAdapter(t *testing.T) {
 func TestBayesianBatchFantasiesArePopped(t *testing.T) {
 	space := batchSpace(t)
 	s := NewBayesian(space, true, 5)
-	enc := configspace.NewEncoder(space)
 	r := 0
 	for s.model.Len() < 8 {
 		c := s.space.Random(s.rng)
-		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: float64(10 + r)})
+		s.Observe(Observation{Config: c, Metric: float64(10 + r)})
 		r++
 	}
 	before := s.model.Len()
@@ -118,7 +116,7 @@ func TestBayesianBatchFantasiesArePopped(t *testing.T) {
 		seen[c.Hash()] = i
 	}
 	for _, c := range batch {
-		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1, Stage: "ok"})
+		s.Observe(Observation{Config: c, Metric: 1, Stage: "ok"})
 	}
 	if s.pending.count() != 0 {
 		t.Fatalf("pending = %d after observing everything, want 0", s.pending.count())
@@ -132,11 +130,10 @@ func TestBayesianBatchFantasiesArePopped(t *testing.T) {
 func TestBayesianBatchDiversifiesSlots(t *testing.T) {
 	space := batchSpace(t)
 	s := NewBayesian(space, true, 6)
-	enc := configspace.NewEncoder(space)
 	for i := 0; i < 12; i++ {
 		c := s.space.Random(s.rng)
 		m, crashed := syntheticMetric(c)
-		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: m, Crashed: crashed})
+		s.Observe(Observation{Config: c, Metric: m, Crashed: crashed})
 	}
 	batch := s.ProposeBatch(4)
 	for i := 0; i < len(batch); i++ {
@@ -157,10 +154,9 @@ func TestBayesianProposeSurvivesFitError(t *testing.T) {
 	// A negative signal variance makes the kernel matrix indefinite, so
 	// every factorization — jitter included — fails.
 	s.model = gp.New(0.35, -1, -1)
-	enc := configspace.NewEncoder(space)
 	for i := 0; i < 4; i++ {
 		c := space.Random(s.rng)
-		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: float64(i + 1)})
+		s.Observe(Observation{Config: c, Metric: float64(i + 1)})
 	}
 	if s.FitErrors() != 0 {
 		t.Fatalf("fit errors before proposing: %d", s.FitErrors())
@@ -190,7 +186,6 @@ func TestBayesianProposeSurvivesFitError(t *testing.T) {
 // pool and keep its values through every later draw.
 func TestBayesianHandedOutCandidatesStayPut(t *testing.T) {
 	space := toySpace()
-	enc := configspace.NewEncoder(space)
 	healthy := NewBayesian(space, true, 5)
 	broken := NewBayesian(space, true, 6)
 	// A negative signal variance makes every factorization fail, so each
@@ -199,7 +194,7 @@ func TestBayesianHandedOutCandidatesStayPut(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		for _, s := range []*Bayesian{healthy, broken} {
 			c := space.Random(s.rng)
-			s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: float64(i + 1)})
+			s.Observe(Observation{Config: c, Metric: float64(i + 1)})
 		}
 	}
 	type handout struct {
@@ -240,12 +235,11 @@ func TestDeepTuneBatchDiversityPenalty(t *testing.T) {
 	cfg.Epochs, cfg.PoolSize, cfg.BatchSize = 1, 24, 8
 	cfg.Seed = 3
 	s := NewDeepTune(space, true, cfg)
-	enc := configspace.NewEncoder(space)
 	r := rng.New(17)
 	for i := 0; i < 6; i++ {
 		c := space.Random(r)
 		m, crashed := syntheticMetric(c)
-		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: m, Crashed: crashed, Stage: "ok"})
+		s.Observe(Observation{Config: c, Metric: m, Crashed: crashed, Stage: "ok"})
 	}
 	batch := s.ProposeBatch(5)
 	if len(batch) != 5 {
@@ -262,7 +256,7 @@ func TestDeepTuneBatchDiversityPenalty(t *testing.T) {
 		t.Fatalf("pending = %d, want 5", s.pending.count())
 	}
 	for _, c := range batch {
-		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1, Stage: "ok"})
+		s.Observe(Observation{Config: c, Metric: 1, Stage: "ok"})
 	}
 	if s.pending.count() != 0 {
 		t.Fatalf("pending = %d after observing everything, want 0", s.pending.count())

@@ -41,7 +41,6 @@ func pendingCases(space *configspace.Space) []pendingCase {
 // zero is deleted, so the set holds the work in flight and no history.
 func TestPendingSetDrainsAfterObserve(t *testing.T) {
 	space := checkpointSpace(t)
-	enc := configspace.NewEncoder(space)
 	for _, tc := range pendingCases(space) {
 		t.Run(tc.name, func(t *testing.T) {
 			noise := rng.New(3)
@@ -54,12 +53,12 @@ func TestPendingSetDrainsAfterObserve(t *testing.T) {
 					t.Fatalf("round %d: %d pending, want %d", round, got, len(prev)+len(next))
 				}
 				for _, c := range prev {
-					observe(tc.b, enc, c, 100*noise.Float64(), false)
+					observe(tc.b, c, 100*noise.Float64(), false)
 				}
 				prev = next
 			}
 			for _, c := range prev {
-				observe(tc.b, enc, c, 100*noise.Float64(), false)
+				observe(tc.b, c, 100*noise.Float64(), false)
 			}
 			if p := tc.pending(); len(p) != 0 {
 				t.Fatalf("pending set holds %d keys after every proposal was observed: %v", len(p), p)
@@ -72,7 +71,6 @@ func TestPendingSetDrainsAfterObserve(t *testing.T) {
 // proposed: the pending set must not change.
 func TestPendingSetIgnoresUnproposed(t *testing.T) {
 	space := checkpointSpace(t)
-	enc := configspace.NewEncoder(space)
 	for _, tc := range pendingCases(space) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.b.ProposeBatch(3)
@@ -81,7 +79,7 @@ func TestPendingSetIgnoresUnproposed(t *testing.T) {
 			if before.has(foreign.Hash()) {
 				t.Fatal("the foreign configuration is pending; pick another seed")
 			}
-			observe(tc.b, enc, foreign, 1, false)
+			observe(tc.b, foreign, 1, false)
 			if after := tc.pending(); !maps.Equal(before, after) {
 				t.Fatalf("observing an unproposed configuration changed the pending set:\n got %v\nwant %v", after, before)
 			}

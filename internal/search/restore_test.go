@@ -20,14 +20,13 @@ func fuzzBayesian(space *configspace.Space) *Bayesian { return NewBayesian(space
 func bayesianCheckpoints(tb testing.TB) (fresh, unwindowed, windowedPending []byte) {
 	tb.Helper()
 	space := fuzzSpace()
-	enc := configspace.NewEncoder(space)
 	run := func(window, obs, batch int) []byte {
 		s := fuzzBayesian(space)
 		if err := s.SetSurrogateWindow(window); err != nil {
 			tb.Fatal(err)
 		}
 		for i := 0; i < obs; i++ {
-			observe(s, enc, s.Propose(), float64(10*i), i%4 == 2)
+			observe(s, s.Propose(), float64(10*i), i%4 == 2)
 		}
 		if batch > 0 {
 			s.ProposeBatch(batch)
@@ -151,7 +150,6 @@ func FuzzBayesianRestore(f *testing.F) {
 		f.Add(data)
 	}
 	space := fuzzSpace()
-	enc := configspace.NewEncoder(space)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzBayesian(space)
 		if err := s.Restore(data); err != nil {
@@ -159,10 +157,10 @@ func FuzzBayesianRestore(f *testing.F) {
 		}
 		for i := 0; i < 2; i++ {
 			for _, c := range s.ProposeBatch(2) {
-				observe(s, enc, c, float64(i), i == 1)
+				observe(s, c, float64(i), i == 1)
 			}
 		}
-		observe(s, enc, s.Propose(), 3, false)
+		observe(s, s.Propose(), 3, false)
 		_, _ = s.Checkpoint() // a restored NaN can fail to re-encode; that is an error, not a panic
 	})
 }
@@ -179,11 +177,10 @@ func fuzzUnicorn(space *configspace.Space) Checkpointable {
 func unicornCheckpoints(tb testing.TB) (fresh, trainedPending []byte) {
 	tb.Helper()
 	space := fuzzSpace()
-	enc := configspace.NewEncoder(space)
 	run := func(obs, batch int) []byte {
 		s := fuzzUnicorn(space)
 		for i := 0; i < obs; i++ {
-			observe(s, enc, s.Propose(), float64(10*i), i%4 == 2)
+			observe(s, s.Propose(), float64(10*i), i%4 == 2)
 		}
 		s.(BatchSearcher).ProposeBatch(batch)
 		data, err := s.Checkpoint()
@@ -233,7 +230,6 @@ func FuzzUnicornRestore(f *testing.F) {
 		f.Add(data)
 	}
 	space := fuzzSpace()
-	enc := configspace.NewEncoder(space)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzUnicorn(space)
 		if err := s.Restore(data); err != nil {
@@ -241,10 +237,10 @@ func FuzzUnicornRestore(f *testing.F) {
 		}
 		for i := 0; i < 2; i++ {
 			for _, c := range s.(BatchSearcher).ProposeBatch(2) {
-				observe(s, enc, c, float64(i), i == 1)
+				observe(s, c, float64(i), i == 1)
 			}
 		}
-		observe(s, enc, s.Propose(), 3, false)
+		observe(s, s.Propose(), 3, false)
 		_, _ = s.Checkpoint()
 	})
 }

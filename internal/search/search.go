@@ -22,12 +22,13 @@ import (
 	"wayfinder/internal/rng"
 )
 
-// Observation is one evaluated configuration reported to a searcher.
+// Observation is one evaluated configuration reported to a searcher. It
+// carries no feature vector: a searcher that learns encodes Config with
+// its own Encoder in Observe, so the platform computes nothing that only
+// some searchers read.
 type Observation struct {
 	// Config is the evaluated configuration.
 	Config *configspace.Config
-	// X is its encoded feature vector.
-	X []float64
 	// Metric is the measured value (undefined when Crashed).
 	Metric float64
 	// Crashed reports any build/boot/run failure.
@@ -557,7 +558,7 @@ func (s *Bayesian) Observe(o Observation) {
 		// penalize against, so the crash is withheld from the surrogate
 		// (Propose keeps sampling randomly until the model has points).
 		if s.haveWorst {
-			s.model.Add(o.X, s.worst)
+			s.model.Add(s.enc.Encode(o.Config), s.worst)
 		}
 		return
 	}
@@ -568,7 +569,7 @@ func (s *Bayesian) Observe(o Observation) {
 	if !s.haveBest || y > s.best {
 		s.best, s.haveBest = y, true
 	}
-	s.model.Add(o.X, y)
+	s.model.Add(s.enc.Encode(o.Config), y)
 }
 
 // DeepTune adapts the deeptune.Selector to the Searcher interface,
@@ -651,7 +652,8 @@ func (s *DeepTune) ProposeBatch(n int) []*configspace.Config {
 func (s *DeepTune) Observe(o Observation) {
 	defer s.timed()()
 	s.pending.done(o.Config)
-	s.xs = append(s.xs, o.X)
+	x := s.sel.Encoder().Encode(o.Config) // kept: the window and the explored set hold it
+	s.xs = append(s.xs, x)
 	s.ys = append(s.ys, o.Metric)
 	s.crashes = append(s.crashes, o.Crashed)
 	if s.window > 0 && len(s.xs) > s.window {
@@ -664,7 +666,7 @@ func (s *DeepTune) Observe(o Observation) {
 	}
 	// Selector.Observe never fails with aligned histories, which this
 	// adapter maintains by construction.
-	_ = s.sel.Observe(o.Config, o.X, o.Metric, o.Crashed, s.xs, s.ys, s.crashes)
+	_ = s.sel.Observe(o.Config, x, o.Metric, o.Crashed, s.xs, s.ys, s.crashes)
 }
 
 // shiftTail drops the first drop elements of s in place — copy-shift, zero
@@ -734,7 +736,7 @@ func (s *Unicorn) Observe(o Observation) {
 			y = 1e12
 		}
 	}
-	s.opt.Observe(o.X, y)
+	s.opt.Observe(s.enc.Encode(o.Config), y)
 	s.opt.Fit()
 }
 

@@ -39,7 +39,6 @@ func toyObjective(c *configspace.Config) (float64, bool) {
 // returns the best non-crashed metric.
 func drive(t *testing.T, s Searcher, space *configspace.Space, n int) float64 {
 	t.Helper()
-	enc := configspace.NewEncoder(space)
 	best := -1.0
 	for i := 0; i < n; i++ {
 		c := s.Propose()
@@ -54,7 +53,7 @@ func drive(t *testing.T, s Searcher, space *configspace.Space, n int) float64 {
 		if crashed {
 			metric = 0
 		}
-		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: metric, Crashed: crashed, Stage: "run"})
+		s.Observe(Observation{Config: c, Metric: metric, Crashed: crashed, Stage: "run"})
 	}
 	return best
 }
@@ -137,7 +136,6 @@ func TestBayesianFindsGoodRegion(t *testing.T) {
 func TestBayesianMinimize(t *testing.T) {
 	space := toySpace()
 	s := NewBayesian(space, false, 4)
-	enc := configspace.NewEncoder(space)
 	bestLow := 1e9
 	for i := 0; i < 50; i++ {
 		c := s.Propose()
@@ -145,7 +143,7 @@ func TestBayesianMinimize(t *testing.T) {
 		if !crashed && y < bestLow {
 			bestLow = y
 		}
-		s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: y, Crashed: crashed})
+		s.Observe(Observation{Config: c, Metric: y, Crashed: crashed})
 	}
 	if bestLow > 20 {
 		t.Fatalf("minimizing bayesian best = %v, want ≤20", bestLow)
@@ -199,12 +197,12 @@ func TestBayesianCrashPenaltyOnMinimize(t *testing.T) {
 	good := space.Random(r)
 	bad := space.Random(r)
 	crash := space.Random(r)
-	s.Observe(Observation{Config: good, X: enc.Encode(good), Metric: 2})
-	s.Observe(Observation{Config: bad, X: enc.Encode(bad), Metric: 5})
+	s.Observe(Observation{Config: good, Metric: 2})
+	s.Observe(Observation{Config: bad, Metric: 5})
 	if !s.haveWorst || s.worst != -5 {
 		t.Fatalf("worst = %v (have %v), want -5 after observing metrics 2 and 5 on minimize", s.worst, s.haveWorst)
 	}
-	s.Observe(Observation{Config: crash, X: enc.Encode(crash), Crashed: true, Stage: "run"})
+	s.Observe(Observation{Config: crash, Crashed: true, Stage: "run"})
 	if s.model.Len() != 3 {
 		t.Fatalf("model has %d points, want 3 (crash taught as worst-case)", s.model.Len())
 	}
@@ -228,10 +226,9 @@ func TestBayesianFirstObservationCrash(t *testing.T) {
 	// from the surrogate instead of being taught as 0.
 	space := toySpace()
 	s := NewBayesian(space, false, 2)
-	enc := configspace.NewEncoder(space)
 	r := rng.New(8)
 	crash := space.Random(r)
-	s.Observe(Observation{Config: crash, X: enc.Encode(crash), Crashed: true, Stage: "build"})
+	s.Observe(Observation{Config: crash, Crashed: true, Stage: "build"})
 	if s.model.Len() != 0 {
 		t.Fatalf("model has %d points after an opening crash, want 0", s.model.Len())
 	}
@@ -239,12 +236,12 @@ func TestBayesianFirstObservationCrash(t *testing.T) {
 		t.Fatal("a crash must not establish the worst-observed value")
 	}
 	ok := space.Random(r)
-	s.Observe(Observation{Config: ok, X: enc.Encode(ok), Metric: 3})
+	s.Observe(Observation{Config: ok, Metric: 3})
 	if !s.haveWorst || s.worst != -3 {
 		t.Fatalf("worst = %v (have %v) after first success, want -3", s.worst, s.haveWorst)
 	}
 	// Crashes are penalizable again now that a scale exists.
-	s.Observe(Observation{Config: crash, X: enc.Encode(crash), Crashed: true, Stage: "build"})
+	s.Observe(Observation{Config: crash, Crashed: true, Stage: "build"})
 	if s.model.Len() != 2 {
 		t.Fatalf("model has %d points, want 2", s.model.Len())
 	}
@@ -331,7 +328,6 @@ func TestGridValuesHugeMax(t *testing.T) {
 // time spent since the previous call, drained on read.
 func TestDecisionCostRecorded(t *testing.T) {
 	space := toySpace()
-	enc := configspace.NewEncoder(space)
 	builders := map[string]func() Searcher{
 		"random":   func() Searcher { return NewRandom(space, 1) },
 		"grid":     func() Searcher { return NewGrid(space) },
@@ -355,7 +351,7 @@ func TestDecisionCostRecorded(t *testing.T) {
 					s, propose = b, b.ProposeBatch
 				}
 				c := propose(1)[0]
-				s.Observe(Observation{Config: c, X: enc.Encode(c), Metric: 1, Stage: "ok"})
+				s.Observe(Observation{Config: c, Metric: 1, Stage: "ok"})
 				if d := s.DecisionCost(); d <= 0 {
 					t.Fatalf("Propose+Observe cost %v, want > 0", d)
 				}
