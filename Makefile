@@ -37,8 +37,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet runs twice: natively, where asmdecl checks the amd64 assembly's
+# frame layouts against its Go declarations, and for arm64, so the build
+# without assembly (the Go kernel loops) keeps compiling and vetting.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # vet-wf runs the repository's own determinism-invariant analyzers
 # (cmd/wfvet: walltime, globalrand, maprange, floateq) over the whole

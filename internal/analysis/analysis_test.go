@@ -205,3 +205,40 @@ func TestRunDeterministic(t *testing.T) {
 		t.Errorf("two runs diverged:\n%s\nvs:\n%s", a, b)
 	}
 }
+
+// TestLoadHonorsBuildConstraints: a package whose per-platform files
+// declare the same function (one by filename suffix, one by a //go:build
+// line) loads and type-checks as the compiler builds it, on any platform.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":         "module demo\n",
+		"p/p.go":         "package p\n\nfunc Twice() int { return 2 * f() }\n",
+		"p/f_amd64.go":   "package p\n\nfunc f() int { return 1 }\n",
+		"p/f_other.go":   "//go:build !amd64\n\npackage p\n\nfunc f() int { return 1 }\n",
+		"p/p_test.go":    "package p\n",
+		"p/_ignored.go":  "package p\n\nfunc f() int { return 1 }\n",
+		"p/.hidden.go":   "package p\n\nfunc f() int { return 1 }\n",
+		"p/x_windows.go": "package p\n\nfunc f() int { return 1 }\n",
+	}
+	for _, name := range slices.Sorted(maps.Keys(files)) {
+		path, src := filepath.Join(root, name), files[name]
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := analysis.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := loader.LoadDir(filepath.Join(root, "p"))
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	if len(units) != 1 || len(units[0].Files) != 3 {
+		t.Fatalf("loaded %d units, want 1 unit of p.go, one f file and p_test.go", len(units))
+	}
+}

@@ -10,6 +10,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -205,6 +206,14 @@ func (l *Loader) parseDir(dir string) (compiled, tests []*ast.File, err error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		// Skip files the build excludes on this platform (a _amd64.go
+		// suffix, a //go:build line), as the compiler does: per-platform
+		// files declare the same names.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

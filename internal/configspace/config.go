@@ -336,15 +336,29 @@ type Encoder struct {
 	offsets []int // starting feature index per parameter
 	dim     int
 	catMask []bool
+	// logs holds, per parameter, the range-end logarithms of a log-scaled
+	// integer parameter, computed once here.
+	logs []logRange
+}
+
+// logRange is a log-scaled integer parameter's Log(min) and
+// Log(max) − Log(min); ok is false for every other parameter.
+type logRange struct {
+	ok        bool
+	min, span float64
 }
 
 // NewEncoder builds an encoder for the given space.
 func NewEncoder(s *Space) *Encoder {
-	e := &Encoder{space: s, offsets: make([]int, s.Len())}
+	e := &Encoder{space: s, offsets: make([]int, s.Len()), logs: make([]logRange, s.Len())}
 	dim := 0
 	for i, p := range s.Params() {
 		e.offsets[i] = dim
 		dim += e.width(p)
+		if (p.Type == Int || p.Type == Hex) && logScaled(p.Min, p.Max) {
+			lo := math.Log(float64(p.Min))
+			e.logs[i] = logRange{ok: true, min: lo, span: math.Log(float64(p.Max)) - lo}
+		}
 	}
 	e.dim = dim
 	e.catMask = make([]bool, dim)
@@ -395,26 +409,24 @@ func (e *Encoder) EncodeInto(c *Config, dst []float64) {
 		case Tristate:
 			dst[off] = float64(r) / 2
 		case Int, Hex:
-			dst[off] = normalizeInt(r, p.Min, p.Max)
+			// A position in [0,1], log-scaled when the range spans ≥2 orders
+			// of magnitude so that the encoding resolution matches the
+			// log-uniform sampler.
+			switch lr := e.logs[i]; {
+			case lr.ok:
+				dst[off] = (math.Log(float64(r)) - lr.min) / lr.span
+			case p.Max != p.Min:
+				dst[off] = float64(r-p.Min) / float64(p.Max-p.Min)
+			}
 		case Enum:
 			dst[off+int(r)] = 1 // an enum's value is its one-hot slot
 		}
 	}
 }
 
-// normalizeInt maps v in [min,max] to [0,1], log-scaled when the range
-// spans ≥2 orders of magnitude so that the encoding resolution matches the
-// log-uniform sampler.
-func normalizeInt(v, min, max int64) float64 {
-	if max == min {
-		return 0
-	}
-	if min > 0 && float64(max)/float64(min) >= 100 {
-		return (math.Log(float64(v)) - math.Log(float64(min))) /
-			(math.Log(float64(max)) - math.Log(float64(min)))
-	}
-	return float64(v-min) / float64(max-min)
-}
+// logScaled reports whether an integer range [min,max] is encoded and
+// sampled on a log scale: it must span ≥2 orders of magnitude.
+func logScaled(min, max int64) bool { return min > 0 && float64(max)/float64(min) >= 100 }
 
 // FeatureNames returns a human-readable name per feature dimension
 // (parameter name, with "=value" suffixes for one-hot enum slots).

@@ -1,6 +1,7 @@
 package configspace
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -287,5 +288,43 @@ func TestFromKVErrors(t *testing.T) {
 	}
 	if _, err := s.FromKV(map[string]string{"vm.swappiness": "9999"}); err == nil {
 		t.Fatal("out-of-domain value accepted")
+	}
+}
+
+// refEncodeInt is the integer encoding as written before the encoder
+// cached its range-end logarithms.
+func refEncodeInt(v, min, max int64) float64 {
+	if max == min {
+		return 0
+	}
+	if min > 0 && float64(max)/float64(min) >= 100 {
+		return (math.Log(float64(v)) - math.Log(float64(min))) /
+			(math.Log(float64(max)) - math.Log(float64(min)))
+	}
+	return float64(v-min) / float64(max-min)
+}
+
+// TestEncoderIntMatchesReference: every integer feature equals the
+// uncached formula bit for bit, over log-scaled, linear, negative and
+// degenerate ranges.
+func TestEncoderIntMatchesReference(t *testing.T) {
+	s := digestSpace(t)
+	s.MustAdd(&Param{Name: "one", Type: Int, Class: Runtime, Min: 7, Max: 7, Default: IntValue(7)})
+	s.MustAdd(&Param{Name: "somaxconn", Type: Int, Class: Runtime, Min: 16, Max: 1 << 16, Default: IntValue(128)})
+	s.MustAdd(&Param{Name: "swappiness", Type: Int, Class: Runtime, Min: 0, Max: 100, Default: IntValue(60)})
+	e := NewEncoder(s)
+	r := rng.New(9)
+	for i := 0; i < 300; i++ {
+		c := s.Random(r)
+		x := e.Encode(c)
+		for j, p := range s.params {
+			if p.Type != Int && p.Type != Hex {
+				continue
+			}
+			want := refEncodeInt(c.raw[j], p.Min, p.Max)
+			if got := x[e.ParamOffset(j)]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s = %d: feature %v, reference %v", p.Name, c.raw[j], got, want)
+			}
+		}
 	}
 }

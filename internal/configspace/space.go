@@ -22,13 +22,16 @@ type Space struct {
 	byName  map[string]int
 	favored map[Class]float64 // sampling weight per class (§3.5)
 
-	// mutable lists, in parameter order, the parameters Mutate and
-	// Neighbor may change — not fixed, class weight above 0 — and weights
-	// their class weights. Every change to either (Add, Fix, Favor)
-	// updates them eagerly, never lazily, so proposals only read them and
-	// a Space shared between goroutines stays safe to propose from.
+	// mutable lists, in parameter order, the parameters Random, Mutate and
+	// Neighbor may change — not fixed, class weight above 0 — weights
+	// their class weights and total the weights' sum, accumulated in that
+	// order (rng.Choice's own sum, bit for bit). Every change to them (Add,
+	// Fix, Favor) updates them eagerly, never lazily, so proposals only
+	// read them and a Space shared between goroutines stays safe to
+	// propose from.
 	mutable []int
 	weights []float64
+	total   float64
 
 	// defaults is the default configuration's value vector. Add, Fix and
 	// SetDefaultsFrom keep it current with every Param.Default.
@@ -69,12 +72,13 @@ func (s *Space) Add(p *Param) error {
 func (s *Space) track(i int) {
 	if p, w := s.params[i], s.favored[s.params[i].Class]; !p.Fixed && w > 0 {
 		s.mutable, s.weights = append(s.mutable, i), append(s.weights, w)
+		s.total += w
 	}
 }
 
 // reindex rebuilds the mutable lists from scratch.
 func (s *Space) reindex() {
-	s.mutable, s.weights = s.mutable[:0], s.weights[:0]
+	s.mutable, s.weights, s.total = s.mutable[:0], s.weights[:0], 0
 	for i := range s.params {
 		s.track(i)
 	}
@@ -118,8 +122,9 @@ func (s *Space) Index(name string) int {
 // configurations or mutations. The paper configures Wayfinder to "favor
 // exploration of runtime parameters" for the performance experiments (§4.1)
 // and compile-time options for the memory-footprint experiment (§4.4).
+// A negative or NaN weight counts as 0.
 func (s *Space) Favor(class Class, weight float64) {
-	if weight < 0 {
+	if !(weight > 0) {
 		weight = 0
 	}
 	s.favored[class] = weight
@@ -238,7 +243,7 @@ func sampleRaw(p *Param, r *rng.RNG) int64 {
 		if lo == hi {
 			return lo
 		}
-		if lo > 0 && float64(hi)/float64(lo) >= 100 {
+		if logScaled(lo, hi) {
 			lg := math.Log(float64(lo)) + r.Float64()*(math.Log(float64(hi))-math.Log(float64(lo)))
 			v := int64(math.Round(math.Exp(lg)))
 			if v < lo {
@@ -270,15 +275,14 @@ func (s *Space) Random(r *rng.RNG) *Config {
 
 // RandomInto overwrites every value of c, a configuration of this space,
 // with a Random draw: the same RNG draws in the same order, so redrawing
-// a reused configuration consumes the stream exactly as Random does.
+// a reused configuration consumes the stream exactly as Random does. It
+// copies the defaults and redraws the mutable parameters, which are in
+// parameter order.
 func (s *Space) RandomInto(c *Config, r *rng.RNG) {
 	c.invalidate()
-	for i, p := range s.params {
-		if p.Fixed || s.favored[p.Class] <= 0 {
-			c.raw[i] = s.defaults[i]
-			continue
-		}
-		c.raw[i] = sampleRaw(p, r)
+	copy(c.raw, s.defaults)
+	for _, i := range s.mutable {
+		c.raw[i] = sampleRaw(s.params[i], r)
 	}
 }
 
@@ -307,7 +311,7 @@ func (s *Space) MutateInto(dst, base *Config, k int, r *rng.RNG) {
 	var buf [8]int
 	seen := buf[:0] // the distinct parameters resampled so far
 	for len(seen) < k {
-		pick := s.mutable[r.Choice(s.weights)]
+		pick := s.mutable[r.ChoiceTotal(s.weights, s.total)]
 		if slices.Contains(seen, pick) {
 			continue
 		}
@@ -336,7 +340,7 @@ func (s *Space) NeighborInto(dst, base *Config, r *rng.RNG) {
 	if len(s.mutable) == 0 {
 		return
 	}
-	pick := s.mutable[r.Choice(s.weights)]
+	pick := s.mutable[r.ChoiceTotal(s.weights, s.total)]
 	p := s.params[pick]
 	switch p.Type {
 	case Int, Hex:

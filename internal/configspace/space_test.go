@@ -250,6 +250,81 @@ func TestMutateAndNeighborIntoMatchReference(t *testing.T) {
 	}
 }
 
+// refRandomInto is RandomInto as written before it drew from the mutable
+// list: a scan of every parameter, testing fixedness and the class weight
+// per parameter.
+func refRandomInto(s *Space, c *Config, r *rng.RNG) {
+	for i, p := range s.params {
+		if p.Fixed || s.favored[p.Class] <= 0 {
+			c.raw[i] = s.defaults[i]
+			continue
+		}
+		c.raw[i] = sampleRaw(p, r)
+	}
+}
+
+// TestRandomIntoMatchesReference: Random and RandomInto (into a reused
+// configuration) match the per-parameter scan draw for draw — values and
+// RNG state — under every class weighting and with parameters fixed, and
+// the cached weight total is the sum rng.Choice computes, bit for bit.
+func TestRandomIntoMatchesReference(t *testing.T) {
+	for _, s := range []*Space{testSpace(t), digestSpace(t)} {
+		if err := s.Fix(s.params[1].Name, s.params[1].Default); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Fix(s.params[len(s.params)-1].Name, s.params[len(s.params)-1].Default); err != nil {
+			t.Fatal(err)
+		}
+		reused := s.Default()
+		for _, favor := range []struct{ compile, boot, runtime float64 }{
+			{1, 1, 1}, {0, 1, 1}, {2.5, 0, 0.5}, {0, 0, 0}, {1, 0.3, 0}, {0.1, 0.2, 0.7},
+		} {
+			s.Favor(CompileTime, favor.compile)
+			s.Favor(BootTime, favor.boot)
+			s.Favor(Runtime, favor.runtime)
+			total := 0.0
+			for _, w := range s.weights {
+				if w > 0 {
+					total += w
+				}
+			}
+			if math.Float64bits(total) != math.Float64bits(s.total) {
+				t.Fatalf("%s favor %+v: cached total %v, Choice's sum %v", s.Name, favor, s.total, total)
+			}
+			ref := s.Default()
+			rs := [3]*rng.RNG{rng.New(5), rng.New(5), rng.New(5)}
+			for i := 0; i < 200; i++ {
+				refRandomInto(s, ref, rs[0])
+				got := s.Random(rs[1])
+				s.RandomInto(reused, rs[2])
+				for j, c := range []*Config{got, reused} {
+					if !c.Equal(ref) || rs[j+1].State() != rs[0].State() {
+						t.Fatalf("%s favor %+v draw %d variant %d: %s, reference %s (or the RNG streams diverged)",
+							s.Name, favor, i, j, c, ref)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFavorNaNCountsAsZero(t *testing.T) {
+	s := testSpace(t)
+	s.Favor(Runtime, math.NaN())
+	if w := s.ClassWeight(Runtime); w != 0 {
+		t.Fatalf("ClassWeight after Favor(NaN) = %v, want 0", w)
+	}
+	r := rng.New(3)
+	for i := 0; i < 50; i++ {
+		c := s.Random(r)
+		for j, p := range s.params {
+			if p.Class == Runtime && c.raw[j] != s.defaults[j] {
+				t.Fatalf("Random drew runtime parameter %s under a NaN weight", p.Name)
+			}
+		}
+	}
+}
+
 func TestRandomRespectsFixed(t *testing.T) {
 	s := testSpace(t)
 	if err := s.Fix("vm.swappiness", IntValue(10)); err != nil {

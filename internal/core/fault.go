@@ -71,9 +71,9 @@ func (s *Session) advanceFaults(now float64) {
 	if !s.faultsActive() {
 		return
 	}
-	tl := s.opts.Faults.Timeline()
-	for s.faultCur < len(tl) {
-		ev := tl[s.faultCur]
+	sched := s.opts.Faults
+	for ; s.faultCur < len(sched.Events); s.faultCur++ {
+		ev := sched.At(s.faultCur)
 		if ev.AtSec > now {
 			break
 		}
@@ -84,7 +84,6 @@ func (s *Session) advanceFaults(now float64) {
 		case fault.HostUp:
 			s.emit(HostStateChanged{Host: ev.Host, Up: true, AtSec: ev.AtSec})
 		}
-		s.faultCur++
 	}
 }
 

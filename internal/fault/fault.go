@@ -131,18 +131,10 @@ func (s *Schedule) sorted() []int {
 	return s.order
 }
 
-// Timeline returns the schedule's events in stable virtual-time order —
-// the order the engine's fault cursor applies them.
-func (s *Schedule) Timeline() []Event {
-	if s.Empty() {
-		return nil
-	}
-	out := make([]Event, 0, len(s.Events))
-	for _, i := range s.sorted() {
-		out = append(out, s.Events[i])
-	}
-	return out
-}
+// At returns event k, 0 ≤ k < len(Events), of the schedule's timeline:
+// its events in stable virtual-time order, the order the engine's fault
+// cursor applies them. It reads the cached order and copies nothing.
+func (s *Schedule) At(k int) Event { return s.Events[s.sorted()[k]] }
 
 // HostUpAt reports whether the host is up at virtual time t: the latest
 // host event at or before t wins; a host with no prior event is up.

@@ -20,11 +20,14 @@
 //     not the O(n²·d) kernel evaluations.
 //   - Predict and ExpectedImprovement reuse scratch buffers; the
 //     steady-state candidate-scoring path allocates nothing.
-//     ExpectedImprovementBatch builds its kernel matrix four candidates
-//     per distance pass (stats.SquaredDistance4) and solves it with one
-//     k-blocked batch forward solve, each bit-identical to the scalar
-//     path: blocking changes which independent sums run side by side,
-//     never the order of the additions within one.
+//     ExpectedImprovementBatch packs the candidate pool once into a
+//     dim-major scratch the GP owns (stats.PackColumns), builds its kernel
+//     matrix one window row at a time against every candidate
+//     (stats.SquaredDistanceCols, one candidate per SIMD lane on AVX2),
+//     and solves it with one k-blocked batch forward solve, each
+//     bit-identical to the scalar path: blocking and SIMD lanes change
+//     which independent sums run side by side, never the order of the
+//     operations within one, and no multiply is fused into an add.
 //   - The hyperparameter probe computes the window's pairwise distances
 //     once per round, and an adopted probe's kernel rows become the row
 //     cache, so adaptation evaluates no distance twice.
@@ -101,9 +104,11 @@ type GP struct {
 	// Reusable scratch (Predict/solve paths are allocation-free once the
 	// buffers have grown to the model size).
 	kStar, v, centered []float64
-	// kStarB, vB are the batch-acquisition scratch matrices (n×m row-major),
-	// regrown on demand like the scalar scratch.
-	kStarB, vB []float64
+	// kStarB, vB are the batch-acquisition scratch matrices (n×m row-major)
+	// and candT the candidate pool packed by stats.PackColumns (dim-major
+	// panels of four candidates), regrown on demand like the scalar
+	// scratch.
+	kStarB, vB, candT []float64
 }
 
 // fantasyFrame is the copy-on-write state one PushFantasy saves: the
@@ -561,17 +566,13 @@ func (g *GP) ExpectedImprovementBatch(cands [][]float64, best, xi float64, out [
 		return err
 	}
 	n := len(g.xs)
+	g.candT = stats.PackColumns(g.candT, cands, len(g.xs[0]))
 	g.kStarB = resize(g.kStarB, n*m)
-	for i := 0; i < n; i++ {
-		xp := g.xs[i]
+	for i, xp := range g.xs {
 		row := g.kStarB[i*m : i*m+m]
-		j := 0
-		for ; j+4 <= m; j += 4 {
-			d0, d1, d2, d3 := stats.SquaredDistance4(xp, cands[j], cands[j+1], cands[j+2], cands[j+3])
-			row[j], row[j+1], row[j+2], row[j+3] = g.kernelD2(d0), g.kernelD2(d1), g.kernelD2(d2), g.kernelD2(d3)
-		}
-		for ; j < m; j++ {
-			row[j] = g.kernel(cands[j], xp)
+		stats.SquaredDistanceCols(xp, g.candT, m, row)
+		for j, d2 := range row {
+			row[j] = g.kernelD2(d2)
 		}
 	}
 	g.vB = resize(g.vB, n*m)

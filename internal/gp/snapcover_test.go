@@ -43,6 +43,7 @@ func TestGPStateCoverage(t *testing.T) {
 			"centered":   "reusable scratch, regrown on demand",
 			"kStarB":     "batch-acquisition scratch, regrown on demand",
 			"vB":         "batch-acquisition scratch, regrown on demand",
+			"candT":      "batch-acquisition scratch (the candidate pool, packed dim-major), rewritten by every batch call",
 		},
 	})
 }

@@ -202,6 +202,14 @@ func (r *RNG) Choice(weights []float64) int {
 			total += w
 		}
 	}
+	return r.ChoiceTotal(weights, total)
+}
+
+// ChoiceTotal is Choice with the weights' total supplied: total must be
+// the sum of the positive weights in index order, as Choice computes it,
+// so a caller drawing repeatedly from fixed weights sums them once and
+// gets Choice's draws bit for bit.
+func (r *RNG) ChoiceTotal(weights []float64, total float64) int {
 	if total <= 0 {
 		return r.Intn(len(weights))
 	}

@@ -1,6 +1,8 @@
 // Package stats provides the small numerical toolkit shared by Wayfinder's
 // search algorithms, simulator, and reporting layers: normalization,
-// smoothing, running moments, error metrics, and dense matrix helpers.
+// smoothing, running moments, error metrics, dense matrix helpers, and the
+// GP acquisition kernels (kernels.go: AVX2 assembly where the CPU has it,
+// Go loops elsewhere, bit-identical either way).
 package stats
 
 import (
@@ -312,7 +314,9 @@ func SquaredDistance(a, b []float64) float64 {
 // and c3 (each at least len(x) long). Every result sums (c[i]−x[i])² in
 // SquaredDistance's index order in its own accumulator, so dk is bit-
 // identical to SquaredDistance(ck, x); the four independent add chains
-// keep the FPU busy where one latency-bound chain leaves it idle.
+// keep the FPU busy where one latency-bound chain leaves it idle. For a
+// whole candidate pool packed by PackColumns, SquaredDistanceCols runs the
+// same sums one candidate per SIMD lane.
 func SquaredDistance4(x, c0, c1, c2, c3 []float64) (d0, d1, d2, d3 float64) {
 	c0, c1, c2, c3 = c0[:len(x)], c1[:len(x)], c2[:len(x)], c3[:len(x)]
 	for i, xi := range x {
@@ -633,7 +637,9 @@ func (t *TriFactor) Solve(b, dst []float64) {
 // order, same final division — so column j of the result is bit-identical
 // to ForwardSolve on column j. The k loop is blocked by four, so each
 // dst[i][j] is loaded and stored once per four subtractions instead of
-// once per subtraction. Allocation-free.
+// once per subtraction, and each block runs through subRows4, whose AVX2
+// kernel updates four columns per instruction under the same per-column
+// operation order. Allocation-free.
 func (t *TriFactor) ForwardSolveBatch(b, dst []float64, m int) {
 	for i := 0; i < t.n; i++ {
 		ri := t.data[i*(i+1)/2:]
@@ -641,14 +647,7 @@ func (t *TriFactor) ForwardSolveBatch(b, dst []float64, m int) {
 		copy(di, b[i*m:i*m+m])
 		k := 0
 		for ; k+4 <= i; k += 4 {
-			l0, l1, l2, l3 := ri[k], ri[k+1], ri[k+2], ri[k+3]
-			d0 := dst[k*m:][:len(di)]
-			d1 := dst[(k+1)*m:][:len(di)]
-			d2 := dst[(k+2)*m:][:len(di)]
-			d3 := dst[(k+3)*m:][:len(di)]
-			for j, v := range di {
-				di[j] = v - l0*d0[j] - l1*d1[j] - l2*d2[j] - l3*d3[j]
-			}
+			subRows4(di, dst[k*m:], m, ri[k:k+4])
 		}
 		for ; k < i; k++ {
 			lik := ri[k]

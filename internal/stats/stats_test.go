@@ -677,82 +677,189 @@ func TestTriFactorPackedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTriFactorBatchSolvesBitIdentical(t *testing.T) {
-	// Column j of ForwardSolveBatch must be bit-for-bit the scalar
-	// ForwardSolve of column j: the batch layout blocks the sweep across
-	// columns and k, but never reorders the FP operations within one
-	// column. The sizes straddle the four-wide k blocking (n mod 4 = 0..3)
-	// and the pool width the acquisition path uses.
-	r := rng.New(33)
-	for _, n := range []int{0, 1, 3, 4, 5, 18, 33} {
-		rows := randomSPDRows(n, r)
-		tf := &TriFactor{}
-		if err := tf.FactorFromRows(rows, 0); err != nil {
-			t.Fatal(err)
+// kernelPaths runs f as one subtest per kernel implementation: the
+// portable Go loops always, the AVX2 kernels where the CPU has them. The
+// scalar loops f compares against are the same on both.
+func kernelPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	paths := []struct {
+		name string
+		avx2 bool
+	}{{"go", false}, {"avx2", true}}
+	for _, p := range paths {
+		if p.avx2 && !saved {
+			t.Logf("AVX2 kernels off (no AVX2 on this CPU, or a race-detector build): the %s path is not exercised", p.name)
+			continue
 		}
-		for _, m := range []int{1, 7, 96} {
-			b := make([]float64, n*m)
-			for i := range b {
-				b[i] = r.Normal(0, 1)
-			}
-			fwd := make([]float64, n*m)
-			tf.ForwardSolveBatch(b, fwd, m)
-			// dst may alias b.
-			aliased := append([]float64(nil), b...)
-			tf.ForwardSolveBatch(aliased, aliased, m)
-			col := make([]float64, n)
-			scratch := make([]float64, n)
-			for j := 0; j < m; j++ {
-				for i := 0; i < n; i++ {
-					col[i] = b[i*m+j]
-				}
-				tf.ForwardSolve(col, scratch)
-				for i := 0; i < n; i++ {
-					want := math.Float64bits(scratch[i])
-					if math.Float64bits(fwd[i*m+j]) != want || math.Float64bits(aliased[i*m+j]) != want {
-						t.Fatalf("n=%d m=%d: ForwardSolveBatch col %d row %d: %v (aliased %v) != scalar %v",
-							n, m, j, i, fwd[i*m+j], aliased[i*m+j], scratch[i])
-					}
-				}
+		useAVX2 = p.avx2
+		t.Run(p.name, f)
+	}
+}
+
+// specialFloats are the edge values the bit-identity tests mix in: signed
+// zeros, subnormals, infinities, NaN, and a value whose square overflows.
+var specialFloats = []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.Inf(1), math.Inf(-1), math.NaN(), 1e154, -3}
+
+// checkBatchSolve asserts that ForwardSolveBatch on the row-major n×m
+// right-hand sides b matches the scalar ForwardSolve column by column in
+// every bit, with dst both separate from and aliasing b.
+func checkBatchSolve(t *testing.T, tf *TriFactor, b []float64, m int) {
+	t.Helper()
+	n := tf.Len()
+	fwd := make([]float64, n*m)
+	tf.ForwardSolveBatch(b, fwd, m)
+	aliased := append([]float64(nil), b...)
+	tf.ForwardSolveBatch(aliased, aliased, m)
+	col := make([]float64, n)
+	scratch := make([]float64, n)
+	for j := 0; j < m; j++ {
+		for i := 0; i < n; i++ {
+			col[i] = b[i*m+j]
+		}
+		tf.ForwardSolve(col, scratch)
+		for i := 0; i < n; i++ {
+			want := math.Float64bits(scratch[i])
+			if math.Float64bits(fwd[i*m+j]) != want || math.Float64bits(aliased[i*m+j]) != want {
+				t.Fatalf("n=%d m=%d: ForwardSolveBatch col %d row %d: %v (aliased %v) != scalar %v",
+					n, m, j, i, fwd[i*m+j], aliased[i*m+j], scratch[i])
 			}
 		}
 	}
 }
 
-func TestSquaredDistance4BitIdentical(t *testing.T) {
-	// Each of the four blocked distances must be bit-for-bit the scalar
-	// SquaredDistance, whichever argument order the scalar call uses —
-	// including signed zeros, subnormals, infinities and NaN.
-	special := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.Inf(1), math.Inf(-1), math.NaN(), 1e154, -3}
-	r := rng.New(44)
-	// Odd trials draw finite normals only, so long vectors also compare
-	// finite sums, not just the NaN a special value would make of them.
-	draw := func(n int, specials bool) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			if specials && r.Intn(4) == 0 {
-				v[i] = special[r.Intn(len(special))]
-			} else {
-				v[i] = r.Normal(0, 1)
+func TestTriFactorBatchSolvesBitIdentical(t *testing.T) {
+	// Column j of ForwardSolveBatch must be bit-for-bit the scalar
+	// ForwardSolve of column j: the batch layout blocks the sweep across
+	// columns and k, but never reorders the FP operations within one
+	// column. The sizes straddle the four-wide k blocking (n mod 4 = 0..3),
+	// the four-lane column blocking (m mod 4) and the pool width the
+	// acquisition path uses. Even trials mix special values into the
+	// right-hand sides.
+	kernelPaths(t, func(t *testing.T) {
+		r := rng.New(33)
+		for _, n := range []int{0, 1, 3, 4, 5, 18, 33} {
+			rows := randomSPDRows(n, r)
+			tf := &TriFactor{}
+			if err := tf.FactorFromRows(rows, 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []int{1, 7, 15, 16, 17, 96} {
+				for trial := 0; trial < 2; trial++ {
+					b := make([]float64, n*m)
+					for i := range b {
+						if trial == 0 && r.Intn(8) == 0 {
+							b[i] = specialFloats[r.Intn(len(specialFloats))]
+						} else {
+							b[i] = r.Normal(0, 1)
+						}
+					}
+					checkBatchSolve(t, tf, b, m)
+				}
 			}
 		}
-		return v
-	}
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 397} {
-		for trial := 0; trial < 50; trial++ {
-			sp := trial%2 == 0
-			x := draw(n, sp)
-			cs := [4][]float64{draw(n, sp), draw(n, sp), draw(n, sp), draw(n, sp)}
-			var got [4]float64
-			got[0], got[1], got[2], got[3] = SquaredDistance4(x, cs[0], cs[1], cs[2], cs[3])
-			for k, c := range cs {
-				for _, want := range []float64{SquaredDistance(c, x), SquaredDistance(x, c)} {
-					if math.Float64bits(got[k]) != math.Float64bits(want) {
-						t.Fatalf("n=%d trial %d: SquaredDistance4[%d] = %v (%#x), scalar %v (%#x)",
-							n, trial, k, got[k], math.Float64bits(got[k]), want, math.Float64bits(want))
+		// The magnitudes a GP with a short length scale produces on a wide
+		// encoding: unit diagonal plus noise, off-diagonal kernel entries
+		// and right-hand sides between 1e-106 and 1e-248, so most products
+		// in the k sweep land in the subnormal range or flush to zero.
+		tiny := func() float64 { return math.Pow(10, -106-142*r.Float64()) }
+		for _, n := range []int{9, 64} {
+			rows := make([][]float64, n)
+			for i := range rows {
+				rows[i] = make([]float64, i+1)
+				for j := 0; j < i; j++ {
+					rows[i][j] = tiny()
+				}
+				rows[i][i] = 1
+			}
+			tf := &TriFactor{}
+			if err := tf.FactorFromRows(rows, 1e-3); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []int{16, 96} {
+				b := make([]float64, n*m)
+				for i := range b {
+					b[i] = tiny()
+				}
+				checkBatchSolve(t, tf, b, m)
+				fwd := make([]float64, n*m)
+				tf.ForwardSolveBatch(b, fwd, m)
+				subnormal := 0
+				for i := 0; i < n; i++ {
+					for k := 0; k < i; k++ {
+						if p := tf.At(i, k) * fwd[k*m]; p != 0 && math.Abs(p) < 0x1p-1022 {
+							subnormal++
+						}
+					}
+				}
+				if subnormal == 0 {
+					t.Fatalf("n=%d m=%d: no subnormal product in column 0; the case does not test subnormal rounding", n, m)
+				}
+			}
+		}
+	})
+}
+
+func TestSquaredDistance4BitIdentical(t *testing.T) {
+	// Each of the four blocked distances, and every column of the
+	// dim-major SquaredDistanceCols, must be bit-for-bit the scalar
+	// SquaredDistance, whichever argument order the scalar call uses —
+	// including signed zeros, subnormals, infinities and NaN.
+	kernelPaths(t, func(t *testing.T) {
+		r := rng.New(44)
+		// Odd trials draw finite normals only, so long vectors also compare
+		// finite sums, not just the NaN a special value would make of them.
+		draw := func(n int, specials bool) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				if specials && r.Intn(4) == 0 {
+					v[i] = specialFloats[r.Intn(len(specialFloats))]
+				} else {
+					v[i] = r.Normal(0, 1)
+				}
+			}
+			return v
+		}
+		check := func(what string, n, trial, k int, got float64, c, x []float64) {
+			t.Helper()
+			for _, want := range []float64{SquaredDistance(c, x), SquaredDistance(x, c)} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial %d: %s[%d] = %v (%#x), scalar %v (%#x)",
+						n, trial, what, k, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 397} {
+			for trial := 0; trial < 50; trial++ {
+				sp := trial%2 == 0
+				x := draw(n, sp)
+				cs := [4][]float64{draw(n, sp), draw(n, sp), draw(n, sp), draw(n, sp)}
+				var got [4]float64
+				got[0], got[1], got[2], got[3] = SquaredDistance4(x, cs[0], cs[1], cs[2], cs[3])
+				for k, c := range cs {
+					check("SquaredDistance4", n, trial, k, got[k], c, x)
+				}
+			}
+			for _, m := range []int{1, 4, 15, 16, 17, 96} {
+				for trial := 0; trial < 4; trial++ {
+					sp := trial%2 == 0
+					x := draw(n, sp)
+					cols := make([][]float64, m)
+					for j := range cols {
+						cols[j] = draw(n, sp)
+					}
+					out := make([]float64, m+1)
+					out[m] = 7 // past the m columns: must stay untouched
+					SquaredDistanceCols(x, PackColumns(nil, cols, n), m, out)
+					for j, c := range cols {
+						check("SquaredDistanceCols", n, trial, j, out[j], c, x)
+					}
+					if out[m] != 7 {
+						t.Fatalf("n=%d m=%d: SquaredDistanceCols wrote past column m", n, m)
 					}
 				}
 			}
 		}
-	}
+	})
 }
