@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race fmt vet vet-wf bench bench-cache bench-search \
+.PHONY: all build test test-purego race fmt vet vet-wf bench bench-cache bench-search \
 	fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer wfperf-check \
 	tools lint cover ci
 
@@ -22,6 +22,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-purego runs the packages behind the numeric kernels with the purego
+# build tag, which makes internal/stats run its Go loops instead of the
+# AVX2 assembly on every host: the kernels' own bit-identity tests, the
+# nn, DeepTune and GP suites, and core's golden report hashes, so every
+# pinned digest is checked on both kernel paths at session level.
+test-purego:
+	$(GO) test -tags purego ./internal/stats ./internal/nn ./internal/deeptune ./internal/gp ./internal/core
 
 # race sets go test's timeout explicitly: on a 2-vCPU host the daemon
 # package alone takes ~9 min under the race detector, and the default
@@ -110,12 +118,13 @@ bench-cache:
 # bench-search races the incremental-surrogate hot paths: the in-place
 # Cholesky extension vs the full-refit baseline, the sliding-window add
 # (extend + rank-1 downdate), the batched acquisition paths (batch EI and
-# the DTM pool pass, each with a 0-alloc steady-state assertion), the
-# windowed DTM retrain (allocating only its z-scorer refit), the
-# sequential Bayesian proposal (allocating only the candidate it hands
-# out) and the native constant-liar batch proposal, and the DeepTune
-# observe path — so the model side of the search loop gets its own race-detector
-# smoke on every push.
+# the DTM pool pass), the windowed DTM retrain, the sequential Bayesian
+# proposal and the native constant-liar batch proposal, and the DeepTune
+# observe path — so the model side of the search loop gets its own
+# race-detector smoke on every push. Their steady-state allocation gates
+# are the root package's Test…Allocs, which `make test` and `make race`
+# run: counted inside a benchmark, a CPU profile's own allocations land
+# in the count.
 bench-search:
 	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|DTMUpdate|BayesianPropose|DeepTuneObserve' -benchtime=1x -run='^$$' .
 
@@ -204,4 +213,4 @@ smoke-faults:
 wfperf-check:
 	cd cmd/wfperf && $(GO) vet . && $(GO) test -race -count=1 .
 
-ci: fmt vet vet-wf build race bench bench-cache bench-search fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer wfperf-check
+ci: fmt vet vet-wf build test-purego race bench bench-cache bench-search fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer wfperf-check

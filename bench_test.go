@@ -171,16 +171,22 @@ func linuxEncodings(n int, seed uint64) [][]float64 {
 	return xs
 }
 
-// BenchmarkEIBatch scores a 96-candidate pool against a warm 128-window
-// surrogate with one kernel-matrix build and one batched triangular solve
-// per op — the acquisition inner loop of every Bayesian proposal — over
-// Linux-space encodings, where the kernel-matrix build dominates. Steady
-// state must not allocate: the batch scratch is owned by the surrogate.
-func BenchmarkEIBatch(b *testing.B) {
-	const window, pool = 128, 96
+// The steady-state allocation gates of the search hot paths live in the
+// Test…Allocs functions below, which `go test ./...` runs, not in the
+// benchmarks that share their fixtures: testing.AllocsPerRun counts every
+// allocation in the process, and under -test.cpuprofile the profile
+// writer's own allocations land in a benchmark's count. The benchmarks
+// keep b.ReportAllocs.
+
+// eiBatchFixture is a warm 128-window surrogate over Linux-space
+// encodings and a 96-candidate pool, primed so its batch scratch has
+// grown; score runs one steady-state batch EI over the pool.
+func eiBatchFixture(tb testing.TB) (score func(), pool int) {
+	const window = 128
+	pool = 96
 	g := gp.New(0.5, 1, 1e-3)
 	if err := g.SetWindow(window); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	r := rng.New(2)
 	best := 0.0
@@ -193,32 +199,44 @@ func BenchmarkEIBatch(b *testing.B) {
 	}
 	cands := linuxEncodings(pool, 4)
 	out := make([]float64, pool)
-	if err := g.ExpectedImprovementBatch(cands, best, 0.01, out); err != nil {
-		b.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(8, func() {
+	score = func() {
 		if err := g.ExpectedImprovementBatch(cands, best, 0.01, out); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}); allocs != 0 {
-		b.Fatalf("steady-state batch EI allocated %.0f times per op, want 0", allocs)
 	}
+	score()
+	return score, pool
+}
+
+// TestEIBatchAllocs: a steady-state batch EI allocates nothing; the
+// batch scratch is owned by the surrogate.
+func TestEIBatchAllocs(t *testing.T) {
+	score, _ := eiBatchFixture(t)
+	if allocs := testing.AllocsPerRun(8, score); allocs != 0 {
+		t.Fatalf("steady-state batch EI allocated %.0f times per op, want 0", allocs)
+	}
+}
+
+// BenchmarkEIBatch scores a 96-candidate pool against a warm 128-window
+// surrogate with one kernel-matrix build and one batched triangular solve
+// per op — the acquisition inner loop of every Bayesian proposal — over
+// Linux-space encodings, where the kernel-matrix build dominates.
+func BenchmarkEIBatch(b *testing.B) {
+	score, pool := eiBatchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.ExpectedImprovementBatch(cands, best, 0.01, out); err != nil {
-			b.Fatal(err)
-		}
+		score()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pool), "ns/candidate")
 }
 
-// BenchmarkDTMScorePoolBatch runs the DTM over a 96-candidate pool in one
-// matrix-shaped forward pass — the DeepTune selector's per-proposal pool
-// scoring. Steady state must not allocate: the batch rows are DTM-owned
-// scratch, grown once.
-func BenchmarkDTMScorePoolBatch(b *testing.B) {
-	const dim, hist, pool = 6, 64, 96
+// dtmScorePoolFixture is a DTM trained on a 64-observation history and a
+// 96-candidate pool, primed so the batch scratch has grown; score runs
+// one steady-state batch prediction over the pool.
+func dtmScorePoolFixture(tb testing.TB) (score func(), pool int) {
+	const dim, hist = 6, 64
+	pool = 96
 	cfg := deeptune.DefaultConfig()
 	cfg.Seed = 1
 	d := deeptune.New(dim, cfg)
@@ -237,32 +255,44 @@ func BenchmarkDTMScorePoolBatch(b *testing.B) {
 		xs[i], ys[i], crashed[i] = vec(), r.Float64()*100, i%7 == 0
 	}
 	if err := d.Update(xs, ys, crashed); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cands := make([][]float64, pool)
 	for j := range cands {
 		cands[j] = vec()
 	}
 	out := make([]deeptune.Prediction, pool)
-	d.PredictBatch(cands, out)
-	if allocs := testing.AllocsPerRun(8, func() { d.PredictBatch(cands, out) }); allocs != 0 {
-		b.Fatalf("steady-state batch scoring allocated %.0f times per op, want 0", allocs)
+	score = func() { d.PredictBatch(cands, out) }
+	score()
+	return score, pool
+}
+
+// TestDTMScorePoolAllocs: steady-state batch scoring allocates nothing;
+// the batch rows and packed blocks are DTM-owned scratch, grown once.
+func TestDTMScorePoolAllocs(t *testing.T) {
+	score, _ := dtmScorePoolFixture(t)
+	if allocs := testing.AllocsPerRun(8, score); allocs != 0 {
+		t.Fatalf("steady-state batch scoring allocated %.0f times per op, want 0", allocs)
 	}
+}
+
+// BenchmarkDTMScorePoolBatch runs the DTM over a 96-candidate pool in
+// matrix-shaped forward passes, a block of candidates at a time — the
+// DeepTune selector's per-proposal pool scoring.
+func BenchmarkDTMScorePoolBatch(b *testing.B) {
+	score, pool := dtmScorePoolFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.PredictBatch(cands, out)
+		score()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pool), "ns/candidate")
 }
 
-// BenchmarkDTMUpdateWindow measures one steady-state DTM retrain at a
-// fixed 64-observation window over the runtime-only Linux space — the
-// per-observation Update of the deeptune-resume workload of cmd/wfperf.
-// Each minibatch runs as register-blocked batch passes, and the training
-// matrices are DTM-owned scratch, so a steady-state Update allocates only
-// its z-scorer refit: at most 3 objects, whatever the epochs or window.
-func BenchmarkDTMUpdateWindow(b *testing.B) {
+// dtmUpdateFixture is a DTM at a fixed 64-observation window over the
+// runtime-only Linux space, retrained once; update runs one steady-state
+// retrain on the same window.
+func dtmUpdateFixture(tb testing.TB) (update func()) {
 	const window = 64
 	m := simos.NewLinux(simos.DefaultLinuxOptions())
 	m.Space.Favor(configspace.CompileTime, 0)
@@ -277,15 +307,29 @@ func BenchmarkDTMUpdateWindow(b *testing.B) {
 	for i := range xs {
 		xs[i], ys[i], crashed[i] = enc.Encode(m.Space.Random(r)), r.Float64()*100, i%7 == 0
 	}
-	update := func() {
+	update = func() {
 		if err := d.Update(xs, ys, crashed); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	update()
-	if allocs := testing.AllocsPerRun(2, update); allocs > 3 {
-		b.Fatalf("steady-state Update allocated %.0f times per op, want at most 3 (the z-scorer refit)", allocs)
+	return update
+}
+
+// TestDTMUpdateWindowAllocs: each minibatch runs as batch passes over
+// DTM-owned scratch, so a steady-state Update allocates only its
+// z-scorer refit: at most 3 objects, whatever the epochs or window.
+func TestDTMUpdateWindowAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(2, dtmUpdateFixture(t)); allocs > 3 {
+		t.Fatalf("steady-state Update allocated %.0f times per op, want at most 3 (the z-scorer refit)", allocs)
 	}
+}
+
+// BenchmarkDTMUpdateWindow measures one steady-state DTM retrain at a
+// fixed 64-observation window over the runtime-only Linux space — the
+// per-observation Update of the deeptune-resume workload of cmd/wfperf.
+func BenchmarkDTMUpdateWindow(b *testing.B) {
+	update := dtmUpdateFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -293,31 +337,46 @@ func BenchmarkDTMUpdateWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkBayesianPropose measures the sequential proposal — the
-// ProposeBatch(1) a one-worker session asks for every step — on a warm
-// 128-window surrogate over the Linux space, as the bayes-window workload
-// of cmd/wfperf drives it. The candidate pool is redrawn in place, so a
-// steady-state proposal allocates only what it hands out: the chosen
-// configuration, its values slice and the one-slot batch slice.
-func BenchmarkBayesianPropose(b *testing.B) {
+// bayesianProposeFixture is a sequential Bayesian searcher on a warm
+// 128-window surrogate over the Linux space, as the bayes-window
+// workload of cmd/wfperf drives it, past its first proposal; feed
+// observes a configuration with a random metric.
+func bayesianProposeFixture(tb testing.TB) (s *search.Bayesian, feed func(*configspace.Config)) {
 	const window = 128
 	m := simos.NewLinux(simos.DefaultLinuxOptions())
 	m.Space.Favor(configspace.CompileTime, 0)
-	s := search.NewBayesian(m.Space, true, 1)
+	s = search.NewBayesian(m.Space, true, 1)
 	if err := s.SetSurrogateWindow(window); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	r := rng.New(2)
-	feed := func(c *configspace.Config) {
+	feed = func(c *configspace.Config) {
 		s.Observe(search.Observation{Config: c, Metric: r.Float64() * 100, Stage: "ok"})
 	}
 	for i := 0; i < window+window/4; i++ {
 		feed(m.Space.Random(r))
 	}
-	var batch []*configspace.Config
-	if allocs := testing.AllocsPerRun(8, func() { batch = s.ProposeBatch(1) }); allocs > 3 {
-		b.Fatalf("steady-state sequential proposal allocated %.0f times per op, want at most 3", allocs)
+	feed(s.ProposeBatch(1)[0]) // grow the proposal scratch
+	return s, feed
+}
+
+// TestBayesianProposeAllocs: the candidate pool is redrawn in place, so
+// a steady-state sequential proposal allocates only what it hands out:
+// the chosen configuration, its values slice and the one-slot batch
+// slice.
+func TestBayesianProposeAllocs(t *testing.T) {
+	s, _ := bayesianProposeFixture(t)
+	if allocs := testing.AllocsPerRun(8, func() { s.ProposeBatch(1) }); allocs > 3 {
+		t.Fatalf("steady-state sequential proposal allocated %.0f times per op, want at most 3", allocs)
 	}
+}
+
+// BenchmarkBayesianPropose measures the sequential proposal — the
+// ProposeBatch(1) a one-worker session asks for every step — on a warm
+// 128-window surrogate over the Linux space.
+func BenchmarkBayesianPropose(b *testing.B) {
+	s, feed := bayesianProposeFixture(b)
+	var batch []*configspace.Config
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -136,14 +136,17 @@ type DTM struct {
 // batchScratch holds the DTM's batch matrices, one row per sample, grown
 // on demand and reused across calls, so a steady-state pool scoring pass
 // allocates nothing and a steady-state Update allocates only its
-// z-scorer refit. PredictBatch uses the first five over the candidate
-// pool; Update uses the rest, and h1 through perf, over one minibatch.
+// z-scorer refit. PredictBatch uses the first seven over one block of
+// the candidate pool; Update uses the rest, and h1 through perf, over one
+// minibatch.
 type batchScratch struct {
-	z     [][]float64 // z-scored inputs
-	h1    [][]float64 // post-ReLU trunk1 activations
-	h2    [][]float64 // post-ReLU trunk2 activations
-	crash [][]float64 // crash-head logits
-	perf  [][]float64 // perf-head [mu, logVar]
+	z      [][]float64              // z-scored inputs
+	h1     [][]float64              // post-ReLU trunk1 activations
+	h2     [][]float64              // post-ReLU trunk2 activations
+	crash  [][]float64              // crash-head logits
+	perf   [][]float64              // perf-head [mu, logVar]
+	maxIn  [stats.PackBlock]float64 // the input bank's largest activation per sample
+	maxHid [stats.PackBlock]float64 // the hidden bank's largest activation per sample
 
 	hist    [][]float64 // the z-scored history, in history order
 	epochH1 [][]float64 // this epoch's post-dropout trunk1 activations, in visiting order
@@ -360,19 +363,26 @@ func (d *DTM) Predict(x []float64) Prediction {
 	return out[0]
 }
 
-// PredictBatch runs the DTM over a whole candidate batch in four
-// matrix-shaped dense passes (z-score, trunk1, trunk2, heads), writing
-// out[j] for xs[j]; out must hold at least len(xs) entries. Every
+// PredictBatch runs the DTM over a whole candidate batch, writing out[j]
+// for xs[j]; out must hold at least len(xs) entries. The batch runs a
+// block of stats.PackBlock candidates at a time, each block in
+// matrix-shaped passes (z-score, trunk1, trunk2, heads, RBF banks). Every
 // per-sample floating-point operation happens in the order of the
 // per-sample layer chain, so out[j] does not depend on the rest of the
 // batch: it equals Predict(xs[j]) bit for bit. Scratch is reused across
-// calls — a steady-state pool scoring pass allocates nothing.
+// calls and sized by the block, not the pool — a steady-state pool
+// scoring pass allocates nothing.
 func (d *DTM) PredictBatch(xs [][]float64, out []Prediction) {
-	m := len(xs)
-	if m == 0 {
-		return
+	for lo := 0; lo < len(xs); lo += stats.PackBlock {
+		hi := min(lo+stats.PackBlock, len(xs))
+		d.predictBlock(xs[lo:hi], out[lo:hi])
 	}
-	b := &d.scratch
+}
+
+// predictBlock is PredictBatch over one block of at most stats.PackBlock
+// candidates.
+func (d *DTM) predictBlock(xs [][]float64, out []Prediction) {
+	m, b := len(xs), &d.scratch
 	b.z, b.h1, b.h2 = nn.GrowMatrix(b.z, m, d.dim), nn.GrowMatrix(b.h1, m, d.cfg.Hidden1), nn.GrowMatrix(b.h2, m, d.cfg.Hidden2)
 	b.crash, b.perf = nn.GrowMatrix(b.crash, m, 2), nn.GrowMatrix(b.perf, m, 2)
 	zs, h1, h2 := b.z[:m], b.h1[:m], b.h2[:m]
@@ -391,6 +401,9 @@ func (d *DTM) PredictBatch(xs [][]float64, out []Prediction) {
 	d.relu2.ForwardBatch(h2)
 	d.crash.ForwardBatch(h2, b.crash[:m])
 	d.perf.ForwardBatch(h2, b.perf[:m])
+	maxIn, maxHid := b.maxIn[:m], b.maxHid[:m]
+	d.rbfIn.MaxActivationBatch(zs, maxIn)
+	d.rbfHid.MaxActivationBatch(h1, maxHid)
 	sd := d.yStats.StdDev()
 	if sd < 1e-9 {
 		sd = 1
@@ -399,7 +412,7 @@ func (d *DTM) PredictBatch(xs [][]float64, out []Prediction) {
 		crashLogits, perfOut := b.crash[j], b.perf[j]
 		p := nn.Sigmoid(crashLogits[1] - crashLogits[0])
 		sigma := math.Exp(0.5*stats.Clamp(perfOut[1], -20, 20)) * sd
-		u := 1 - 0.5*(d.rbfIn.MaxActivation(zs[j])+d.rbfHid.MaxActivation(h1[j]))
+		u := 1 - 0.5*(maxIn[j]+maxHid[j])
 		out[j] = Prediction{
 			CrashProb:   p,
 			Perf:        d.denormalizeY(perfOut[0]),
@@ -412,30 +425,27 @@ func (d *DTM) PredictBatch(xs [][]float64, out []Prediction) {
 // Dissimilarity implements Eq. 2: ds(x, X) = 1 − 1/(1+‖x−X‖²), with
 // ‖x−X‖² the per-dimension-normalized squared distance from x to the
 // nearest explored point, so the value is comparable across space sizes.
-// The explored set is scanned four points at a time (stats.SquaredDistance4),
-// with the minimum taken in explored order, so the result is bit-identical
-// to a one-point-at-a-time scan.
+// The explored set is scanned in order, each distance summing (e−x)² in
+// index order — the sums the selector's packed pool pass
+// (stats.SquaredDistanceCols) makes, so both give the same bits.
 func Dissimilarity(x []float64, explored [][]float64) float64 {
-	if len(explored) == 0 {
-		return 1
-	}
 	best := math.Inf(1)
-	i := 0
-	for ; i+4 <= len(explored); i += 4 {
-		d0, d1, d2, d3 := stats.SquaredDistance4(x, explored[i], explored[i+1], explored[i+2], explored[i+3])
-		for _, d := range [4]float64{d0, d1, d2, d3} {
-			if d < best {
-				best = d
-			}
-		}
-	}
-	for _, e := range explored[i:] {
-		if d := stats.SquaredDistance(x, e); d < best {
+	for _, e := range explored {
+		if d := stats.SquaredDistance(e, x); d < best {
 			best = d
 		}
 	}
-	best /= float64(len(x)) // per-dimension normalization
-	return 1 - 1/(1+best*float64(len(x))/4)
+	return dissimilarity(best, len(x), len(explored))
+}
+
+// dissimilarity is Eq. 2 given best, the squared distance from a
+// dim-dimensional point to the nearest of n explored points.
+func dissimilarity(best float64, dim, n int) float64 {
+	if n == 0 {
+		return 1
+	}
+	best /= float64(dim) // per-dimension normalization
+	return 1 - 1/(1+best*float64(dim)/4)
 }
 
 // Score implements Eq. 3 for one candidate.
@@ -580,12 +590,14 @@ type Selector struct {
 }
 
 // candidatePool is a Selector's proposal scratch: the pool's
-// configurations, redrawn in place by every generatePool, and their
-// feature rows, re-encoded by every scorePool. A slot whose candidate was
-// handed out is nil until the next draw refills it.
+// configurations, redrawn in place by every generatePool, their feature
+// rows, re-encoded by every scorePool, and a block of the explored set
+// packed by stats.PackColumns, rewritten by every scorePool. A slot whose
+// candidate was handed out is nil until the next draw refills it.
 type candidatePool struct {
-	cfgs []*configspace.Config
-	xs   [][]float64
+	cfgs     []*configspace.Config
+	xs       [][]float64
+	explored []float64
 }
 
 // NewSelector builds a selector for a space/metric direction.
@@ -713,7 +725,7 @@ func (s *Selector) scorePool(pool []*configspace.Config) *poolScores {
 	for i, c := range pool {
 		s.enc.EncodeInto(c, ps.xs[i])
 	}
-	// One matrix-shaped DTM pass over the pool instead of len(pool) scalar
+	// Matrix-shaped DTM passes over the pool instead of len(pool) scalar
 	// forward chains — bit-identical to the per-candidate loop.
 	s.model.PredictBatch(ps.xs, ps.preds)
 	// Normalize predicted performance across the pool into [0,1] with the
@@ -731,7 +743,10 @@ func (s *Selector) scorePool(pool []*configspace.Config) *poolScores {
 		if ps.preds[i].CrashProb <= s.cfg.CrashThreshold {
 			ps.survivors++
 		}
-		ps.ds[i] = Dissimilarity(ps.xs[i], s.explored)
+	}
+	s.pool.nearest(ps.xs, s.explored, ps.ds)
+	for i, best := range ps.ds {
+		ps.ds[i] = dissimilarity(best, s.enc.Dim(), len(s.explored))
 	}
 	// Exploitation weight anneals in as the model accumulates signal: the
 	// early phase is dominated by the exploration score sf (the "slowly
@@ -741,6 +756,30 @@ func (s *Selector) scorePool(pool []*configspace.Config) *poolScores {
 	warmup := math.Min(1, float64(s.model.Trained())/30)
 	ps.w = s.cfg.ExploitWeight * warmup
 	return ps
+}
+
+// nearest writes to best[i] the squared distance from xs[i] to its
+// nearest explored point (+Inf with nothing explored), as Dissimilarity
+// finds it: the explored set is packed a block of stats.PackBlock points
+// at a time into the pool's scratch, each candidate's distances to a
+// block are one packed pass, and the minimum is taken in explored order.
+func (p *candidatePool) nearest(xs, explored [][]float64, best []float64) {
+	for i := range best {
+		best[i] = math.Inf(1)
+	}
+	var dists [stats.PackBlock]float64
+	for lo := 0; lo < len(explored); lo += stats.PackBlock {
+		block := explored[lo:min(lo+stats.PackBlock, len(explored))]
+		p.explored = stats.PackColumns(p.explored, block, len(block[0]))
+		for i, x := range xs {
+			stats.SquaredDistanceCols(x, p.explored, len(block), dists[:len(block)])
+			for _, d := range dists[:len(block)] {
+				if d < best[i] {
+					best[i] = d
+				}
+			}
+		}
+	}
 }
 
 // pick ranks the pool (Fig 3 step 3) and returns the winning index,

@@ -153,9 +153,10 @@ func TestDissimilarity(t *testing.T) {
 	}
 }
 
-// TestDissimilarityBlockedBitIdentical: scanning the explored set four
-// points at a time must give bit-for-bit the one-point-at-a-time scan,
-// for explored sets below, at and past the block width.
+// TestDissimilarityBlockedBitIdentical: Dissimilarity, and the pool
+// pass that packs the explored set a block at a time, must give
+// bit-for-bit the one-point-at-a-time scan, for explored sets below, at
+// and past the panel and block widths.
 func TestDissimilarityBlockedBitIdentical(t *testing.T) {
 	reference := func(x []float64, explored [][]float64) float64 {
 		if len(explored) == 0 {
@@ -178,20 +179,29 @@ func TestDissimilarityBlockedBitIdentical(t *testing.T) {
 		}
 		return v
 	}
+	var pool candidatePool
 	for _, dim := range []int{6, 397} {
-		for _, n := range []int{0, 1, 5, 64} {
+		for _, n := range []int{0, 1, 5, 16, 17, 64} {
 			explored := make([][]float64, n)
 			for i := range explored {
 				explored[i] = vec(dim)
 			}
-			for trial := 0; trial < 20; trial++ {
-				x := vec(dim)
+			xs := make([][]float64, 20)
+			for trial := range xs {
+				xs[trial] = vec(dim)
 				if n > 0 && trial%4 == 0 {
-					x = append([]float64(nil), explored[r.Intn(n)]...) // an exact hit: distance 0
+					xs[trial] = append([]float64(nil), explored[r.Intn(n)]...) // an exact hit: distance 0
 				}
-				got, want := Dissimilarity(x, explored), reference(x, explored)
-				if math.Float64bits(got) != math.Float64bits(want) {
+			}
+			best := make([]float64, len(xs))
+			pool.nearest(xs, explored, best)
+			for trial, x := range xs {
+				want := reference(x, explored)
+				if got := Dissimilarity(x, explored); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("dim %d |explored| %d trial %d: Dissimilarity %v != reference %v", dim, n, trial, got, want)
+				}
+				if got := dissimilarity(best[trial], dim, n); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("dim %d |explored| %d trial %d: packed pool pass %v != reference %v", dim, n, trial, got, want)
 				}
 			}
 		}

@@ -20,8 +20,8 @@
 //     not the O(n²·d) kernel evaluations.
 //   - Predict and ExpectedImprovement reuse scratch buffers; the
 //     steady-state candidate-scoring path allocates nothing.
-//     ExpectedImprovementBatch packs the candidate pool once into a
-//     dim-major scratch the GP owns (stats.PackColumns), builds its kernel
+//     ExpectedImprovementBatch packs the candidate pool once into
+//     scratch the GP owns (stats.PackColumns), builds its kernel
 //     matrix one window row at a time against every candidate
 //     (stats.SquaredDistanceCols, one candidate per SIMD lane on AVX2),
 //     and solves it with one k-blocked batch forward solve, each
@@ -105,10 +105,11 @@ type GP struct {
 	// buffers have grown to the model size).
 	kStar, v, centered []float64
 	// kStarB, vB are the batch-acquisition scratch matrices (n×m row-major)
-	// and candT the candidate pool packed by stats.PackColumns (dim-major
-	// panels of four candidates), regrown on demand like the scalar
-	// scratch.
-	kStarB, vB, candT []float64
+	// and candT the candidate pool packed by stats.PackColumns (panels of
+	// four candidates), regrown on demand like the scalar scratch. pairT
+	// is the hyperparameter probe's block of observations, packed the same
+	// way.
+	kStarB, vB, candT, pairT []float64
 }
 
 // fantasyFrame is the copy-on-write state one PushFantasy saves: the
@@ -359,13 +360,21 @@ func (g *GP) adaptHypers() error {
 
 // pairDistances returns the squared distances between every pair of
 // observations, packed lower-triangular (pair (i, j ≤ i) at i(i+1)/2 + j)
-// — computed once per probe round and shared by every probe.
+// — computed once per probe round and shared by every probe. The
+// observations are packed (stats.PackColumns) a block of stats.PackBlock
+// at a time, and each later row's distances to a block are one packed
+// pass: each pair sums (x_j − x_i)² in index order, the square of
+// SquaredDistance(x_i, x_j)'s differences, so only a NaN payload could
+// differ, and encodings hold no NaN.
 func (g *GP) pairDistances() []float64 {
 	n := len(g.xs)
 	d2 := make([]float64, n*(n+1)/2)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			d2[i*(i+1)/2+j] = stats.SquaredDistance(g.xs[i], g.xs[j])
+	for lo := 0; lo < n; lo += stats.PackBlock {
+		hi := min(lo+stats.PackBlock, n)
+		g.pairT = stats.PackColumns(g.pairT, g.xs[lo:hi], len(g.xs[0]))
+		for i := lo; i < n; i++ {
+			m := min(hi, i+1) - lo
+			stats.SquaredDistanceCols(g.xs[i], g.pairT, m, d2[i*(i+1)/2+lo:][:m])
 		}
 	}
 	return d2

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wayfinder/internal/rng"
+	"wayfinder/internal/stats"
 )
 
 func TestPredictNoData(t *testing.T) {
@@ -488,6 +489,45 @@ func BenchmarkGPAddIncrementalInternal(b *testing.B) {
 			g.Add([]float64{r.Float64(), r.Float64()}, r.Float64())
 			if _, _, err := g.Predict(probe); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestPairDistancesMatchScalar pins the hyperparameter probe's packed
+// pair distances to the scalar SquaredDistance(x_i, x_j) of every pair,
+// bit for bit, for history lengths around the packing block, with signed
+// zeros, subnormals, infinities and a value whose square overflows in the
+// coordinates. The packed pass subtracts x_i from x_j where the scalar
+// call subtracts x_j from x_i; the squares agree in every bit unless both
+// coordinates are NaN with different payloads, and encodings hold no NaN,
+// so NaN is left out here.
+func TestPairDistancesMatchScalar(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.Inf(1), math.Inf(-1), 1e154, -3}
+	r := rng.New(8)
+	for _, n := range []int{1, 3, 5, 16, 17, 33, 40} {
+		for _, dim := range []int{1, 6, 397} {
+			g := New(0.5, 1, 1e-3)
+			for i := 0; i < n; i++ {
+				x := make([]float64, dim)
+				for d := range x {
+					if r.Intn(6) == 0 {
+						x[d] = specials[r.Intn(len(specials))]
+					} else {
+						x[d] = r.Normal(0, 1)
+					}
+				}
+				g.Add(x, r.Float64())
+			}
+			got := g.pairDistances()
+			for i := 0; i < n; i++ {
+				for j := 0; j <= i; j++ {
+					want := stats.SquaredDistance(g.xs[i], g.xs[j])
+					if v := got[i*(i+1)/2+j]; math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("n=%d dim=%d pair (%d,%d): %v (%#x), scalar %v (%#x)",
+							n, dim, i, j, v, math.Float64bits(v), want, math.Float64bits(want))
+					}
+				}
 			}
 		}
 	}

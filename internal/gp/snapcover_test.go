@@ -43,7 +43,8 @@ func TestGPStateCoverage(t *testing.T) {
 			"centered":   "reusable scratch, regrown on demand",
 			"kStarB":     "batch-acquisition scratch, regrown on demand",
 			"vB":         "batch-acquisition scratch, regrown on demand",
-			"candT":      "batch-acquisition scratch (the candidate pool, packed dim-major), rewritten by every batch call",
+			"candT":      "batch-acquisition scratch (the candidate pool, packed), rewritten by every batch call",
+			"pairT":      "hyperparameter-probe scratch (a block of observations, packed), rewritten by every probe round",
 		},
 	})
 }

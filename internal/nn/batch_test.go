@@ -222,14 +222,15 @@ func scalarChamfer(b *RBFBank, batch [][]float64) float64 {
 	return loss
 }
 
-// TestRBFBlockedMatchesScalarScan pins Forward, MaxActivation and
-// ChamferLoss, which measure distances four centroids at a time, to the
-// scalar scan, for bank sizes around the four-centroid block. Inputs
-// include signed zeros, subnormals and infinities; NaN is left out
-// because the blocked distance subtracts in the opposite operand order,
-// which may carry a different NaN payload when both operands are NaN.
+// TestRBFBlockedMatchesScalarScan pins Forward, MaxActivation, and
+// MaxActivationBatch and ChamferLoss, which measure distances over the
+// packed centroids, to the scalar scan, for bank sizes around the
+// four-centroid panel and the sixteen-centroid block. Inputs include
+// signed zeros, subnormals and infinities; NaN is left out because the
+// packed distance subtracts in the opposite operand order, which may
+// carry a different NaN payload when both operands are NaN.
 func TestRBFBlockedMatchesScalarScan(t *testing.T) {
-	for _, k := range []int{1, 3, 4, 5, 24} {
+	for _, k := range []int{1, 3, 4, 5, 16, 17, 24} {
 		r := rng.New(uint64(k))
 		const in = 9
 		b := NewRBFBank(in, k, 1.5, r)
@@ -250,6 +251,8 @@ func TestRBFBlockedMatchesScalarScan(t *testing.T) {
 			}
 		}
 		copy(ref.Centroids.W, b.Centroids.W)
+		batchMax := make([]float64, len(zs))
+		b.MaxActivationBatch(zs, batchMax)
 		for i, z := range zs {
 			sameBitsSlice(t, "rbf forward", b.Forward(z, false), scalarForward(ref, z))
 			want := 0.0
@@ -260,6 +263,9 @@ func TestRBFBlockedMatchesScalarScan(t *testing.T) {
 			}
 			if got := b.MaxActivation(z); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("K=%d z %d: MaxActivation %v, scalar %v", k, i, got, want)
+			}
+			if got := batchMax[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("K=%d z %d: MaxActivationBatch %v, scalar %v", k, i, got, want)
 			}
 		}
 		for _, batch := range [][][]float64{zs[:1], zs[:6], zs} {
@@ -273,33 +279,54 @@ func TestRBFBlockedMatchesScalarScan(t *testing.T) {
 }
 
 // TestAdamStepMatchesReference pins Adam.Step to the textbook update
-// written out in full, bit for bit, over several steps.
+// written out in full, bit for bit, over several steps, on two
+// parameters: one with normal gradients, and one whose gradients mix in
+// the specials — signed zeros, subnormals, ±Inf and NaN — so infinite
+// and NaN moments carry into later steps. Elements whose gradient is
+// zero at the first step start from a zero second moment.
 func TestAdamStepMatchesReference(t *testing.T) {
 	r := rng.New(4)
-	p := &Param{W: make([]float64, 37), G: make([]float64, 37)}
-	for i := range p.W {
-		p.W[i] = r.NormFloat64()
+	ps := []*Param{
+		{W: make([]float64, 37), G: make([]float64, 37)},
+		{W: make([]float64, 23), G: make([]float64, 23)},
 	}
-	w := append([]float64(nil), p.W...)
-	m, v := make([]float64, len(w)), make([]float64, len(w))
-	opt := NewAdam(3e-3)
-	for step := 1; step <= 5; step++ {
-		for i := range p.G {
-			p.G[i] = r.NormFloat64()
+	for _, p := range ps {
+		for i := range p.W {
+			p.W[i] = r.NormFloat64()
 		}
-		p.G[step] = 0
-		g := append([]float64(nil), p.G...)
-		opt.Step([]*Param{p})
+	}
+	ws := [][]float64{append([]float64(nil), ps[0].W...), append([]float64(nil), ps[1].W...)}
+	ms := [][]float64{make([]float64, 37), make([]float64, 23)}
+	vs := [][]float64{make([]float64, 37), make([]float64, 23)}
+	opt := NewAdam(3e-3)
+	for step := 1; step <= 6; step++ {
+		for k, p := range ps {
+			for i := range p.G {
+				p.G[i] = r.NormFloat64()
+				if k == 1 && r.Intn(3) == 0 {
+					p.G[i] = special[r.Intn(len(special))]
+				}
+			}
+			p.G[step] = 0
+		}
+		gs := [][]float64{append([]float64(nil), ps[0].G...), append([]float64(nil), ps[1].G...)}
+		opt.Step(ps)
 		bc1 := 1 - math.Pow(opt.Beta1, float64(step))
 		bc2 := 1 - math.Pow(opt.Beta2, float64(step))
-		for i := range w {
-			m[i] = opt.Beta1*m[i] + (1-opt.Beta1)*g[i]
-			v[i] = opt.Beta2*v[i] + (1-opt.Beta2)*g[i]*g[i]
-			mHat := m[i] / bc1
-			vHat := v[i] / bc2
-			w[i] -= opt.LR * mHat / (math.Sqrt(vHat) + opt.Epsilon)
+		for k, p := range ps {
+			w, m, v, g := ws[k], ms[k], vs[k], gs[k]
+			for i := range w {
+				m[i] = opt.Beta1*m[i] + (1-opt.Beta1)*g[i]
+				v[i] = opt.Beta2*v[i] + (1-opt.Beta2)*g[i]*g[i]
+				mHat := m[i] / bc1
+				vHat := v[i] / bc2
+				w[i] -= opt.LR * mHat / (math.Sqrt(vHat) + opt.Epsilon)
+			}
+			sameBitsSlice(t, "adam weights", p.W, w)
+			sameBitsSlice(t, "adam zeroed grads", p.G, make([]float64, len(w)))
+			st := opt.State(ps)
+			sameBitsSlice(t, "adam first moment", st.M[k], m)
+			sameBitsSlice(t, "adam second moment", st.V[k], v)
 		}
-		sameBitsSlice(t, "adam weights", p.W, w)
-		sameBitsSlice(t, "adam zeroed grads", p.G, make([]float64, len(w)))
 	}
 }

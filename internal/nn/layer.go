@@ -7,18 +7,24 @@
 // distance regularizer that fits RBF centroids to the data distribution.
 //
 // The library works on flat []float64 vectors. The DTM trains and predicts
-// through the batch kernels — Dense.ForwardBatch/BackwardBatch and the
-// ReLU and Dropout batch helpers — which run a whole minibatch or
-// candidate pool layer by layer, several samples per weight pass. The
+// through the batch kernels — Dense.ForwardBatch/BackwardBatch, the ReLU
+// and Dropout batch helpers, RBFBank.MaxActivationBatch and the Adam
+// step — which run a whole minibatch or candidate pool layer by layer.
+// Their arithmetic runs in the stats package's packed kernels
+// (stats.DotCols, stats.AddScaled, stats.AdamUpdate,
+// stats.SquaredDistanceCols), which use AVX2 where the CPU has it and Go
+// loops elsewhere, one sample or one element per SIMD lane. The
 // per-sample Layer methods are their reference: every batch kernel
 // performs each sample's floating-point operations in the same order as
-// the Layer method, so the two agree bit for bit.
+// the Layer method, with no fused multiply-add, so the two agree bit for
+// bit on either path.
 package nn
 
 import (
 	"math"
 
 	"wayfinder/internal/rng"
+	"wayfinder/internal/stats"
 )
 
 // Param is one trainable tensor, stored flat, with its gradient
@@ -61,6 +67,11 @@ type Dense struct {
 	y []float64
 	g []float64 // reusable input-grad buffer
 
+	// ForwardBatch scratch: a block of the batch's inputs packed by
+	// stats.PackColumns, and one output's values across the block.
+	packed []float64
+	col    [stats.PackBlock]float64
+
 	// BackwardBatch scratch: the nonzero gradient terms of one output
 	// (or one sample) and the vectors they scale.
 	coefs []float64
@@ -100,54 +111,27 @@ func (d *Dense) Forward(x []float64, _ bool) []float64 {
 }
 
 // ForwardBatch computes y = W·x + b for a whole batch of inputs, writing
-// row j of ys for row j of xs (each at least In, resp. Out, wide). It is
-// register-blocked: each pass over a weight row serves four samples, with
-// four independent accumulators, and a scalar tail takes the last m mod 4
-// samples. Each per-sample dot still starts at the bias and adds
-// row[i]*x[i] in index order, exactly as Forward does, so the results are
-// bit-identical to len(xs) Forward calls. The layer's per-sample caches
-// are untouched: the batch and per-sample paths can be interleaved.
+// row j of ys for row j of xs (each at least In, resp. Out, wide). The
+// inputs are packed (stats.PackColumns) into layer-owned scratch a block
+// of stats.PackBlock samples at a time, and each output o of a block is
+// one stats.DotCols pass of weight row o, one sample per lane. Each
+// per-sample dot still starts at the bias and adds x[i]·row[i] in index
+// order, as Forward does, so the results are bit-identical to len(xs)
+// Forward calls. The layer's per-sample caches are untouched: the batch
+// and per-sample paths can be interleaved.
 func (d *Dense) ForwardBatch(xs, ys [][]float64) {
 	in, w, b := d.In, d.Weight.W, d.Bias.W
-	j := 0
-	for ; j+4 <= len(xs); j += 4 {
-		x0, x1, x2, x3 := xs[j][:in], xs[j+1][:in], xs[j+2][:in], xs[j+3][:in]
-		y0, y1, y2, y3 := ys[j], ys[j+1], ys[j+2], ys[j+3]
+	for lo := 0; lo < len(xs); lo += stats.PackBlock {
+		block, out := xs[lo:min(lo+stats.PackBlock, len(xs))], ys[lo:]
+		d.packed = stats.PackColumns(d.packed, block, in)
+		col := d.col[:len(block)]
 		for o := 0; o < d.Out; o++ {
-			y0[o], y1[o], y2[o], y3[o] = dot4(w[o*in:(o+1)*in], x0, x1, x2, x3, b[o])
-		}
-	}
-	for ; j < len(xs); j++ {
-		x, y := xs[j][:in], ys[j]
-		for o := 0; o < d.Out; o++ {
-			row := w[o*in : (o+1)*in]
-			sum := b[o]
-			for i, r := range row {
-				sum += r * x[i]
+			stats.DotCols(w[o*in:(o+1)*in], d.packed, len(block), b[o], col)
+			for j, v := range col {
+				out[j][o] = v
 			}
-			y[o] = sum
 		}
 	}
-}
-
-// dot4 returns bias + row·x_k for four vectors x_k at least len(row)
-// long, each summed in index order in its own accumulator — four
-// independent add chains where one dot product is a single
-// latency-bound chain. It is kept out of line: inlined into
-// ForwardBatch's loop nest, its pointers and loop counter spill to the
-// stack and the loop runs at a fraction of the speed.
-//
-//go:noinline
-func dot4(row, x0, x1, x2, x3 []float64, bias float64) (s0, s1, s2, s3 float64) {
-	x0, x1, x2, x3 = x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
-	s0, s1, s2, s3 = bias, bias, bias, bias
-	for i, r := range row {
-		s0 += r * x0[i]
-		s1 += r * x1[i]
-		s2 += r * x2[i]
-		s3 += r * x3[i]
-	}
-	return s0, s1, s2, s3
 }
 
 // BackwardBatch is Backward over a batch: row j of gys is dL/d(output) for
@@ -174,7 +158,7 @@ func (d *Dense) BackwardBatch(xs, gys, gxs [][]float64) {
 			coefs, vecs = append(coefs, g), append(vecs, xs[j][:in])
 			d.Bias.G[o] += g
 		}
-		addScaled(d.Weight.G[o*in:(o+1)*in], coefs, vecs)
+		stats.AddScaled(d.Weight.G[o*in:(o+1)*in], coefs, vecs)
 	}
 	if gxs != nil {
 		for j, gy := range gys {
@@ -187,38 +171,10 @@ func (d *Dense) BackwardBatch(xs, gys, gxs [][]float64) {
 			}
 			gx := gxs[j][:in]
 			clear(gx)
-			addScaled(gx, coefs, vecs)
+			stats.AddScaled(gx, coefs, vecs)
 		}
 	}
 	clear(d.vecs[:cap(d.vecs)]) // drop the references to the caller's rows
-}
-
-// addScaled adds coefs[k]*vecs[k][i] to dst[i] for k in order — the
-// accumulation both Dense gradients make, one term per nonzero output
-// gradient (per sample for a weight row, per output for an input
-// gradient). Four terms share each pass over dst (dst[i] is loaded and
-// stored once per four additions), and every dst[i] still receives its
-// additions one at a time in k order, so the result is bit-identical to
-// adding the terms one pass each.
-func addScaled(dst, coefs []float64, vecs [][]float64) {
-	k := 0
-	for ; k+4 <= len(coefs); k += 4 {
-		g0, g1, g2, g3 := coefs[k], coefs[k+1], coefs[k+2], coefs[k+3]
-		v0, v1, v2, v3 := vecs[k][:len(dst)], vecs[k+1][:len(dst)], vecs[k+2][:len(dst)], vecs[k+3][:len(dst)]
-		for i, a := range dst {
-			a += g0 * v0[i]
-			a += g1 * v1[i]
-			a += g2 * v2[i]
-			a += g3 * v3[i]
-			dst[i] = a
-		}
-	}
-	for ; k < len(coefs); k++ {
-		g, v := coefs[k], vecs[k][:len(dst)]
-		for i := range dst {
-			dst[i] += g * v[i]
-		}
-	}
 }
 
 // Backward implements Layer.

@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+
+	"wayfinder/internal/stats"
 )
 
 // Optimizer updates parameters from their accumulated gradients.
@@ -73,8 +75,10 @@ func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
-	b1, b2, lr, eps := o.Beta1, o.Beta2, o.LR, o.Epsilon
-	c1, c2 := 1-b1, 1-b2
+	c := stats.AdamCoefs{
+		B1: o.Beta1, C1: 1 - o.Beta1, B2: o.Beta2, C2: 1 - o.Beta2,
+		BC1: bc1, BC2: bc2, LR: o.LR, Eps: o.Epsilon,
+	}
 	for _, p := range params {
 		m := o.m[p]
 		if m == nil {
@@ -86,17 +90,7 @@ func (o *Adam) Step(params []*Param) {
 			v = make([]float64, len(p.W))
 			o.v[p] = v
 		}
-		w := p.W
-		grad, m, v := p.G[:len(w)], m[:len(w)], v[:len(w)]
-		for i := range w {
-			g := grad[i]
-			m[i] = b1*m[i] + c1*g
-			v[i] = b2*v[i] + c2*g*g
-			mHat := m[i] / bc1
-			vHat := v[i] / bc2
-			w[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
-			grad[i] = 0
-		}
+		stats.AdamUpdate(p.W, p.G, m, v, &c)
 	}
 }
 

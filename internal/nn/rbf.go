@@ -30,6 +30,12 @@ type RBFBank struct {
 	dist       []float64
 	nearestToC []int
 	bestForC   []float64
+
+	// Batch scratch: the centroids as rows and packed by
+	// stats.PackColumns, repacked by every ChamferLoss and
+	// MaxActivationBatch.
+	rows   [][]float64
+	packed []float64
 }
 
 // NewRBFBank creates a bank of k centroids drawn from a standard normal,
@@ -60,22 +66,28 @@ func (b *RBFBank) Forward(z []float64, _ bool) []float64 {
 	return b.phi
 }
 
-// sqDists writes ‖z − c_j‖² into out[j] for every centroid, four
-// centroids per pass over z (stats.SquaredDistance4) and the last K mod 4
-// one at a time. Every distance sums its squared differences in index
-// order in its own accumulator, so each is bit-identical to a scalar
-// one-centroid-at-a-time scan (c−z and z−c square alike; only a NaN
-// payload can tell them apart).
+// sqDists writes ‖z − c_j‖² into out[j] for every centroid, one centroid
+// at a time. Every distance sums (c_j − z)² in index order, as the packed
+// batch passes do (z−c squares alike; only a NaN payload can tell them
+// apart).
 func (b *RBFBank) sqDists(z, out []float64) {
 	w, in := b.Centroids.W, b.In
-	j := 0
-	for ; j+4 <= b.K; j += 4 {
-		out[j], out[j+1], out[j+2], out[j+3] = stats.SquaredDistance4(z,
-			w[j*in:(j+1)*in], w[(j+1)*in:(j+2)*in], w[(j+2)*in:(j+3)*in], w[(j+3)*in:(j+4)*in])
+	for j := range out[:b.K] {
+		out[j] = stats.SquaredDistance(w[j*in:(j+1)*in], z)
 	}
-	for ; j < b.K; j++ {
-		out[j] = stats.SquaredDistance(z, w[j*in:(j+1)*in])
+}
+
+// pack lays the centroids out for stats.SquaredDistanceCols in the
+// bank's scratch.
+func (b *RBFBank) pack() {
+	w, in := b.Centroids.W, b.In
+	if len(b.rows) != b.K {
+		b.rows = make([][]float64, b.K)
 	}
+	for j := range b.rows {
+		b.rows[j] = w[j*in : (j+1)*in]
+	}
+	b.packed = stats.PackColumns(b.packed, b.rows, in)
 }
 
 // Backward propagates dL/dφ to the centroids and the input.
@@ -119,6 +131,29 @@ func (b *RBFBank) MaxActivation(z []float64) float64 {
 	return best
 }
 
+// MaxActivationBatch writes MaxActivation(zs[j]) into out[j] for every
+// row of zs, bit for bit: the centroids are packed once, and each row's
+// distances come from one stats.SquaredDistanceCols pass. It caches
+// nothing for Backward.
+func (b *RBFBank) MaxActivationBatch(zs [][]float64, out []float64) {
+	if len(zs) == 0 {
+		return
+	}
+	b.pack()
+	inv := 1 / (2 * b.Gamma * b.Gamma)
+	dist := b.dist[:b.K]
+	for i, z := range zs {
+		stats.SquaredDistanceCols(z[:b.In], b.packed, b.K, dist)
+		best := 0.0
+		for _, d2 := range dist {
+			if p := math.Exp(-d2 * inv); p > best {
+				best = p
+			}
+		}
+		out[i] = best
+	}
+}
+
 // ChamferLoss computes the Chamfer distance (§3.2, L_Cham) between the
 // bank's centroid set C and a batch of latent vectors Z:
 //
@@ -138,8 +173,9 @@ func (b *RBFBank) ChamferLoss(batch [][]float64) float64 {
 	for j := range bestForC {
 		bestForC[j] = math.Inf(1)
 	}
+	b.pack()
 	for zi, z := range batch {
-		b.sqDists(z, b.dist)
+		stats.SquaredDistanceCols(z[:b.In], b.packed, b.K, b.dist)
 		best, bestJ := math.Inf(1), 0
 		for j, d2 := range b.dist[:b.K] {
 			if d2 < best {

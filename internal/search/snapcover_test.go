@@ -160,7 +160,7 @@ func TestSelectorStateCoverage(t *testing.T) {
 			"enc":      "derived from the space at construction",
 			"maximize": "construction-time optimization direction",
 			"window":   "session-level knob: reapplied by the session (SetSurrogateWindow from Options) before Restore",
-			"pool":     "candidate-pool scratch, redrawn and re-encoded by every proposal",
+			"pool":     "candidate-pool scratch, redrawn and re-encoded by every proposal, with the packed explored block every scoring pass rewrites",
 		},
 	})
 }

@@ -38,3 +38,21 @@ func sqDistColsAVX2(x *float64, n int, packed *float64, out *float64, panels int
 //
 //go:noescape
 func subRows4AVX2(di, d *float64, m int, l *float64, tiny *uint64, cols int)
+
+// dotColsAVX2 is DotCols for the first panels full panels of packed
+// (n ≥ 1, panels ≥ 1), writing 4·panels dot products to out.
+//
+//go:noescape
+func dotColsAVX2(row *float64, n int, packed *float64, bias float64, out *float64, panels int)
+
+// addScaledAVX2 is AddScaled for dst indices [0, n) (n a positive
+// multiple of 4) over k ≥ 1 terms.
+//
+//go:noescape
+func addScaledAVX2(dst *float64, n int, coefs *float64, vecs *[]float64, k int)
+
+// adamAVX2 is AdamUpdate for elements [0, n) (n a positive multiple of
+// 4).
+//
+//go:noescape
+func adamAVX2(w, grad, m, v *float64, n int, c *AdamCoefs)

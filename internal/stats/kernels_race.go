@@ -1,6 +1,7 @@
-//go:build race
+//go:build race || purego
 
 package stats
 
-// raceEnabled reports a race-detector build; see useAVX2.
-const raceEnabled = true
+// goKernels reports a build that always runs the Go kernel loops: a
+// race-detector build, or one tagged purego; see useAVX2.
+const goKernels = true

@@ -301,6 +301,8 @@ func Euclidean(a, b []float64) float64 {
 }
 
 // SquaredDistance returns the squared L2 distance between two vectors.
+// For many vectors against one, SquaredDistanceCols runs the same sums
+// over a packed matrix, one vector per SIMD lane.
 func SquaredDistance(a, b []float64) float64 {
 	sum := 0.0
 	for i := range a {
@@ -308,28 +310,6 @@ func SquaredDistance(a, b []float64) float64 {
 		sum += d * d
 	}
 	return sum
-}
-
-// SquaredDistance4 returns the squared L2 distances from x to c0, c1, c2
-// and c3 (each at least len(x) long). Every result sums (c[i]−x[i])² in
-// SquaredDistance's index order in its own accumulator, so dk is bit-
-// identical to SquaredDistance(ck, x); the four independent add chains
-// keep the FPU busy where one latency-bound chain leaves it idle. For a
-// whole candidate pool packed by PackColumns, SquaredDistanceCols runs the
-// same sums one candidate per SIMD lane.
-func SquaredDistance4(x, c0, c1, c2, c3 []float64) (d0, d1, d2, d3 float64) {
-	c0, c1, c2, c3 = c0[:len(x)], c1[:len(x)], c2[:len(x)], c3[:len(x)]
-	for i, xi := range x {
-		e0 := c0[i] - xi
-		e1 := c1[i] - xi
-		e2 := c2[i] - xi
-		e3 := c3[i] - xi
-		d0 += e0 * e0
-		d1 += e1 * e1
-		d2 += e2 * e2
-		d3 += e3 * e3
-	}
-	return d0, d1, d2, d3
 }
 
 // Dot returns the inner product of two equal-length vectors.

@@ -690,7 +690,7 @@ func kernelPaths(t *testing.T, f func(t *testing.T)) {
 	}{{"go", false}, {"avx2", true}}
 	for _, p := range paths {
 		if p.avx2 && !saved {
-			t.Logf("AVX2 kernels off (no AVX2 on this CPU, or a race-detector build): the %s path is not exercised", p.name)
+			t.Logf("AVX2 kernels off (no AVX2 on this CPU, or a race-detector or purego build): the %s path is not exercised", p.name)
 			continue
 		}
 		useAVX2 = p.avx2
@@ -801,11 +801,10 @@ func TestTriFactorBatchSolvesBitIdentical(t *testing.T) {
 	})
 }
 
-func TestSquaredDistance4BitIdentical(t *testing.T) {
-	// Each of the four blocked distances, and every column of the
-	// dim-major SquaredDistanceCols, must be bit-for-bit the scalar
-	// SquaredDistance, whichever argument order the scalar call uses —
-	// including signed zeros, subnormals, infinities and NaN.
+func TestSquaredDistanceColsBitIdentical(t *testing.T) {
+	// Every column of the packed SquaredDistanceCols must be bit-for-bit
+	// the scalar SquaredDistance, whichever argument order the scalar call
+	// uses — including signed zeros, subnormals, infinities and NaN.
 	kernelPaths(t, func(t *testing.T) {
 		r := rng.New(44)
 		// Odd trials draw finite normals only, so long vectors also compare
@@ -831,16 +830,6 @@ func TestSquaredDistance4BitIdentical(t *testing.T) {
 			}
 		}
 		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 397} {
-			for trial := 0; trial < 50; trial++ {
-				sp := trial%2 == 0
-				x := draw(n, sp)
-				cs := [4][]float64{draw(n, sp), draw(n, sp), draw(n, sp), draw(n, sp)}
-				var got [4]float64
-				got[0], got[1], got[2], got[3] = SquaredDistance4(x, cs[0], cs[1], cs[2], cs[3])
-				for k, c := range cs {
-					check("SquaredDistance4", n, trial, k, got[k], c, x)
-				}
-			}
 			for _, m := range []int{1, 4, 15, 16, 17, 96} {
 				for trial := 0; trial < 4; trial++ {
 					sp := trial%2 == 0
