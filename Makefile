@@ -12,7 +12,7 @@ STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: all build test test-purego race fmt vet vet-wf bench bench-cache bench-search \
-	fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer wfperf-check \
+	fuzz-smoke smoke smoke-wfd smoke-faults smoke-transfer wfperf-check \
 	tools lint cover ci
 
 all: build
@@ -116,15 +116,15 @@ bench-cache:
 	$(GO) test -race -bench='CacheHit|Fleet' -benchtime=1x -run='^$$' .
 
 # bench-search races the incremental-surrogate hot paths: the in-place
-# Cholesky extension vs the full-refit baseline, the sliding-window add
-# (extend + rank-1 downdate), the batched acquisition paths (batch EI and
-# the DTM pool pass), the windowed DTM retrain, the sequential Bayesian
-# proposal and the native constant-liar batch proposal, and the DeepTune
-# observe path — so the model side of the search loop gets its own
-# race-detector smoke on every push. Their steady-state allocation gates
-# are the root package's Test…Allocs, which `make test` and `make race`
-# run: counted inside a benchmark, a CPU profile's own allocations land
-# in the count.
+# Cholesky extension (GPAdd matches BenchmarkGPAddIncremental), the
+# sliding-window add (extend + rank-1 downdate), the batched acquisition
+# paths (batch EI and the DTM pool pass), the windowed DTM retrain, the
+# sequential Bayesian proposal and the native constant-liar batch
+# proposal, and the DeepTune observe path — so the model side of the
+# search loop gets its own race-detector smoke on every push. Their
+# steady-state allocation gates are the root package's Test…Allocs, which
+# `make test` and `make race` run: counted inside a benchmark, a CPU
+# profile's own allocations land in the count.
 bench-search:
 	$(GO) test -race -bench='GPAdd|GPWindowed|EIBatch|DTMScorePool|DTMUpdate|BayesianPropose|DeepTuneObserve' -benchtime=1x -run='^$$' .
 
@@ -137,8 +137,11 @@ bench-search:
 # input ends in an error or a schedule that survives String → Parse
 # unchanged. FuzzFromKV covers the snapshot and corpus config decoder:
 # every name → value map ends in an error or an in-domain configuration
-# that survives KV → FromKV unchanged. `go test -fuzz` takes one target
-# per run, hence one line each; the committed seeds under
+# that survives KV → FromKV unchanged. FuzzKconfigParse covers the Kconfig
+# parser: every source ends in an error or a tree whose defaults,
+# validation, dependency order, printer and space conversion all run
+# without a panic. `go test -fuzz` takes one target per run, hence one
+# line each; the committed seeds under
 # internal/search/testdata/fuzz, internal/deeptune/testdata/fuzz,
 # internal/wfd/testdata/fuzz, internal/fault/testdata/fuzz and
 # internal/configspace/testdata/fuzz run with every plain `go test` as
@@ -153,6 +156,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobFile$$' -fuzztime $(FUZZTIME) ./internal/wfd
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzFromKV$$' -fuzztime $(FUZZTIME) ./internal/configspace
+	$(GO) test -run '^$$' -fuzz '^FuzzKconfigParse$$' -fuzztime $(FUZZTIME) ./internal/kconfig
 
 # smoke builds and runs the end-to-end example programs with a small
 # budget: quickstart exercises the blocking Session lifecycle, streaming
@@ -172,15 +176,6 @@ smoke:
 # byte-identical to an uninterrupted reference run.
 smoke-wfd:
 	./scripts/smoke_wfd.sh
-
-# smoke-window runs the sliding-window flat-cost study at a small stream:
-# the experiment itself fails (non-zero exit) if the batched acquisition
-# paths diverge bit-for-bit from the scalar loops, so this is a
-# correctness gate as much as a perf snapshot. The committed BENCH_PR8.json
-# is the same experiment at quick scale (`wfbench -exp searcherscale-window
-# -json`).
-smoke-window:
-	$(GO) run ./cmd/wfbench -exp searcherscale-window -obs 600 -gp-window 64
 
 # smoke-transfer is the tuning-memory gauntlet under the race detector:
 # the empty-corpus golden pin (cold start ≡ today, byte-for-byte), the
@@ -213,4 +208,4 @@ smoke-faults:
 wfperf-check:
 	cd cmd/wfperf && $(GO) vet . && $(GO) test -race -count=1 .
 
-ci: fmt vet vet-wf build test-purego race bench bench-cache bench-search fuzz-smoke smoke smoke-wfd smoke-window smoke-faults smoke-transfer wfperf-check
+ci: fmt vet vet-wf build test-purego race bench bench-cache bench-search fuzz-smoke smoke smoke-wfd smoke-faults smoke-transfer wfperf-check

@@ -102,18 +102,16 @@ func BenchmarkFleetTopology(b *testing.B) { runExp(b, "fleet", 1, "transfer cost
 
 // --- Searcher hot-path benchmarks (the incremental surrogate layer) ---
 
-// gpAddSession measures a full 256-observation surrogate session: Add one
-// point, force the factor update with a prediction, repeat — the
-// model-side loop a Bayesian search session drives. The incremental path
+// BenchmarkGPAddIncremental measures a full 256-observation surrogate
+// session: Add one point, force the factor update with a prediction,
+// repeat — the model-side loop a Bayesian search session drives. Each add
 // extends the Cholesky factor in place (O(n²) per add, Θ(T³) per
-// session); the refit path refactorizes from scratch (O(n³) per add,
-// Θ(T⁴) per session). The acceptance bar is incremental ≥5x faster here.
-func gpAddSession(b *testing.B, refit bool) {
-	b.Helper()
+// session); internal/gp's BenchmarkGPRefit shows the O(n³)
+// refactorization this avoids.
+func BenchmarkGPAddIncremental(b *testing.B) {
 	const obs = 256
 	for i := 0; i < b.N; i++ {
 		g := gp.New(0.5, 1, 1e-3)
-		g.SetForceRefit(refit)
 		r := rng.New(1)
 		probe := []float64{0.5, 0.5, 0.5, 0.5}
 		for j := 0; j < obs; j++ {
@@ -125,12 +123,6 @@ func gpAddSession(b *testing.B, refit bool) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*obs), "ns/add")
 }
-
-// BenchmarkGPAddIncremental is the incremental-Cholesky session.
-func BenchmarkGPAddIncremental(b *testing.B) { gpAddSession(b, false) }
-
-// BenchmarkGPAddRefit is the full-refactorization baseline session.
-func BenchmarkGPAddRefit(b *testing.B) { gpAddSession(b, true) }
 
 // BenchmarkGPWindowedAdd streams 512 observations through a 128-window
 // surrogate — four windows past the bound, where every add is an extend
@@ -434,13 +426,6 @@ func BenchmarkDeepTuneObserve(b *testing.B) {
 		c := m.Space.Random(r)
 		s.Observe(search.Observation{Config: c, Metric: r.Float64() * 100, Stage: "ok"})
 	}
-}
-
-// BenchmarkSearcherScale runs the searcherscale experiment end to end —
-// the decision-cost-vs-observations study wfbench snapshots into
-// BENCH_PR4.json — reporting the incremental tail speedup.
-func BenchmarkSearcherScale(b *testing.B) {
-	runExp(b, "searcherscale", 0, "", "")
 }
 
 // BenchmarkParallelSession measures the real (host) cost of one 8-worker

@@ -15,16 +15,12 @@
 //	wfbench -exp elasticity           # host-churn outage ladder, retry-elsewhere
 //	wfbench -exp elasticity -faults "down:1@600,up:1@1800,retry:3/20/2"
 //	wfbench -exp locality             # locality dispatch vs static placement
-//	wfbench -exp searcherscale -json  # incremental-surrogate decision-cost snapshot
-//	wfbench -exp searcherscale -obs 512
-//	wfbench -exp searcherscale-window -gp-window 512  # flat-cost sliding-window study
 //	wfbench -exp serve                # wfd daemon load: many tenants, many sessions
 //	wfbench -exp transferscale        # tuning memory: obs-to-target vs corpus size
 //
 // Experiment IDs: fig1, table1, fig2, fig5, fig6, table2, fig7, fig8,
 // table3, fig9, fig10, fig11, table4, scaling, straggler, cachehit,
-// fleet, elasticity, locality, searcherscale, searcherscale-window,
-// serve, transferscale.
+// fleet, elasticity, locality, serve, transferscale.
 package main
 
 import (
@@ -46,8 +42,6 @@ func main() {
 	workers := flag.Int("workers", 0, "override the scaling/straggler/cachehit/fleet experiments' worker-pool size")
 	straggler := flag.Float64("straggler", 0, "override the straggler experiment's slowdown factor")
 	hosts := flag.Int("hosts", 0, "override the cachehit experiment's multi-host fleet size")
-	obs := flag.Int("obs", 0, "override the searcherscale experiment's surrogate observation count")
-	gpWindow := flag.Int("gp-window", 0, "override the searcherscale-window experiment's sliding-window bound (min 8)")
 	faults := flag.String("faults", "", "replace the elasticity experiment's outage ladder with this fault-DSL schedule")
 	dispatch := flag.String("dispatch", "", "override the fleet experiment's placement policy: static or locality")
 	asJSON := flag.Bool("json", false, "emit JSON instead of rendered tables")
@@ -72,13 +66,6 @@ func main() {
 	if *hosts > 0 {
 		scale.Hosts = *hosts
 	}
-	if *obs > 0 {
-		scale.SurrogateObs = *obs
-		scale.SurrogateStream = *obs
-	}
-	if *gpWindow > 0 {
-		scale.SurrogateWindow = *gpWindow
-	}
 	scale.FaultSchedule = *faults
 	scale.Dispatch = *dispatch
 	// The centralized option validation the library and wfctl share:
@@ -91,7 +78,7 @@ func main() {
 		os.Exit(2)
 	}
 	probe := core.Options{Iterations: 1, Workers: scale.Workers, Hosts: scale.Hosts,
-		SurrogateWindow: scale.SurrogateWindow, Faults: sched, Dispatch: scale.Dispatch}
+		Faults: sched, Dispatch: scale.Dispatch}
 	if scale.Straggler > 1 && scale.Workers > 1 {
 		probe.WorkerSpeedFactors = core.StragglerFleet(scale.Workers, scale.Straggler)
 	}

@@ -46,18 +46,6 @@ type Scale struct {
 	// runs (workers are split into this many simulated hosts with
 	// independent artifact-store partitions).
 	Hosts int
-	// SurrogateObs is how many observations the searcherscale experiment
-	// feeds the GP surrogate when charting incremental-vs-refit decision
-	// cost (the acceptance point sits at 256).
-	SurrogateObs int
-	// SurrogateStream is how many observations the searcherscale-window
-	// experiment streams through the windowed surrogate — deliberately far
-	// past SurrogateWindow, so the flat-cost claim is exercised where an
-	// unbounded surrogate would have slowed many-fold.
-	SurrogateStream int
-	// SurrogateWindow is the sliding-window bound the searcherscale-window
-	// experiment applies (the -gp-window value under test).
-	SurrogateWindow int
 	// ServeJobs/ServeTenants/ServeIterations size the serve experiment's
 	// daemon load: total concurrent jobs, tenants they are spread over,
 	// and each job's observation budget.
@@ -87,9 +75,6 @@ func PaperScale() Scale {
 		Workers:         16,
 		Straggler:       4,
 		Hosts:           4,
-		SurrogateObs:    512,
-		SurrogateStream: 10000,
-		SurrogateWindow: 512,
 		ServeJobs:       256,
 		ServeTenants:    8,
 		ServeIterations: 120,
@@ -110,9 +95,6 @@ func QuickScale() Scale {
 		Workers:         8,
 		Straggler:       4,
 		Hosts:           4,
-		SurrogateObs:    256,
-		SurrogateStream: 2500,
-		SurrogateWindow: 256,
 		ServeJobs:       112,
 		ServeTenants:    8,
 		ServeIterations: 60,
@@ -231,8 +213,7 @@ func IDs() []string {
 	return []string{
 		"fig1", "table1", "fig2", "fig5", "fig6", "table2", "fig7", "fig8",
 		"table3", "fig9", "fig10", "fig11", "table4", "scaling", "straggler",
-		"cachehit", "fleet", "elasticity", "locality", "searcherscale",
-		"searcherscale-window", "serve", "transferscale",
+		"cachehit", "fleet", "elasticity", "locality", "serve", "transferscale",
 	}
 }
 
@@ -277,10 +258,6 @@ func Run(id string, scale Scale) (*Result, error) {
 		return Elasticity(scale)
 	case "locality":
 		return Locality(scale)
-	case "searcherscale":
-		return Searcherscale(scale)
-	case "searcherscale-window":
-		return SearcherscaleWindow(scale)
 	case "serve":
 		return Serve(scale)
 	case "transferscale":

@@ -521,45 +521,6 @@ func TestLocalityRecovery(t *testing.T) {
 	}
 }
 
-func TestSearcherscaleIncrementalWins(t *testing.T) {
-	scale := tinyScale()
-	scale.SurrogateObs = 192
-	scale.Iterations = 40
-	res, err := Searcherscale(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tables) < 3 {
-		t.Fatalf("want cost, session, and snapshot tables, got %d", len(res.Tables))
-	}
-	costs := res.Tables[0]
-	// Row 0 full-refit, row 1 incremental: the session total and the tail
-	// per-add cost must both favor the incremental path decisively (the
-	// asymptotic gap is O(n), so even wall-clock noise at tiny scale
-	// leaves a wide margin).
-	refitTail := cellF(t, costs, 0, "tail µs/add")
-	incTail := cellF(t, costs, 1, "tail µs/add")
-	if incTail <= 0 || refitTail/incTail < 2 {
-		t.Fatalf("incremental tail %vµs vs refit %vµs: want ≥2x win at 192 observations", incTail, refitTail)
-	}
-	if sp := cellF(t, costs, 1, "tail speedup"); sp < 2 {
-		t.Fatalf("reported speedup %vx, want ≥2x", sp)
-	}
-	series := map[string]Series{}
-	for _, s := range res.Series {
-		series[s.Name] = s
-	}
-	for _, name := range []string{"gp-add-refit-s", "gp-add-incremental-s",
-		"bayesian-decision-refit-s", "bayesian-decision-incremental-s"} {
-		if len(series[name].Y) == 0 {
-			t.Fatalf("missing series %q", name)
-		}
-	}
-	if len(series["gp-add-refit-s"].Y) != 192 {
-		t.Fatalf("gp curve has %d points, want 192", len(series["gp-add-refit-s"].Y))
-	}
-}
-
 func TestServeDaemonLoad(t *testing.T) {
 	// The serve experiment asserts its own acceptance bar internally:
 	// >= min(jobs, 100) concurrent sessions, fair-share service spread
@@ -624,52 +585,5 @@ func TestTransferscaleMonotone(t *testing.T) {
 	}
 	if got := res.Notes[len(res.Notes)-1]; !strings.Contains(got, "strictly decreasing across the ladder: true") {
 		t.Fatalf("monotonicity note: %s", got)
-	}
-}
-
-func TestSearcherscaleWindowFlatCost(t *testing.T) {
-	// The experiment verifies bit-identity of both batched paths
-	// internally (it errors on any divergence); the test pins the
-	// flat-cost shape. The asymptotic gap is wide — the unbounded
-	// surrogate's per-add cost grows ~16x over a 4-window span while the
-	// windowed one stays put — so even noisy wall-clock at tiny scale
-	// clears these thresholds.
-	scale := tinyScale()
-	scale.SurrogateStream = 600
-	scale.SurrogateWindow = 64
-	scale.Iterations = 40
-	res, err := SearcherscaleWindow(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tables) != 3 {
-		t.Fatalf("want cost, batch, and session tables, got %d", len(res.Tables))
-	}
-	costs := res.Tables[0]
-	if r := cellF(t, costs, 1, "tail ratio"); r > 1.5 {
-		t.Fatalf("windowed tail ratio %vx, want ≤1.5x (flat decision cost)\n%s", r, res.Render())
-	}
-	if r := cellF(t, costs, 0, "tail ratio"); r < 1.5 {
-		t.Fatalf("unbounded tail ratio %vx, want the Θ(n²) growth visible (≥1.5x)\n%s", r, res.Render())
-	}
-	series := map[string]Series{}
-	for _, s := range res.Series {
-		series[s.Name] = s
-	}
-	for _, name := range []string{"gp-add-unbounded-s", "gp-add-windowed-s"} {
-		if len(series[name].Y) == 0 {
-			t.Fatalf("missing series %q", name)
-		}
-	}
-	for row := range res.Tables[2].Rows {
-		if d := cellF(t, res.Tables[2], row, "decision s"); d <= 0 {
-			t.Fatalf("session row %d decision cost %v, want > 0", row, d)
-		}
-	}
-	if len(res.Notes) < 3 {
-		t.Fatalf("want the three summary notes, got %d", len(res.Notes))
-	}
-	if !strings.Contains(res.Notes[0], "PASS") {
-		t.Fatalf("flat-cost note did not pass: %s", res.Notes[0])
 	}
 }

@@ -33,8 +33,6 @@ type State struct {
 	SinceRefit int `json:"since_refit"`
 	// Jitter is the persistent numerical-rescue diagonal.
 	Jitter float64 `json:"jitter"`
-	// ForceRefit preserves the from-scratch-refit baseline mode.
-	ForceRefit bool `json:"force_refit,omitempty"`
 	// Window is the sliding-window bound (0 = unbounded history).
 	Window int `json:"window,omitempty"`
 	// LengthScale and SignalVar are serialized because online adaptation
@@ -63,7 +61,6 @@ func (g *GP) State() *State {
 		Fitted:      g.fitted,
 		SinceRefit:  g.sinceRefit,
 		Jitter:      g.jitter,
-		ForceRefit:  g.forceRefit,
 		Window:      g.window,
 		LengthScale: g.LengthScale,
 		SignalVar:   g.SignalVar,
@@ -113,7 +110,6 @@ func (g *GP) RestoreState(st *State) error {
 	g.frames = nil
 	g.fitted, g.sinceRefit = 0, 0
 	g.jitter = st.Jitter
-	g.forceRefit = st.ForceRefit
 	g.sinceAdapt = st.SinceAdapt
 	if st.Window > 0 {
 		g.window = st.Window

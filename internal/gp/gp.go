@@ -81,10 +81,6 @@ type GP struct {
 	// jitter is the persistent numerical-rescue diagonal (0 until a
 	// factorization fails, 1e-6·σ_f² afterwards).
 	jitter float64
-	// forceRefit disables the incremental path entirely — every sync is a
-	// from-scratch refactorization. The before/after baseline for the
-	// searcherscale experiment and the BenchmarkGPAddRefit benchmark.
-	forceRefit bool
 
 	// window, when positive, bounds the observation history: once the
 	// factor covers more than window rows, each sync downdates the oldest
@@ -124,11 +120,6 @@ type fantasyFrame struct {
 func New(lengthScale, signalVar, noiseVar float64) *GP {
 	return &GP{LengthScale: lengthScale, SignalVar: signalVar, NoiseVar: noiseVar, chol: &stats.TriFactor{}}
 }
-
-// SetForceRefit toggles full-refactorization mode: when on, every model
-// update rebuilds the factor from scratch — the Θ(T⁴)-per-session behavior
-// the incremental layer replaces, kept as the measurable baseline.
-func (g *GP) SetForceRefit(on bool) { g.forceRefit = on }
 
 // SetWindow bounds the observation history to the latest n observations
 // (0 disables the bound). A window below 2 would make the posterior
@@ -224,12 +215,12 @@ func (g *GP) sync() error {
 
 // syncFactor brings the factor and weights up to date with the
 // observation list: incremental extensions for the common one-observation
-// delta, a full refactorization when forced, overdue for hygiene, or
-// rescued after a failed extension. With a window set, each extension
-// past the bound is followed by a downdate of the oldest row, so the
-// factor slides over the stream at constant size.
+// delta, a full refactorization when overdue for hygiene or rescued after
+// a failed extension. With a window set, each extension past the bound is
+// followed by a downdate of the oldest row, so the factor slides over the
+// stream at constant size.
 func (g *GP) syncFactor() error {
-	if g.forceRefit || g.chol.Len() != g.fitted || g.sinceRefit+(len(g.xs)-g.fitted) > fullRefitEvery {
+	if g.chol.Len() != g.fitted || g.sinceRefit+(len(g.xs)-g.fitted) > fullRefitEvery {
 		return g.refit()
 	}
 	for g.fitted < len(g.xs) {

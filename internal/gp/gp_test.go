@@ -238,14 +238,25 @@ func BenchmarkGPRefit(b *testing.B) {
 	}
 }
 
+// refitGP is the refit oracle: a GP that refactorizes its whole history
+// from scratch on every Add — the reference the incremental layer must
+// numerically match. Its Add shadows GP.Add, so no test can extend the
+// oracle's factor incrementally by mistake.
+type refitGP struct{ *GP }
+
+// Add appends an observation and refactorizes through refit.
+func (r refitGP) Add(t *testing.T, x []float64, y float64) {
+	t.Helper()
+	r.GP.Add(x, y)
+	if err := r.refit(); err != nil {
+		t.Fatalf("refit oracle: %v", err)
+	}
+}
+
 // newPair returns two GPs with identical hyperparameters: one incremental
-// (the default), one forced to refactorize from scratch on every update —
-// the reference the incremental layer must numerically match.
-func newPair(lengthScale, signalVar, noiseVar float64) (inc, ref *GP) {
-	inc = New(lengthScale, signalVar, noiseVar)
-	ref = New(lengthScale, signalVar, noiseVar)
-	ref.SetForceRefit(true)
-	return inc, ref
+// (the default) and the refit oracle.
+func newPair(lengthScale, signalVar, noiseVar float64) (inc *GP, ref refitGP) {
+	return New(lengthScale, signalVar, noiseVar), refitGP{New(lengthScale, signalVar, noiseVar)}
 }
 
 // closeTo is the acceptance tolerance: within 1e-9, absolute-plus-relative.
@@ -295,7 +306,7 @@ func TestIncrementalMatchesRefit(t *testing.T) {
 				history = append(history, x)
 				y := math.Sin(3*x[0]) + 0.1*r.Normal(0, 1)
 				inc.Add(x, y)
-				ref.Add(x, y)
+				ref.Add(t, x, y)
 				for _, p := range probes {
 					mi, si, err := inc.Predict(p)
 					if err != nil {
@@ -315,6 +326,48 @@ func TestIncrementalMatchesRefit(t *testing.T) {
 	}
 }
 
+// TestIncrementalAddCost pins the incremental layer's cost on the model's
+// own bookkeeping, not on host time: over a 192-add stream (dim 6) an
+// unwindowed model refactorizes (O(n³)) only when the fullRefitEvery
+// hygiene cadence falls due. Every other add is an in-place O(n²)
+// extension of the factor that caches exactly one new kernel row and
+// recomputes none of the cached ones.
+func TestIncrementalAddCost(t *testing.T) {
+	const dim, stream = 6, 192
+	r := rng.New(1)
+	g := New(0.5, 1, 1e-3)
+	probe := drawVec(r, dim)
+	refits := 0
+	var row0 *float64
+	for n := 1; n <= stream; n++ {
+		prev := g.sinceRefit
+		g.Add(drawVec(r, dim), r.Float64())
+		if _, _, err := g.Predict(probe); err != nil {
+			t.Fatalf("add %d: %v", n, err)
+		}
+		if g.fitted != n || g.chol.Len() != n || len(g.kRows) != n || len(g.kRows[n-1]) != n {
+			t.Fatalf("add %d: fitted %d, factor %d, kernel rows %d (last of length %d); want %d each",
+				n, g.fitted, g.chol.Len(), len(g.kRows), len(g.kRows[len(g.kRows)-1]), n)
+		}
+		if row0 == nil {
+			row0 = &g.kRows[0][0]
+		} else if &g.kRows[0][0] != row0 {
+			t.Fatalf("add %d: the cached kernel rows were recomputed", n)
+		}
+		if prev == fullRefitEvery {
+			if g.sinceRefit != 0 {
+				t.Fatalf("add %d: a refactorization was due after %d extensions, got sinceRefit %d", n, prev, g.sinceRefit)
+			}
+			refits++
+		} else if g.sinceRefit != prev+1 {
+			t.Fatalf("add %d: want an in-place extension (sinceRefit %d → %d), got sinceRefit %d", n, prev, prev+1, g.sinceRefit)
+		}
+	}
+	if want := stream / (fullRefitEvery + 1); refits != want {
+		t.Fatalf("%d refactorizations over %d adds, want %d", refits, stream, want)
+	}
+}
+
 // TestIncrementalJitterRescue drives both paths through the numerical
 // rescue: with zero observation noise, a second observation at an
 // effectively identical location makes the kernel matrix exactly singular
@@ -327,9 +380,9 @@ func TestIncrementalJitterRescue(t *testing.T) {
 	base := []float64{0.3, 0.8}
 	twin := []float64{0.3 + 1e-12, 0.8}
 	inc.Add(base, 1)
-	ref.Add(base, 1)
+	ref.Add(t, base, 1)
 	inc.Add(twin, 1.2)
-	ref.Add(twin, 1.2)
+	ref.Add(t, twin, 1.2)
 	probe := []float64{0.5, 0.5}
 	mi, si, err := inc.Predict(probe)
 	if err != nil {
@@ -351,7 +404,7 @@ func TestIncrementalJitterRescue(t *testing.T) {
 		x := []float64{r.Float64(), r.Float64()}
 		y := r.Float64()
 		inc.Add(x, y)
-		ref.Add(x, y)
+		ref.Add(t, x, y)
 		mi, si, err := inc.Predict(probe)
 		if err != nil {
 			t.Fatal(err)
@@ -479,7 +532,7 @@ func TestPredictNoAllocsSteadyState(t *testing.T) {
 
 // BenchmarkGPAddIncrementalInternal measures the package-level session
 // cost directly (the repo-level bench_test.go carries the headline
-// BenchmarkGPAddIncremental/BenchmarkGPAddRefit pair).
+// BenchmarkGPAddIncremental).
 func BenchmarkGPAddIncrementalInternal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := New(0.5, 1, 1e-3)

@@ -18,7 +18,6 @@ func TestGPStateCoverage(t *testing.T) {
 			"fitted":     "Fitted",
 			"sinceRefit": "SinceRefit",
 			"jitter":     "Jitter",
-			"forceRefit": "ForceRefit",
 			"window":     "Window",
 			"sinceAdapt": "SinceAdapt",
 			// Online adaptation can move the hyperparameters off their

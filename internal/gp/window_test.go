@@ -64,6 +64,64 @@ func TestWindowedMatchesSuffixRefit(t *testing.T) {
 	}
 }
 
+// TestWindowedAddCostFlat pins the sliding window's flat per-add cost on
+// the model's bookkeeping, not on host time. Streamed 600 adds (dim 6)
+// through a window of 64, the history, the factor and the kernel-row
+// cache hold exactly 64 rows after every add past the window, and the
+// hygiene refactorizations come exactly as often in the stream's last
+// tenth as in an equal band starting at twice the window. An unwindowed
+// model fed the same stream grows its factor to n.
+func TestWindowedAddCostFlat(t *testing.T) {
+	const dim, window, stream = 6, 64, 600
+	// run streams the adds through g, calls check after each add's sync,
+	// and reports per add whether that sync refactorized.
+	run := func(g *GP, check func(n int)) []bool {
+		r := rng.New(1)
+		probe := drawVec(r, dim)
+		refit := make([]bool, stream)
+		for i := range refit {
+			g.Add(drawVec(r, dim), r.Float64())
+			if _, _, err := g.Predict(probe); err != nil {
+				t.Fatalf("add %d: %v", i+1, err)
+			}
+			refit[i] = g.sinceRefit == 0
+			check(i + 1)
+		}
+		return refit
+	}
+	w := New(0.5, 1, 1e-3)
+	if err := w.SetWindow(window); err != nil {
+		t.Fatal(err)
+	}
+	refit := run(w, func(n int) {
+		if n > window && (w.Len() != window || w.chol.Len() != window || len(w.kRows) != window) {
+			t.Fatalf("add %d: Len %d, factor %d, kernel rows %d; want %d each",
+				n, w.Len(), w.chol.Len(), len(w.kRows), window)
+		}
+	})
+	count := func(from int) int {
+		c := 0
+		for _, ok := range refit[from : from+stream/10] {
+			if ok {
+				c++
+			}
+		}
+		return c
+	}
+	band, tail := count(2*window), count(stream-stream/10)
+	if tail == 0 || tail != band {
+		t.Fatalf("%d refactorizations in the last %d adds, %d in the band from add %d: want equal and nonzero",
+			tail, stream/10, band, 2*window+1)
+	}
+
+	u := New(0.5, 1, 1e-3)
+	run(u, func(n int) {
+		if u.Len() != n || u.chol.Len() != n {
+			t.Fatalf("unwindowed add %d: Len %d, factor %d; want %d", n, u.Len(), u.chol.Len(), n)
+		}
+	})
+}
+
 // TestSetWindowRetrofitsWarmModel: setting a window below the covered
 // history drains the factor down to the bound on the next sync.
 func TestSetWindowRetrofitsWarmModel(t *testing.T) {

@@ -358,11 +358,6 @@ func NewBayesian(space *configspace.Space, maximize bool, seed uint64) *Bayesian
 // Name implements Searcher.
 func (s *Bayesian) Name() string { return "bayesian" }
 
-// SetSurrogateRefit forces the surrogate back to from-scratch O(n³)
-// refactorization on every observation — the pre-incremental baseline the
-// searcherscale experiment charts decision cost against.
-func (s *Bayesian) SetSurrogateRefit(on bool) { s.model.SetForceRefit(on) }
-
 // hyperAdaptEvery is the online hyperparameter-adaptation cadence a
 // windowed Bayesian searcher runs at: every this-many observations the
 // surrogate grid-probes the (lengthScale, signalVar) neighborhood by log
