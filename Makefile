@@ -140,12 +140,18 @@ bench-search:
 # that survives KV → FromKV unchanged. FuzzKconfigParse covers the Kconfig
 # parser: every source ends in an error or a tree whose defaults,
 # validation, dependency order, printer and space conversion all run
-# without a panic. `go test -fuzz` takes one target per run, hence one
-# line each; the committed seeds under
+# without a panic. FuzzResultJSON is differential: the hand-written
+# Result encoder must write the bytes encoding/json's reflection writes,
+# and fail where it fails. FuzzResume covers core's resume of mutated
+# session snapshots: every input ends in an error or a session that
+# survives Step(1); its inputs are whole snapshots (20–80 KB), which the
+# minimizer would spend the burst shrinking, so it runs without
+# minimization and a crasher is kept as found. `go test -fuzz` takes one
+# target per run, hence one line each; the committed seeds under
 # internal/search/testdata/fuzz, internal/deeptune/testdata/fuzz,
-# internal/wfd/testdata/fuzz, internal/fault/testdata/fuzz and
-# internal/configspace/testdata/fuzz run with every plain `go test` as
-# well.
+# internal/wfd/testdata/fuzz, internal/fault/testdata/fuzz,
+# internal/configspace/testdata/fuzz and internal/core/testdata/fuzz run
+# with every plain `go test` as well.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -157,6 +163,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzFromKV$$' -fuzztime $(FUZZTIME) ./internal/configspace
 	$(GO) test -run '^$$' -fuzz '^FuzzKconfigParse$$' -fuzztime $(FUZZTIME) ./internal/kconfig
+	$(GO) test -run '^$$' -fuzz '^FuzzResultJSON$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/core
 
 # smoke builds and runs the end-to-end example programs with a small
 # budget: quickstart exercises the blocking Session lifecycle, streaming

@@ -188,6 +188,28 @@ func (s *Store) Snapshot() *State {
 	return st
 }
 
+// Check reports whether the state can be restored as a store of the
+// given partition count: one partition per host, each artifact in its
+// own host's partition, at most once.
+func (st *State) Check(hosts int) error {
+	if len(st.Partitions) != hosts {
+		return fmt.Errorf("artifact: %d partitions, want %d", len(st.Partitions), hosts)
+	}
+	for h, arts := range st.Partitions {
+		seen := make(map[uint64]bool, len(arts))
+		for _, a := range arts {
+			if a.Host != h {
+				return fmt.Errorf("artifact: partition %d holds artifact %x of host %d", h, a.Key, a.Host)
+			}
+			if seen[a.Key] {
+				return fmt.Errorf("artifact: partition %d holds artifact %x twice", h, a.Key)
+			}
+			seen[a.Key] = true
+		}
+	}
+	return nil
+}
+
 // Restore rebuilds a store from a snapshot, reproducing partition
 // contents, LRU order, and counters exactly.
 func Restore(st *State) *Store {

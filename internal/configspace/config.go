@@ -1,14 +1,17 @@
 package configspace
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math"
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // Config is a concrete assignment of a value to every parameter in a Space.
@@ -271,8 +274,51 @@ func (c *Config) stageKey(memo *atomic.Uint64, salt string, includeBoot bool) ui
 	return h
 }
 
-// String renders the non-default assignments compactly, sorted by name.
+// String renders the non-default assignments compactly: "name=value"
+// parts sorted as strings, joined by spaces, or "<default>". The parts
+// come out in the space's display order, so the string is built in one
+// exact-size allocation with no sort.
 func (c *Config) String() string {
+	s := c.space
+	o := s.nameOrders()
+	if o.eqInName {
+		return c.sortedString()
+	}
+	n := -1
+	for i, r := range c.raw {
+		if r != s.defaults[i] {
+			n += len(s.params[i].Name) + 2 + formattedLen(s.params[i], r)
+		}
+	}
+	if n < 0 {
+		return "<default>"
+	}
+	var b strings.Builder
+	b.Grow(n)
+	var tmp [24]byte
+	for _, i := range o.byDisplay {
+		r := c.raw[i]
+		if r == s.defaults[i] {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		p := s.params[i]
+		b.WriteString(p.Name)
+		b.WriteByte('=')
+		if p.Type == Enum {
+			b.WriteString(p.Values[r])
+		} else {
+			b.Write(appendFormatted(tmp[:0], p, r))
+		}
+	}
+	return b.String()
+}
+
+// sortedString is String for a space with '=' inside a name, where the
+// order of the "name=value" parts depends on the values: it sorts them.
+func (c *Config) sortedString() string {
 	var parts []string
 	for i, p := range c.space.Params() {
 		if c.raw[i] == c.space.defaults[i] {
@@ -285,6 +331,100 @@ func (c *Config) String() string {
 		return "<default>"
 	}
 	return strings.Join(parts, " ")
+}
+
+// appendFormatted appends Param.FormatValue of the non-enum value-vector
+// entry r: y/m/n, decimal, or 0x-prefixed hex, all plain ASCII.
+func appendFormatted(dst []byte, p *Param, r int64) []byte {
+	switch p.Type {
+	case Bool:
+		if r != 0 {
+			return append(dst, 'y')
+		}
+		return append(dst, 'n')
+	case Tristate:
+		switch TristateValue(r) {
+		case TriYes:
+			return append(dst, 'y')
+		case TriModule:
+			return append(dst, 'm')
+		}
+		return append(dst, 'n')
+	case Hex:
+		return strconv.AppendInt(append(dst, "0x"...), r, 16)
+	}
+	return strconv.AppendInt(dst, r, 10)
+}
+
+// formattedLen returns the length of Param.FormatValue of value-vector
+// entry r.
+func formattedLen(p *Param, r int64) int {
+	if p.Type == Enum {
+		return len(p.Values[r])
+	}
+	var tmp [24]byte
+	return len(appendFormatted(tmp[:0], p, r))
+}
+
+// AppendKVJSON appends the KV assignment to dst as encoding/json writes
+// that map: keys in byte order, strings HTML-escaped, "{}" for the
+// all-default configuration. It writes straight from the value vector,
+// with no map and no sort.
+func (c *Config) AppendKVJSON(dst []byte) []byte {
+	s := c.space
+	o := s.nameOrders()
+	dst = append(dst, '{')
+	first := true
+	for _, i := range o.byName {
+		r := c.raw[i]
+		if r == s.defaults[i] {
+			continue
+		}
+		if !first {
+			dst = append(dst, ',')
+		}
+		first = false
+		p := s.params[i]
+		if o.plainName[i] {
+			dst = append(append(append(dst, '"'), p.Name...), '"')
+		} else {
+			dst = AppendJSONString(dst, p.Name)
+		}
+		dst = append(dst, ':')
+		if p.Type == Enum {
+			dst = AppendJSONString(dst, p.Values[r])
+		} else {
+			dst = append(appendFormatted(append(dst, '"'), p, r), '"')
+		}
+	}
+	return append(dst, '}')
+}
+
+// AppendJSONString appends s as encoding/json writes a string: between
+// quotes as it is when it is printable ASCII with nothing to escape, and
+// through json.Marshal otherwise (quotes, backslashes, control bytes, the
+// HTML-escaped '<', '>' and '&', and anything beyond ASCII, where
+// json.Marshal replaces invalid UTF-8 and escapes U+2028 and U+2029).
+func AppendJSONString(dst []byte, s string) []byte {
+	if !jsonSafe(s) {
+		b, _ := json.Marshal(s) // a string always marshals
+		return append(dst, b...)
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// jsonSafe reports whether encoding/json writes s verbatim between quotes:
+// printable ASCII other than '"', '\\' and the HTML-escaped '<', '>', '&'.
+func jsonSafe(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // KV returns the canonical non-default assignment as a name → formatted

@@ -289,24 +289,9 @@ func (p *Param) Cardinality() float64 {
 // string for enums.
 func (p *Param) FormatValue(v Value) string {
 	switch p.Type {
-	case Bool:
-		if v.I != 0 {
-			return "y"
-		}
-		return "n"
-	case Tristate:
-		switch TristateValue(v.I) {
-		case TriYes:
-			return "y"
-		case TriModule:
-			return "m"
-		default:
-			return "n"
-		}
-	case Int:
-		return strconv.FormatInt(v.I, 10)
-	case Hex:
-		return "0x" + strconv.FormatInt(v.I, 16)
+	case Bool, Tristate, Int, Hex:
+		var tmp [24]byte
+		return string(appendFormatted(tmp[:0], p, v.I))
 	case Enum:
 		return v.S
 	}

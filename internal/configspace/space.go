@@ -1,12 +1,14 @@
 package configspace
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
+	"sync/atomic"
 
 	"wayfinder/internal/rng"
 )
@@ -36,6 +38,26 @@ type Space struct {
 	// defaults is the default configuration's value vector. Add, Fix and
 	// SetDefaultsFrom keep it current with every Param.Default.
 	defaults []int64
+
+	// orders holds the name orders configurations serialize in, built on
+	// first use and dropped by Add. Building them is a sort, which a
+	// set-up that never serializes does not pay; concurrent first users
+	// may each build them, and publish equal tables.
+	orders atomic.Pointer[nameOrders]
+}
+
+// nameOrders are a space's serialization tables. byName lists the
+// parameters sorted by name: encoding/json's map-key order, in which
+// config_kv is written. byDisplay sorts them by name+"=", the order of
+// String's "name=value" parts; it differs from byName where one name
+// prefixes another and the next byte sorts below '=' (HZ100 before HZ).
+// eqInName records a name holding '=' itself, which makes String's order
+// depend on the values. plainName[i] reports that parameter i's name is
+// written between quotes as it is, with nothing to escape.
+type nameOrders struct {
+	byName, byDisplay []int
+	eqInName          bool
+	plainName         []bool
 }
 
 // NewSpace returns an empty space with the given name.
@@ -60,11 +82,55 @@ func (s *Space) Add(p *Param) error {
 	if _, dup := s.byName[p.Name]; dup {
 		return fmt.Errorf("configspace: duplicate parameter %q", p.Name)
 	}
-	s.byName[p.Name] = len(s.params)
+	i := len(s.params)
+	s.byName[p.Name] = i
 	s.params = append(s.params, p)
 	s.defaults = append(s.defaults, p.raw(p.Default))
-	s.track(len(s.params) - 1)
+	s.track(i)
+	s.orders.Store(nil)
 	return nil
+}
+
+// nameOrders returns the space's serialization tables, building them
+// on first use.
+func (s *Space) nameOrders() *nameOrders {
+	if o := s.orders.Load(); o != nil {
+		return o
+	}
+	n := len(s.params)
+	o := &nameOrders{byName: make([]int, n), byDisplay: make([]int, n), plainName: make([]bool, n)}
+	for i, p := range s.params {
+		o.byName[i] = i
+		o.eqInName = o.eqInName || strings.Contains(p.Name, "=")
+		o.plainName[i] = jsonSafe(p.Name)
+	}
+	slices.SortFunc(o.byName, func(a, b int) int { return strings.Compare(s.params[a].Name, s.params[b].Name) })
+	// Display order is name order with each run of prefixed names
+	// reordered, so a stable sort from name order has little to move.
+	copy(o.byDisplay, o.byName)
+	slices.SortStableFunc(o.byDisplay, func(a, b int) int { return compareDisplay(s.params[a].Name, s.params[b].Name) })
+	s.orders.Store(o)
+	return o
+}
+
+// compareDisplay compares a+"=" with b+"=" without building either.
+func compareDisplay(a, b string) int {
+	n := min(len(a), len(b))
+	if c := strings.Compare(a[:n], b[:n]); c != 0 || len(a) == len(b) {
+		return c
+	}
+	if len(a) < len(b) {
+		return -compareEq(b[n:])
+	}
+	return compareEq(a[n:])
+}
+
+// compareEq compares rest+"=" with "=", for a non-empty rest.
+func compareEq(rest string) int {
+	if c := cmp.Compare(rest[0], '='); c != 0 {
+		return c
+	}
+	return 1 // "=…=" extends "="
 }
 
 // track appends parameter i to the mutable lists if Mutate and Neighbor
@@ -409,10 +475,10 @@ func (s *Space) Fingerprint() string {
 // SortedNames returns the parameter names in lexical order, for stable
 // reporting.
 func (s *Space) SortedNames() []string {
-	names := make([]string, len(s.params))
-	for i, p := range s.params {
-		names[i] = p.Name
+	byName := s.nameOrders().byName
+	names := make([]string, len(byName))
+	for k, i := range byName {
+		names[k] = s.params[i].Name
 	}
-	sort.Strings(names)
 	return names
 }

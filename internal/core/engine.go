@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -247,8 +246,11 @@ type Result struct {
 	// string, not a parseable assignment).
 	ConfigString string `json:"config"`
 	// ConfigKV is the canonical non-default assignment as a name→value
-	// map — the round-trippable serialization of Config, filled when the
-	// result is marshaled (reports, snapshots). Space.FromKV inverts it.
+	// map — the round-trippable serialization of Config. A live result
+	// leaves it nil, and reports and snapshots write config_kv straight
+	// from Config; a result decoded from a snapshot carries the map it
+	// was read from, and a non-nil map is written as it is.
+	// Space.FromKV inverts it.
 	ConfigKV map[string]string `json:"config_kv"`
 	// Metric is the measured value; 0 when Crashed.
 	Metric float64 `json:"metric"`
@@ -498,24 +500,11 @@ func (r *Report) SmoothedMetricSeries(alpha float64) []float64 {
 	return out
 }
 
-// fillConfigKV populates the result's round-trippable assignment map from
-// its in-memory Config (a no-op when already filled or configless).
-func (r *Result) fillConfigKV() {
-	if r.Config != nil && r.ConfigKV == nil {
-		r.ConfigKV = r.Config.KV()
-	}
-}
-
 // MarshalJSON serializes the report with every result's canonical
 // config_kv assignment filled in, so a parsed report (or snapshot) can
 // reconstruct the exact configurations via Space.FromKV instead of being
 // left with the lossy display string.
-func (r *Report) MarshalJSON() ([]byte, error) {
-	return r.marshal(func(res Result) Result {
-		res.fillConfigKV()
-		return res
-	})
-}
+func (r *Report) MarshalJSON() ([]byte, error) { return r.marshal(false) }
 
 // Canonical returns the result in the form byte-identity is stated over:
 // its one host-time field, DecisionCost (real time the searcher spent
@@ -524,7 +513,9 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 // timings, the cache accounting — is the session's deterministic output.
 func (r Result) Canonical() Result {
 	r.DecisionCost = 0
-	r.fillConfigKV()
+	if r.Config != nil && r.ConfigKV == nil {
+		r.ConfigKV = r.Config.KV()
+	}
 	return r
 }
 
@@ -532,23 +523,7 @@ func (r Result) Canonical() Result {
 // the bytes the golden hashes, the snapshot/resume suites and the
 // daemon's crash-restart guarantee compare. The report is left
 // unmodified.
-func (r *Report) CanonicalJSON() ([]byte, error) { return r.marshal(Result.Canonical) }
-
-// marshal serializes a copy of the report whose results, Best included,
-// have each been passed through form.
-func (r *Report) marshal(form func(Result) Result) ([]byte, error) {
-	type alias Report
-	cp := *r
-	cp.History = append([]Result(nil), r.History...)
-	for i := range cp.History {
-		cp.History[i] = form(cp.History[i])
-	}
-	if r.Best != nil {
-		best := form(*r.Best)
-		cp.Best = &best
-	}
-	return json.Marshal((*alias)(&cp))
-}
+func (r *Report) CanonicalJSON() ([]byte, error) { return r.marshal(true) }
 
 // noiseSalt decorrelates the engine's measurement-noise stream from other
 // consumers of the session seed.

@@ -12,14 +12,24 @@
 // The format is JSON for inspectability; exactness is preserved because
 // Go's JSON round-trips float64 (shortest-representation encoding) and
 // 64-bit integers bit-for-bit when decoded into typed fields. Config
-// assignments travel as canonical key=value maps (Config.KV /
+// assignments travel as canonical key=value maps (Config.KV's map,
 // Space.FromKV), never as the lossy display string.
+//
+// encoding/json writes everything but the results. Every Result, in the
+// report's history and best and in the in-flight table, is written by
+// the hand-written encoder in encode.go ((*Result).appendJSON, with
+// Config.AppendKVJSON for its config_kv), whose bytes equal what
+// encoding/json's reflection writes for the same result; that reflection
+// form is its test oracle (FuzzResultJSON, TestReportJSONMatchesReflection).
+// encoding/json is still the only decoder.
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"wayfinder/internal/artifact"
 	"wayfinder/internal/configspace"
@@ -65,9 +75,9 @@ type cacheSnap struct {
 // evalSnap is one evaluated-but-unrecorded evaluation (an in-flight
 // completion event).
 type evalSnap struct {
-	Iter   int    `json:"iter"`
-	Worker int    `json:"worker"`
-	Result Result `json:"result"`
+	Iter   int        `json:"iter"`
+	Worker int        `json:"worker"`
+	Result snapResult `json:"result"`
 	// ArtifactKey and BuildEndSec carry Result's unexported pipeline
 	// fields.
 	ArtifactKey uint64  `json:"artifact_key"`
@@ -78,6 +88,13 @@ type evalSnap struct {
 	TicketRegistered bool        `json:"ticket_registered,omitempty"`
 	Ticket           *ticketSnap `json:"ticket,omitempty"`
 }
+
+// snapResult is an in-flight Result as a snapshot writes it: through
+// appendJSON, as the report's results are. It decodes as a plain Result.
+type snapResult struct{ Result }
+
+// MarshalJSON encodes the result with its host time kept.
+func (r *snapResult) MarshalJSON() ([]byte, error) { return r.appendJSON(nil, false) }
 
 // retrySnap is one queued re-dispatch of a fault-lost iteration.
 type retrySnap struct {
@@ -169,7 +186,6 @@ func (s *Session) Snapshot() ([]byte, error) {
 		Round:         s.round,
 		Exhausted:     s.exhausted,
 		Frontier:      s.frontier,
-		Report:        s.report,
 		SearcherState: searcherState,
 		FaultCursor:   s.faultCur,
 	}
@@ -222,17 +238,27 @@ func (s *Session) Snapshot() ([]byte, error) {
 		}
 		snap.MetricState = ms
 	}
-	return json.Marshal(&snap)
+	// encoding/json writes the snapshot with its report left null, and the
+	// report's own encoder writes the report in that place: one pass over
+	// the history, which encoding/json would otherwise re-scan and copy.
+	head, err := json.Marshal(&snap)
+	if err != nil {
+		return nil, err
+	}
+	return encodeScratch(func(dst []byte) ([]byte, error) {
+		return splice(dst, head, `,"report":null`, func(dst []byte) ([]byte, error) {
+			return s.report.appendJSON(dst, false)
+		})
+	})
 }
 
 // snapEval serializes one pending evaluation.
 func (s *Session) snapEval(ev *batchEval) evalSnap {
-	res := ev.res
-	res.fillConfigKV()
+	res := &ev.res
 	es := evalSnap{
 		Iter:        ev.iter,
 		Worker:      ev.st.worker,
-		Result:      res,
+		Result:      snapResult{*res},
 		ArtifactKey: res.artifactKey,
 		BuildEndSec: res.buildEndSec,
 	}
@@ -249,19 +275,58 @@ func (s *Session) snapEval(ev *batchEval) evalSnap {
 // PeekSnapshot returns the options a session snapshot was taken with,
 // without restoring it — callers use it to reconstruct the searcher and
 // engine with matching construction parameters (notably the seed) before
-// RestoreSession.
+// RestoreSession. It reads only the header: Snapshot writes "version" and
+// "options" first, and decoding stops once both are in, so a body that is
+// malformed past them fails in RestoreSession instead.
 func PeekSnapshot(data []byte) (Options, error) {
-	var snap struct {
-		Version int     `json:"version"`
-		Options Options `json:"options"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
+	version, opts, err := peekHeader(data)
+	if err != nil {
 		return Options{}, fmt.Errorf("core: decoding session snapshot: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return Options{}, fmt.Errorf("core: session snapshot version %d (want %d)", snap.Version, snapshotVersion)
+	if version != snapshotVersion {
+		return Options{}, fmt.Errorf("core: session snapshot version %d (want %d)", version, snapshotVersion)
 	}
-	return snap.Options, nil
+	return opts, nil
+}
+
+// peekHeader streams the snapshot object's keys until it has seen both
+// "version" and "options", skipping any other value, matching keys
+// case-insensitively as json.Unmarshal does.
+func peekHeader(data []byte) (version int, opts Options, err error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil {
+		return 0, Options{}, err
+	} else if tok != json.Delim('{') {
+		return 0, Options{}, fmt.Errorf("snapshot is not a JSON object")
+	}
+	var haveVersion, haveOptions bool
+	for !(haveVersion && haveOptions) && dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return 0, Options{}, err
+		}
+		key, _ := tok.(string)
+		switch {
+		case strings.EqualFold(key, "version"):
+			haveVersion = true
+			err = dec.Decode(&version)
+		case strings.EqualFold(key, "options"):
+			haveOptions = true
+			err = dec.Decode(&opts)
+		default:
+			err = dec.Decode(new(json.RawMessage))
+		}
+		if err != nil {
+			return 0, Options{}, err
+		}
+	}
+	if !(haveVersion && haveOptions) {
+		// The object ended early: it must still be whole.
+		if _, err := dec.Token(); err != nil {
+			return 0, Options{}, err
+		}
+	}
+	return version, opts, nil
 }
 
 // RestoreSession rebuilds a session from a Snapshot against an engine
@@ -287,6 +352,23 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	if snap.Report == nil {
 		return nil, fmt.Errorf("core: session snapshot has no report")
 	}
+	// A live session's options always validate, and every table sized
+	// from them is checked against the snapshot's before it is built.
+	if err := snap.Options.Validate(); err != nil {
+		return nil, fmt.Errorf("core: session snapshot: %w", err)
+	}
+	wantWorkers := snap.Options.effWorkers()
+	if len(snap.Workers) != wantWorkers {
+		return nil, fmt.Errorf("core: snapshot has %d workers, options imply %d", len(snap.Workers), wantWorkers)
+	}
+	events := 0
+	if f := snap.Options.Faults; f != nil {
+		events = len(f.Events)
+	}
+	if snap.Next < 0 || snap.Observed < 0 || snap.FaultCursor < 0 || snap.FaultCursor > events {
+		return nil, fmt.Errorf("core: snapshot position out of range: next %d, observed %d, fault cursor %d of %d events",
+			snap.Next, snap.Observed, snap.FaultCursor, events)
+	}
 	if now := e.Clock.Now(); now > snap.BaseSec {
 		return nil, fmt.Errorf("core: engine clock at %.3fs is past the snapshot baseline %.3fs", now, snap.BaseSec)
 	}
@@ -299,10 +381,6 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 	// the bound and keeps trimming at it.
 	if err := e.applySurrogateWindow(snap.Options); err != nil {
 		return nil, err
-	}
-	wantWorkers := len(s.workers)
-	if len(snap.Workers) != wantWorkers {
-		return nil, fmt.Errorf("core: snapshot has %d workers, options imply %d", len(snap.Workers), wantWorkers)
 	}
 
 	// Report: reattach the in-memory configurations from their canonical
@@ -344,8 +422,11 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 
 	// Cache: store contents and the in-flight registry.
 	if snap.Cache != nil && s.cache != nil && s.cache.store != nil {
-		if snap.Cache.Store != nil {
-			s.cache.store = artifact.Restore(snap.Cache.Store)
+		if st := snap.Cache.Store; st != nil {
+			if err := st.Check(s.cache.store.Hosts()); err != nil {
+				return nil, fmt.Errorf("core: snapshot artifact store: %w", err)
+			}
+			s.cache.store = artifact.Restore(st)
 		}
 		for _, ts := range snap.Cache.Building {
 			s.cache.building[ts.Key] = &buildTicket{host: ts.Host, endSec: ts.EndSec, ok: ts.OK, resolved: ts.Resolved}
@@ -442,12 +523,16 @@ func (s *Session) restoreEval(es *evalSnap) (*batchEval, error) {
 	if es.Worker < 0 || es.Worker >= len(s.workers) {
 		return nil, fmt.Errorf("core: pending evaluation on worker %d of %d", es.Worker, len(s.workers))
 	}
-	res := es.Result
+	res := es.Result.Result
 	if err := restoreResult(&res, s.eng.Model.Space); err != nil {
 		return nil, fmt.Errorf("core: pending evaluation %d: %w", es.Iter, err)
 	}
 	if res.Config == nil {
 		return nil, fmt.Errorf("core: pending evaluation %d has no configuration", es.Iter)
+	}
+	if st := s.workers[es.Worker]; res.Worker != st.worker || res.Host != st.host {
+		return nil, fmt.Errorf("core: pending evaluation %d ran on worker %d of host %d, its slot is worker %d of host %d",
+			es.Iter, res.Worker, res.Host, st.worker, st.host)
 	}
 	res.artifactKey = es.ArtifactKey
 	res.buildEndSec = es.BuildEndSec

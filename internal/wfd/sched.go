@@ -59,7 +59,10 @@ type job struct {
 	spec   JobSpec // defaulted
 	tenant *tenant
 
-	sess *wayfinder.Session // nil for jobs recovered already-terminal
+	// sess is nil once the job is terminal: finish and terminate drop it,
+	// so a finished job's history and searcher state are not kept alive
+	// beside its cached report and summary fields.
+	sess *wayfinder.Session
 	hub  *hub
 	done chan struct{} // closed on reaching a terminal state
 
@@ -355,6 +358,7 @@ func (d *Daemon) finish(j *job) {
 	j.state = stateDone
 	j.reportJSON = bytes
 	j.doneAt = time.Now()
+	j.sess = nil
 	d.releaseLocked(j)
 	d.mu.Unlock()
 	j.hub.close()
@@ -372,6 +376,7 @@ func (d *Daemon) terminate(j *job, state jobState, reason string) {
 	j.state = state
 	j.err = reason
 	j.doneAt = time.Now()
+	j.sess = nil
 	d.releaseLocked(j)
 	observed := j.observed
 	d.mu.Unlock()

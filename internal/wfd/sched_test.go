@@ -331,3 +331,59 @@ func TestSubmitAfterKill(t *testing.T) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }
+
+// TestTerminalJobReleasesSession: a done job and a canceled job drop
+// their session, and status, the final report and an attach replay are
+// served from what the job cached.
+func TestTerminalJobReleasesSession(t *testing.T) {
+	d, err := New(Config{Steppers: 1, Quantum: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Kill()
+	done, err := d.Submit(quickSpec("a", 1, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, err := d.Submit(quickSpec("b", 2, 100000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cancel the long job once it has observed something.
+	_, live, stop, err := d.Attach(canceled, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-live
+	stop()
+	if err := d.Cancel(canceled); err != nil {
+		t.Fatal(err)
+	}
+	waitAll(t, d, done, canceled)
+
+	for _, tc := range []struct{ id, want string }{{done, "done"}, {canceled, "canceled"}} {
+		id, want := tc.id, tc.want
+		d.mu.Lock()
+		sess := d.jobs[id].sess
+		d.mu.Unlock()
+		if sess != nil {
+			t.Fatalf("%s job %s still holds its session", want, id)
+		}
+		st, err := d.JobStatusByID(id)
+		if err != nil || st.State != want || st.Observed == 0 {
+			t.Fatalf("%s: status %+v, %v", id, st, err)
+		}
+		backlog, live, cancel, err := d.Attach(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, open := <-live; open || len(backlog) == 0 {
+			t.Fatalf("%s: attach replayed %d events, live channel open %v", id, len(backlog), open)
+		}
+		cancel()
+	}
+	report, err := d.ReportJSON(done)
+	if err != nil || !strings.Contains(string(report), `"history":[`) {
+		t.Fatalf("report of the done job: %.80s, %v", report, err)
+	}
+}
