@@ -166,16 +166,22 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultJSON$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/core
 
-# smoke builds and runs the end-to-end example programs with a small
-# budget: quickstart exercises the blocking Session lifecycle, streaming
-# exercises the v2 lifecycle end to end (event stream, mid-session
-# cancellation, snapshot, byte-identical resume) and fails non-zero if the
-# resumed session diverges from the uninterrupted reference. The last
-# line runs `wfctl start` on an async fleet over the committed minimal
-# job file: the job file → JobSpec → session path the daemon shares.
+# smoke builds and runs every example program: quickstart exercises the
+# blocking Session lifecycle, streaming exercises the v2 lifecycle end to
+# end (event stream, mid-session cancellation, snapshot, byte-identical
+# resume) and fails non-zero if the resumed session diverges from the
+# uninterrupted reference; nginx-throughput, unikraft, transfer-learning
+# and memory-footprint run the paper's use cases at their built-in sizes
+# (seconds each) and fail non-zero on any session error. The last line
+# runs `wfctl start` on an async fleet over the committed minimal job
+# file: the job file → JobSpec → session path the daemon shares.
 smoke:
 	$(GO) run ./examples/quickstart -l 24
 	$(GO) run ./examples/streaming -l 32
+	$(GO) run ./examples/nginx-throughput
+	$(GO) run ./examples/unikraft
+	$(GO) run ./examples/transfer-learning
+	$(GO) run ./examples/memory-footprint
 	$(GO) run ./cmd/wfctl start -s random -workers 4 -async -l 24 cmd/wfctl/testdata/minimal.yaml
 
 # smoke-wfd is the daemon's SIGKILL gauntlet: build race-enabled wfd and

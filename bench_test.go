@@ -4,9 +4,9 @@
 // at quick scale and reports the key headline number via b.ReportMetric,
 // so `go test -bench=. -benchmem` doubles as a miniature reproduction run.
 //
-// This is an external test package (wayfinder_test): the experiments
-// package it drives now pulls in internal/wfd, whose daemon serves
-// wayfinder.Session — an in-package test would be an import cycle.
+// This is an external test package (wayfinder_test): it needs nothing
+// unexported from the root package and drives every package it measures
+// through exported names only.
 package wayfinder_test
 
 import (

@@ -15,12 +15,11 @@
 //	wfbench -exp elasticity           # host-churn outage ladder, retry-elsewhere
 //	wfbench -exp elasticity -faults "down:1@600,up:1@1800,retry:3/20/2"
 //	wfbench -exp locality             # locality dispatch vs static placement
-//	wfbench -exp serve                # wfd daemon load: many tenants, many sessions
 //	wfbench -exp transferscale        # tuning memory: obs-to-target vs corpus size
 //
 // Experiment IDs: fig1, table1, fig2, fig5, fig6, table2, fig7, fig8,
 // table3, fig9, fig10, fig11, table4, scaling, straggler, cachehit,
-// fleet, elasticity, locality, serve, transferscale.
+// fleet, elasticity, locality, transferscale.
 package main
 
 import (

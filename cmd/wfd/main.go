@@ -1,8 +1,7 @@
 // Command wfd runs the Wayfinder daemon: a long-lived, multi-tenant
 // service multiplexing many concurrent tuning sessions over one process.
-// Clients (wfctl, the serve experiment load generator, anything speaking
-// HTTP+JSON) submit declarative job specs, attach to live event streams,
-// and fetch canonical final reports.
+// Clients (wfctl, anything speaking HTTP+JSON) submit declarative job
+// specs, attach to live event streams, and fetch canonical final reports.
 //
 // Usage:
 //

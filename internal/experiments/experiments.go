@@ -46,12 +46,6 @@ type Scale struct {
 	// runs (workers are split into this many simulated hosts with
 	// independent artifact-store partitions).
 	Hosts int
-	// ServeJobs/ServeTenants/ServeIterations size the serve experiment's
-	// daemon load: total concurrent jobs, tenants they are spread over,
-	// and each job's observation budget.
-	ServeJobs       int
-	ServeTenants    int
-	ServeIterations int
 	// FaultSchedule optionally replaces the elasticity experiment's
 	// built-in outage ladder with one custom rung (fault DSL; the
 	// wfbench -faults value).
@@ -66,19 +60,16 @@ type Scale struct {
 // PaperScale matches the paper's experiment sizes.
 func PaperScale() Scale {
 	return Scale{
-		Seeds:           5,
-		Iterations:      250,
-		RandomConfigs:   800,
-		PerAppConfigs:   2000,
-		TimeBudgetSec:   3 * 3600,
-		SynthIters:      300,
-		Workers:         16,
-		Straggler:       4,
-		Hosts:           4,
-		ServeJobs:       256,
-		ServeTenants:    8,
-		ServeIterations: 120,
-		Linux:           simos.DefaultLinuxOptions(),
+		Seeds:         5,
+		Iterations:    250,
+		RandomConfigs: 800,
+		PerAppConfigs: 2000,
+		TimeBudgetSec: 3 * 3600,
+		SynthIters:    300,
+		Workers:       16,
+		Straggler:     4,
+		Hosts:         4,
+		Linux:         simos.DefaultLinuxOptions(),
 	}
 }
 
@@ -86,19 +77,16 @@ func PaperScale() Scale {
 // qualitative shapes.
 func QuickScale() Scale {
 	return Scale{
-		Seeds:           2,
-		Iterations:      120,
-		RandomConfigs:   200,
-		PerAppConfigs:   400,
-		TimeBudgetSec:   6000,
-		SynthIters:      60,
-		Workers:         8,
-		Straggler:       4,
-		Hosts:           4,
-		ServeJobs:       112,
-		ServeTenants:    8,
-		ServeIterations: 60,
-		Linux:           simos.LinuxOptions{FillerRuntime: 80, FillerBoot: 10, FillerCompile: 30, Seed: 1},
+		Seeds:         2,
+		Iterations:    120,
+		RandomConfigs: 200,
+		PerAppConfigs: 400,
+		TimeBudgetSec: 6000,
+		SynthIters:    60,
+		Workers:       8,
+		Straggler:     4,
+		Hosts:         4,
+		Linux:         simos.LinuxOptions{FillerRuntime: 80, FillerBoot: 10, FillerCompile: 30, Seed: 1},
 	}
 }
 
@@ -208,64 +196,38 @@ func dashes(widths []int) []string {
 	return out
 }
 
+// registry lists every experiment in paper order: IDs and Run both read
+// it, so adding or retiring an experiment is one entry.
+var registry = []struct {
+	id  string
+	run func(Scale) (*Result, error)
+}{
+	{"fig1", Fig1}, {"table1", Table1}, {"fig2", Fig2}, {"fig5", Fig5},
+	{"fig6", Fig6}, {"table2", Table2}, {"fig7", Fig7}, {"fig8", Fig8},
+	{"table3", Table3}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11},
+	{"table4", Table4}, {"scaling", Scaling}, {"straggler", Straggler},
+	{"cachehit", Cachehit}, {"fleet", Fleet}, {"elasticity", Elasticity},
+	{"locality", Locality}, {"transferscale", Transferscale},
+}
+
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{
-		"fig1", "table1", "fig2", "fig5", "fig6", "table2", "fig7", "fig8",
-		"table3", "fig9", "fig10", "fig11", "table4", "scaling", "straggler",
-		"cachehit", "fleet", "elasticity", "locality", "serve", "transferscale",
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // Run dispatches an experiment by ID.
 func Run(id string, scale Scale) (*Result, error) {
-	switch id {
-	case "fig1":
-		return Fig1(scale)
-	case "table1":
-		return Table1(scale)
-	case "fig2":
-		return Fig2(scale)
-	case "fig5":
-		return Fig5(scale)
-	case "fig6":
-		return Fig6(scale)
-	case "table2":
-		return Table2(scale)
-	case "fig7":
-		return Fig7(scale)
-	case "fig8":
-		return Fig8(scale)
-	case "table3":
-		return Table3(scale)
-	case "fig9":
-		return Fig9(scale)
-	case "fig10":
-		return Fig10(scale)
-	case "fig11":
-		return Fig11(scale)
-	case "table4":
-		return Table4(scale)
-	case "scaling":
-		return Scaling(scale)
-	case "straggler":
-		return Straggler(scale)
-	case "cachehit":
-		return Cachehit(scale)
-	case "fleet":
-		return Fleet(scale)
-	case "elasticity":
-		return Elasticity(scale)
-	case "locality":
-		return Locality(scale)
-	case "serve":
-		return Serve(scale)
-	case "transferscale":
-		return Transferscale(scale)
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)",
-			id, strings.Join(IDs(), ", "))
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(scale)
+		}
 	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)",
+		id, strings.Join(IDs(), ", "))
 }
 
 // newLinuxRuntimeFavored builds the §4.1 setup: the Linux profile with

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"strconv"
@@ -42,9 +43,23 @@ func cellF(t *testing.T, tab Table, row int, col string) float64 {
 	return v
 }
 
+// TestRunUnknownID pins the registry's order and the unknown-ID error,
+// which names every experiment there is. Nothing runs here.
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run("fig99", tinyScale()); err == nil {
-		t.Fatal("unknown experiment should fail")
+	want := []string{
+		"fig1", "table1", "fig2", "fig5", "fig6", "table2", "fig7", "fig8",
+		"table3", "fig9", "fig10", "fig11", "table4", "scaling", "straggler",
+		"cachehit", "fleet", "elasticity", "locality", "transferscale",
+	}
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Fatalf("IDs() = %q, want %q", got, want)
+	}
+	for _, id := range []string{"fig99", "serve", ""} {
+		_, err := Run(id, tinyScale())
+		wantErr := fmt.Sprintf("experiments: unknown experiment %q (have %s)", id, strings.Join(want, ", "))
+		if err == nil || err.Error() != wantErr {
+			t.Fatalf("Run(%q) error %v, want %q", id, err, wantErr)
+		}
 	}
 }
 
@@ -518,36 +533,6 @@ func TestLocalityRecovery(t *testing.T) {
 	}
 	if rec := cellF(t, tab, 0, "recovered %"); rec < 70 {
 		t.Fatalf("locality recovered %.0f%% of the transfer bill, want ≥ 70%%\n%s", rec, res.Render())
-	}
-}
-
-func TestServeDaemonLoad(t *testing.T) {
-	// The serve experiment asserts its own acceptance bar internally:
-	// >= min(jobs, 100) concurrent sessions, fair-share service spread
-	// <= 2x between tenants, every cross-tenant report pair byte-identical.
-	// A smaller load keeps the test quick; the concurrency floor scales
-	// with the job count.
-	scale := tinyScale()
-	scale.ServeJobs = 48
-	scale.ServeTenants = 6
-	scale.ServeIterations = 30
-	res, err := Serve(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tables) != 1 || len(res.Tables[0].Rows) != 6 {
-		t.Fatalf("want one table with 6 tenant rows, got %+v", res.Tables)
-	}
-	for row := range res.Tables[0].Rows {
-		if got := cellF(t, res.Tables[0], row, "served obs"); got != 8*30 {
-			t.Fatalf("tenant row %d served %v observations, want %d", row, got, 8*30)
-		}
-	}
-	if len(res.Series) != 2 || len(res.Series[0].Y) == 0 {
-		t.Fatalf("want served+spread series, got %+v", len(res.Series))
-	}
-	if len(res.Notes) < 5 {
-		t.Fatalf("want the five summary notes, got %d", len(res.Notes))
 	}
 }
 

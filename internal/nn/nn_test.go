@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -412,6 +414,39 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for i := range d.Weight.W {
 		if d.Weight.W[i] != d2.Weight.W[i] {
 			t.Fatal("weights differ after restore")
+		}
+	}
+}
+
+// TestSnapshotEncodeIsPlainJSON: Encode writes exactly what encoding/json
+// writes for a plain struct of the same fields, HTML escapes, U+2028,
+// negative zero and exponent forms included.
+func TestSnapshotEncodeIsPlainJSON(t *testing.T) {
+	type mirror struct {
+		Meta    map[string]string    `json:"meta,omitempty"`
+		Tensors map[string][]float64 `json:"tensors"`
+	}
+	for _, snap := range []*Snapshot{
+		NewSnapshot(),
+		{
+			Meta: map[string]string{"app": "<nginx> & redis", "line\u2028sep": "a\u2028b", "b": ""},
+			Tensors: map[string][]float64{
+				"w": {math.Copysign(0, -1), 1e-7, 1e21, -2.5, 0},
+				"b": {},
+				"<": nil,
+			},
+		},
+	} {
+		got, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(mirror{Meta: snap.Meta, Tensors: snap.Tensors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Encode:\n%s\nencoding/json:\n%s", got, want)
 		}
 	}
 }

@@ -57,12 +57,6 @@ func (s *Snapshot) Restore(names []string, params []*Param) error {
 	return nil
 }
 
-// MarshalJSON renders the snapshot.
-func (s *Snapshot) MarshalJSON() ([]byte, error) {
-	type alias Snapshot
-	return json.Marshal((*alias)(s))
-}
-
 // Encode serializes the snapshot to JSON bytes.
 func (s *Snapshot) Encode() ([]byte, error) { return json.Marshal(s) }
 

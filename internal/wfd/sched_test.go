@@ -2,7 +2,9 @@ package wfd
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
 	"strings"
@@ -29,71 +31,117 @@ func waitAll(t *testing.T, d *Daemon, ids ...string) {
 	}
 }
 
-// TestFairShare: tenant A submits 4 jobs, tenant B submits 1; with a
-// single stepper, the per-quantum trace must alternate tenants (least
-// service first), not drain A's queue before B's.
+// TestFairShare replays the quantum trace of a single-stepper daemon
+// against the fair-share rule: whenever a tenant with pending demand sits
+// at a lower service than the tenant a quantum went to, that quantum broke
+// the rule. Two inputs:
+//
+//   - tenant a submits 4 jobs and then tenant b submits 1 while a is
+//     already being served: b catches up first and then the two
+//     alternate. A tenant cannot be scheduled before it exists, so each
+//     tenant constrains only the quanta picked after its admission;
+//   - 8 tenants with 1 to 8 jobs each, admitted under Hold so that all are
+//     present before the first quantum. The service of the tenants with
+//     pending work then never spans more than one quantum, so its max/min
+//     spread is at most 2x once each has been served a quantum.
 func TestFairShare(t *testing.T) {
-	var mu sync.Mutex
-	type q struct {
+	type batch struct {
 		tenant string
-		served int
+		jobs   int
 	}
-	var trace []q
-	d, err := New(Config{Steppers: 1, Quantum: 5})
-	if err != nil {
-		t.Fatal(err)
+	serveShaped := make([]batch, 8)
+	for i := range serveShaped {
+		serveShaped[i] = batch{fmt.Sprintf("t%d", i), i + 1}
 	}
-	defer d.Kill()
-	d.mu.Lock()
-	d.testQuantum = func(_, tenant string, served int) {
-		mu.Lock()
-		trace = append(trace, q{tenant, served})
-		mu.Unlock()
-	}
-	d.mu.Unlock()
-
-	var ids []string
-	for i := 0; i < 4; i++ {
-		id, err := d.Submit(quickSpec("a", uint64(i+1), 20))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	id, err := d.Submit(quickSpec("b", 9, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids = append(ids, id)
-	waitAll(t, d, ids...)
-
-	// Replay the trace: whenever both tenants still have pending demand,
-	// a quantum must go to one at the minimum service — tenant b (admitted
-	// last, service 0) catches up first and then the two alternate; a must
-	// never pull further ahead while b still has work. The window before
-	// b's admission (it was submitted while a was already being served) is
-	// exempt: a tenant cannot be scheduled before it exists.
-	service := map[string]int{"a": 0, "b": 0}
-	remaining := map[string]int{"a": 80, "b": 20}
-	seenB := false
-	for i, step := range trace {
-		if step.tenant == "b" {
-			seenB = true
-		}
-		for _, tenant := range slices.Sorted(maps.Keys(service)) {
-			if tenant == step.tenant || !seenB || remaining[tenant] == 0 {
-				continue
+	for _, tc := range []struct {
+		name    string
+		hold    bool
+		quantum int
+		iters   int
+		batches []batch
+	}{
+		{"late-tenant", false, 5, 20, []batch{{"a", 4}, {"b", 1}}},
+		{"eight-tenants", true, 4, 12, serveShaped},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			type q struct {
+				tenant string
+				served int
 			}
-			if service[step.tenant] > service[tenant] {
-				t.Fatalf("quantum %d went to %s (service %d) while %s had %d and pending work",
-					i, step.tenant, service[step.tenant], tenant, service[tenant])
+			var trace []q
+			d, err := New(Config{Steppers: 1, Quantum: tc.quantum})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		service[step.tenant] += step.served
-		remaining[step.tenant] -= step.served
-	}
-	if service["a"] != 80 || service["b"] != 20 {
-		t.Fatalf("service a=%d b=%d, want 80/20", service["a"], service["b"])
+			defer d.Kill()
+			d.mu.Lock()
+			d.testQuantum = func(_, tenant string, served int) {
+				mu.Lock()
+				trace = append(trace, q{tenant, served})
+				mu.Unlock()
+			}
+			d.mu.Unlock()
+			if tc.hold {
+				d.Hold()
+			}
+			var ids []string
+			service := map[string]int{}
+			remaining := map[string]int{}
+			admitted := map[string]int{} // index of the first quantum picked after admission
+			for _, b := range tc.batches {
+				for k := 0; k < b.jobs; k++ {
+					id, err := d.Submit(quickSpec(b.tenant, uint64(k+1), tc.iters))
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, id)
+					if k == 0 {
+						// One stepper: only the quantum at the current trace
+						// length can have been picked before this admission.
+						mu.Lock()
+						admitted[b.tenant] = len(trace) + 1
+						mu.Unlock()
+					}
+				}
+				remaining[b.tenant] += b.jobs * tc.iters
+			}
+			d.Release()
+			waitAll(t, d, ids...)
+
+			tenants := slices.Sorted(maps.Keys(remaining))
+			for i, step := range trace {
+				for _, tenant := range tenants {
+					if i >= admitted[tenant] && remaining[tenant] > 0 && service[tenant] < service[step.tenant] {
+						t.Fatalf("quantum %d went to %s (service %d) while %s had %d and pending work",
+							i, step.tenant, service[step.tenant], tenant, service[tenant])
+					}
+				}
+				service[step.tenant] += step.served
+				remaining[step.tenant] -= step.served
+				if !tc.hold {
+					continue
+				}
+				lo, hi := -1, 0
+				for _, tenant := range tenants {
+					if remaining[tenant] > 0 {
+						if lo < 0 || service[tenant] < lo {
+							lo = service[tenant]
+						}
+						hi = max(hi, service[tenant])
+					}
+				}
+				if lo >= 0 && hi-lo > tc.quantum {
+					t.Fatalf("after quantum %d the tenants with pending work span service %d..%d, more than one quantum (%d)",
+						i, lo, hi, tc.quantum)
+				}
+			}
+			for _, tenant := range tenants {
+				if remaining[tenant] != 0 {
+					t.Fatalf("tenant %s served %d, %d short of its demand", tenant, service[tenant], remaining[tenant])
+				}
+			}
+		})
 	}
 }
 
@@ -156,11 +204,12 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestHoldRelease: a held daemon admits jobs but serves nothing — the
-// whole batch sits queued with zero observations served — and Release
-// drains it normally. This is the primitive the serve experiment leans on
-// for an exact (not load-sampled) concurrency measurement.
+// TestHoldRelease: a held daemon admits jobs but serves nothing. A batch
+// of 104 jobs over 8 tenants sits resident and queued with zero
+// observations served, so the daemon's concurrency is counted exactly
+// rather than sampled, and Release drains the batch normally.
 func TestHoldRelease(t *testing.T) {
+	const tenants, perTenant, iters = 8, 13, 4
 	d, err := New(Config{Steppers: 4, Quantum: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -168,24 +217,27 @@ func TestHoldRelease(t *testing.T) {
 	defer d.Kill()
 	d.Hold()
 	var ids []string
-	for i := 0; i < 6; i++ {
-		id, err := d.Submit(quickSpec("a", uint64(i+1), 8))
-		if err != nil {
-			t.Fatal(err)
+	for k := 0; k < perTenant; k++ {
+		for i := 0; i < tenants; i++ {
+			id, err := d.Submit(quickSpec(fmt.Sprintf("t%d", i), uint64(k+1), iters))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
 	}
 	// Held: everything resident and queued, nothing served. The sleep
 	// gives a buggy stepper a chance to claim work it must not.
 	time.Sleep(20 * time.Millisecond)
+	jobs := tenants * perTenant
 	st := d.Status()
-	if st.Queued != 6 || st.Running != 0 || st.Done != 0 || st.ServedTotal != 0 {
-		t.Fatalf("held daemon served work: %+v", st)
+	if st.Queued != jobs || st.Running != 0 || st.Done != 0 || st.ServedTotal != 0 || st.Quanta != 0 {
+		t.Fatalf("held daemon with %d jobs admitted: %+v", jobs, st)
 	}
 	d.Release()
 	waitAll(t, d, ids...)
-	if st := d.Status(); st.Done != 6 {
-		t.Fatalf("after release: %d done, want 6", st.Done)
+	if st := d.Status(); st.Done != jobs || st.ServedTotal != jobs*iters {
+		t.Fatalf("after release: %d done, %d served, want %d and %d", st.Done, st.ServedTotal, jobs, jobs*iters)
 	}
 	// Releasing an unheld daemon is a no-op.
 	d.Release()
@@ -318,6 +370,96 @@ func TestDeterministicAcrossQuanta(t *testing.T) {
 	}
 	if !strings.Contains(string(ref), `"searcher":"bayesian"`) {
 		t.Fatalf("unexpected report: %.120s", ref)
+	}
+
+	// The same spec from several tenants of one daemon, multiplexed
+	// together: who submitted a job, and what it shared the steppers
+	// with, must not reach its report.
+	d, err := New(Config{Steppers: 4, Quantum: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Kill()
+	d.Hold()
+	var ids []string
+	for _, tenant := range []string{"x", "y", "z", "default"} {
+		spec.Tenant = tenant
+		id, err := d.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	d.Release()
+	waitAll(t, d, ids...)
+	for _, id := range ids {
+		rep, err := d.ReportJSON(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(rep) != string(ref) {
+			st, _ := d.JobStatusByID(id)
+			t.Fatalf("tenant %s's report differs from the single-job reference", st.Tenant)
+		}
+	}
+}
+
+// TestBuildIndexCountsEveryCompile: the daemon's cross-session build
+// index counts every image a session compiles, once as unique and after
+// that as a duplicate, however the sessions interleave. Two identical
+// jobs compile the same images as one job alone (U unique, D repeats),
+// so together they must show U unique builds and 2D+U duplicates. The
+// spec turns the session cache off so that a job repeats builds itself
+// (D > 0), and none of its builds fail, so U+D is the report's build
+// count.
+func TestBuildIndexCountsEveryCompile(t *testing.T) {
+	spec := JobSpec{OS: "unikraft", Searcher: "grid", Seed: 1, Iterations: 40, DisableCache: true}
+	run := func(tenants ...string) (DaemonStatus, []byte) {
+		d, err := New(Config{Steppers: 2, Quantum: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Kill()
+		var ids []string
+		for _, tenant := range tenants {
+			spec.Tenant = tenant
+			id, err := d.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		waitAll(t, d, ids...)
+		// The identity needs an index that forgets nothing.
+		d.storeMu.Lock()
+		evicted := d.store.Stats().Evictions
+		d.storeMu.Unlock()
+		if evicted != 0 {
+			t.Fatalf("build index evicted %d images", evicted)
+		}
+		rep, err := d.ReportJSON(ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Status(), rep
+	}
+
+	one, rep := run("a")
+	var counts struct {
+		Builds int `json:"builds"`
+	}
+	if err := json.Unmarshal(rep, &counts); err != nil {
+		t.Fatal(err)
+	}
+	u, dup := one.UniqueBuilds, one.DupBuilds
+	if u == 0 || dup == 0 || u+dup != counts.Builds {
+		t.Fatalf("one job: %d unique + %d duplicate builds, want both > 0 and summing to the report's %d",
+			u, dup, counts.Builds)
+	}
+	two, _ := run("a", "b")
+	if two.UniqueBuilds != u || two.DupBuilds != 2*dup+u {
+		t.Fatalf("two identical jobs: %d unique, %d duplicate builds; want %d and %d",
+			two.UniqueBuilds, two.DupBuilds, u, 2*dup+u)
 	}
 }
 

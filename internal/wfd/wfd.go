@@ -44,8 +44,7 @@
 // configspace.Config.CompileKey digest, and repeat builds of an image any
 // session already produced are counted as cross-session duplicates — the
 // compute a shared physical artifact store would save a production fleet,
-// reported in Status and the serve experiment without perturbing any
-// session's virtual accounting.
+// reported in Status without perturbing any session's virtual accounting.
 package wfd
 
 import (
@@ -77,8 +76,7 @@ var (
 // Config parameterizes a Daemon.
 type Config struct {
 	// StateDir is the journal directory. Empty disables persistence: the
-	// daemon runs in-memory only, with no crash-restart guarantee (used by
-	// the serve experiment and tests).
+	// daemon runs in-memory only, with no crash-restart guarantee.
 	StateDir string
 	// CorpusDir is the shared transfer-corpus directory. Empty disables
 	// the corpus: jobs asking for it are rejected at admission. When set,
