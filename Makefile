@@ -12,7 +12,7 @@ STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
 .PHONY: all build test test-purego race fmt vet vet-wf bench bench-cache bench-search \
-	fuzz-smoke smoke smoke-wfd smoke-faults smoke-transfer wfperf-check \
+	fuzz-smoke smoke smoke-wfd smoke-faults smoke-transfer wfperf-vet wfperf-check \
 	tools lint cover ci
 
 all: build
@@ -222,4 +222,10 @@ smoke-faults:
 wfperf-check:
 	cd cmd/wfperf && $(GO) vet . && $(GO) test -race -count=1 .
 
-ci: fmt vet vet-wf build test-purego race bench bench-cache bench-search fuzz-smoke smoke smoke-wfd smoke-faults smoke-transfer wfperf-check
+# wfperf-vet only compiles and vets the harness, in seconds, so a library
+# change that breaks its build fails here on its own, apart from any
+# wfperf-check test failure.
+wfperf-vet:
+	cd cmd/wfperf && $(GO) vet .
+
+ci: fmt vet vet-wf build test-purego race bench bench-cache bench-search fuzz-smoke smoke smoke-wfd smoke-faults smoke-transfer wfperf-vet wfperf-check

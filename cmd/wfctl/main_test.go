@@ -136,7 +136,7 @@ func TestStartMatchesSubmit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("start %v: %v", args, err)
 		}
-		local, err := rep.CanonicalJSON()
+		local, err := rep.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}

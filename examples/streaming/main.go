@@ -140,11 +140,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	refJSON, err := ref.CanonicalJSON()
+	refJSON, err := ref.MarshalJSON()
 	if err != nil {
 		log.Fatal(err)
 	}
-	reportJSON, err := report.CanonicalJSON()
+	reportJSON, err := report.MarshalJSON()
 	if err != nil {
 		log.Fatal(err)
 	}

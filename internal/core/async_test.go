@@ -39,8 +39,8 @@ func TestAsyncDeterministicAcrossRuns(t *testing.T) {
 			WorkerSpeedFactors: StragglerFleet(4, 4)}},
 	}
 	for _, c := range cases {
-		a := canonicalJSON(t, asyncRun(t, c.kind, c.opts.Seed, c.opts))
-		b := canonicalJSON(t, asyncRun(t, c.kind, c.opts.Seed, c.opts))
+		a := reportJSON(t, asyncRun(t, c.kind, c.opts.Seed, c.opts))
+		b := reportJSON(t, asyncRun(t, c.kind, c.opts.Seed, c.opts))
 		if a != b {
 			t.Fatalf("%s: two async runs with the same (seed, workers, staleness) produced different reports", c.name)
 		}

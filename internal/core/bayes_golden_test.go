@@ -41,11 +41,11 @@ func TestBayesianGolden(t *testing.T) {
 		want  string
 	}{
 		{"sequential", 1, Options{Iterations: 200, Seed: 5},
-			"e2e38fe20672e9ac4a8cc9dd796bd57f1b955be9ec5e5d2050daaef687f5fc3e"},
+			"d2c54757aa31025f2ab7e67c2f69d28ded3e6dfa355c7af84f22c56c59362de8"},
 		{"scaled-sequential", 1e-4, Options{Iterations: 200, Seed: 5},
-			"f76ccd9c7c7395c26da762df522a8085c66c3e77cc5df8fb4b254d49d0313883"},
+			"dba75ec2cedcc62445989c36a1c789991956da975bbf605735a576d0c859d684"},
 		{"scaled-batch-w4", 1e-4, Options{Iterations: 120, Seed: 5, Workers: 4},
-			"cb4f0181bb930d03a9c6b101d86054d7fecbfe4af8a389ee2cb68dd4be055aa2"},
+			"c214951501049e47fd3616125edc0e8d3389666f9862f8bc3be6fc45ec5b67bd"},
 	}
 	for _, tc := range cases {
 		m := simos.NewUnikraft(1)

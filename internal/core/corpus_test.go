@@ -43,11 +43,11 @@ func TestCorpusEmptyGolden(t *testing.T) {
 		want string
 	}{
 		{"sequential", Options{Iterations: 40, Seed: 7},
-			"15d65fc3a4b2a34440f1b1e4007dbe30f630199a499938420fc04a20d9c7f842"},
+			"19aa06697359deb4a9f7cfde5dbf650ca2a2324ad28ba97ca9aacd6abf55f548"},
 		{"round-w8-h4", Options{Iterations: 40, Seed: 7, Workers: 8, Hosts: 4},
-			"8b76064dbf82d0d0b411c7c57176f86b962205aa3df27ef41a86077dd0e7a8bb"},
+			"5a24a21a02dcb20730437ba0e0e01b32224c9784e66d21f4be3ad3b42ae01ee2"},
 		{"async-w8-h2-s2", Options{Iterations: 40, Seed: 7, Workers: 8, Hosts: 2, Async: true, Staleness: 2},
-			"252eec90b306a8f0981f3e0729d589655aae3577908511a60e96af6c6bbdd5a8"},
+			"3abb7d8c13e01bde52047e980692a4d911fe3b53a0b3c344777d2f643b16fd63"},
 	}
 	for _, tc := range cases {
 		bare := tc.opts
@@ -73,7 +73,7 @@ func TestCorpusEmptyGolden(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 
-		if a, b := canonicalJSON(t, noCorpus), canonicalJSON(t, withEmpty); a != b {
+		if a, b := reportJSON(t, noCorpus), reportJSON(t, withEmpty); a != b {
 			t.Errorf("%s: empty-corpus report differs from no-corpus report", tc.name)
 		}
 		if got := reportHash(t, withEmpty); got != tc.want {
@@ -200,7 +200,7 @@ func TestCorpusFrozenDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if canonicalJSON(t, a) != canonicalJSON(t, b) {
+		if reportJSON(t, a) != reportJSON(t, b) {
 			t.Fatalf("workers=%d async=%v: two runs against the frozen corpus diverged", opts.Workers, opts.Async)
 		}
 	}
@@ -272,7 +272,7 @@ func TestCorpusWarmSnapshotResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: resumed run: %v", tc.name, err)
 		}
-		if canonicalJSON(t, full) != canonicalJSON(t, rep) {
+		if reportJSON(t, full) != reportJSON(t, rep) {
 			t.Fatalf("%s: snapshot-at-%d + resume diverged from the uninterrupted warm run", tc.name, tc.at)
 		}
 	}

@@ -33,11 +33,11 @@ func TestDeepTuneGolden(t *testing.T) {
 		want  string
 	}{
 		{"linux-sequential", linux, Options{Iterations: 120, Seed: 5},
-			"fee296a699599ac8bee47840b69c5ac792c6592a841f77caee1abeaa61474ca5"},
+			"3d28ac5bb1a838719b8f7a40270f7f5577f7139ddbcc87aaf4f7772d2cd8e68c"},
 		{"linux-batch-w4", linux, Options{Iterations: 120, Seed: 5, Workers: 4},
-			"40c46e8f620bed9f983b72c05fb55edaf294dd58ae1059081a4cd7f0b0a7ea03"},
+			"e9d7cf3a3d0e5d070067aa43b1139b863f28298cd6af80f93836fbd25181513f"},
 		{"unikraft-sequential", func() *simos.Model { return simos.NewUnikraft(1) }, Options{Iterations: 120, Seed: 5},
-			"a99f4c7a49f609d3125b4215cb3efee3b05c469e39153eb5067b7a19cfc340fe"},
+			"5044316b313816e19cb74582ffa2cce263d7c2d1d60c3ec25896969a80350cae"},
 	}
 	for _, tc := range cases {
 		m := tc.model()

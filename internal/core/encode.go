@@ -50,19 +50,13 @@ func splice(dst, head []byte, key string, fill func(dst []byte) ([]byte, error))
 	return append(dst, head[at+len("null"):]...), nil
 }
 
-// marshal encodes the report into an exact-size buffer.
-func (r *Report) marshal(canonical bool) ([]byte, error) {
-	return encodeScratch(func(dst []byte) ([]byte, error) { return r.appendJSON(dst, canonical) })
-}
-
 // appendJSON appends the report as encoding/json would encode it with
-// every result, Best included, given its config_kv and, when canonical is
-// set, its DecisionCost zeroed (Result.Canonical). encoding/json writes
+// every result, Best included, given its config_kv. encoding/json writes
 // the header, the report with no history and no best; the results are
 // spliced into it. The report is left unmodified. encoding/json's
 // reflection over the whole report is the test oracle
 // (TestReportJSONMatchesReflection).
-func (r *Report) appendJSON(dst []byte, canonical bool) ([]byte, error) {
+func (r *Report) appendJSON(dst []byte) ([]byte, error) {
 	type alias Report
 	hdr := *r
 	hdr.History, hdr.Best = nil, nil
@@ -80,7 +74,7 @@ func (r *Report) appendJSON(dst []byte, canonical bool) ([]byte, error) {
 				if i > 0 {
 					dst = append(dst, ',')
 				}
-				if dst, err = r.History[i].appendJSON(dst, canonical); err != nil {
+				if dst, err = r.History[i].appendJSON(dst); err != nil {
 					return nil, err
 				}
 			}
@@ -88,19 +82,19 @@ func (r *Report) appendJSON(dst []byte, canonical bool) ([]byte, error) {
 		}
 		if r.Best != nil {
 			dst = append(dst, `,"best":`...)
-			return r.Best.appendJSON(dst, canonical)
+			return r.Best.appendJSON(dst)
 		}
 		return dst, nil
 	})
 }
 
 // appendJSON appends the result as encoding/json writes it with its
-// config_kv filled in, and with DecisionCost zeroed when canonical is
-// set: the sixteen fields in tag order under their omitempty rules. A
-// non-nil ConfigKV is written as given; otherwise the assignment comes
-// straight from Config. NaN and ±Inf fail with the error encoding/json
-// returns. encoding/json's reflection form is its test oracle.
-func (r *Result) appendJSON(dst []byte, canonical bool) ([]byte, error) {
+// config_kv filled in: the fifteen serialized fields in tag order under
+// their omitempty rules. A non-nil ConfigKV is written as given;
+// otherwise the assignment comes straight from Config. NaN and ±Inf fail
+// with the error encoding/json returns. encoding/json's reflection form
+// is its test oracle.
+func (r *Result) appendJSON(dst []byte) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"iteration":`...)
 	dst = strconv.AppendInt(dst, int64(r.Iteration), 10)
@@ -147,12 +141,6 @@ func (r *Result) appendJSON(dst []byte, canonical bool) ([]byte, error) {
 	dst = strconv.AppendInt(dst, int64(r.Worker), 10)
 	dst = append(dst, `,"host":`...)
 	dst = strconv.AppendInt(dst, int64(r.Host), 10)
-	dst = append(dst, `,"decision_cost_ns":`...)
-	if canonical {
-		dst = append(dst, '0')
-	} else {
-		dst = strconv.AppendInt(dst, int64(r.DecisionCost), 10)
-	}
 	if r.Retries != 0 {
 		dst = append(dst, `,"retries":`...)
 		dst = strconv.AppendInt(dst, int64(r.Retries), 10)

@@ -17,61 +17,51 @@ import (
 )
 
 // reflectForm is a result as the reflection oracle writes it: config_kv
-// filled from Config where unset, and DecisionCost zeroed when canonical.
-func reflectForm(res Result, canonical bool) Result {
-	out := res.Canonical()
-	if !canonical {
-		out.DecisionCost = res.DecisionCost
+// filled from Config where unset.
+func reflectForm(res Result) Result {
+	if res.Config != nil && res.ConfigKV == nil {
+		res.ConfigKV = res.Config.KV()
 	}
-	return out
+	return res
 }
 
 // reflectJSON is the report encoding as encoding/json's reflection writes
 // it, with every result, Best included, in reflectForm: the oracle the
 // hand-written encoder must match byte for byte.
-func reflectJSON(r *Report, canonical bool) ([]byte, error) {
+func reflectJSON(r *Report) ([]byte, error) {
 	type alias Report
 	cp := *r
 	cp.History = nil
 	for _, res := range r.History {
-		cp.History = append(cp.History, reflectForm(res, canonical))
+		cp.History = append(cp.History, reflectForm(res))
 	}
 	if r.Best != nil {
-		best := reflectForm(*r.Best, canonical)
+		best := reflectForm(*r.Best)
 		cp.Best = &best
 	}
 	return json.Marshal((*alias)(&cp))
 }
 
-// checkReportJSON requires CanonicalJSON and MarshalJSON to equal the
-// reflection oracle, or both sides to fail.
+// checkReportJSON requires the report's encoding to equal the reflection
+// oracle, or both sides to fail.
 func checkReportJSON(t *testing.T, name string, rep *Report) {
 	t.Helper()
-	for _, canonical := range []bool{true, false} {
-		var got []byte
-		var err error
-		if canonical {
-			got, err = rep.CanonicalJSON()
-		} else {
-			got, err = json.Marshal(rep)
-		}
-		want, wantErr := reflectJSON(rep, canonical)
-		switch {
-		case (err != nil) != (wantErr != nil):
-			t.Fatalf("%s (canonical %v): error %v, oracle error %v", name, canonical, err, wantErr)
-		case !bytes.Equal(got, want):
-			t.Fatalf("%s (canonical %v): bytes differ from the reflection oracle\n got %.300s\nwant %.300s",
-				name, canonical, got, want)
-		}
+	got, err := json.Marshal(rep)
+	want, wantErr := reflectJSON(rep)
+	switch {
+	case (err != nil) != (wantErr != nil):
+		t.Fatalf("%s: error %v, oracle error %v", name, err, wantErr)
+	case !bytes.Equal(got, want):
+		t.Fatalf("%s: bytes differ from the reflection oracle\n got %.300s\nwant %.300s", name, got, want)
 	}
 }
 
 // TestReportJSONMatchesReflection: the encoder writes every report the
 // engine produces as encoding/json's reflection does — sequential,
 // parallel and async fleets under faults (reasons, retries, cache hits
-// local and remote), learned searchers, a restored session whose results
-// carry decoded config_kv maps, an empty report, and host time both kept
-// and zeroed.
+// local and remote), learned searchers whose results carry in-memory host
+// time, a restored session, a decoded report whose results carry only
+// config_kv maps, and an empty report.
 func TestReportJSONMatchesReflection(t *testing.T) {
 	run := func(kind string, opts Options) (*Engine, *Session) {
 		m := smallLinux(t)
@@ -117,10 +107,18 @@ func TestReportJSONMatchesReflection(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := restored.Report()
-	if len(rep.History) == 0 || rep.History[0].ConfigKV == nil {
-		t.Fatal("the restored history carries no decoded config_kv maps")
+	if len(rep.History) == 0 || rep.History[0].Config == nil || rep.History[0].ConfigKV != nil {
+		t.Fatal("the restored history did not trade its decoded config_kv maps for Configs")
 	}
 	checkReportJSON(t, "restored", rep)
+	var decoded Report
+	if err := json.Unmarshal([]byte(reportJSON(t, rep)), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded.History) == 0 || decoded.History[0].Config != nil || decoded.History[0].ConfigKV == nil {
+		t.Fatal("the decoded history carries no config_kv maps")
+	}
+	checkReportJSON(t, "decoded", &decoded)
 	checkReportJSON(t, "empty", &Report{})
 
 	rep.History[1].Reason = "<oom> & \"quoted\"\n\u2028\xff"
@@ -130,7 +128,7 @@ func TestReportJSONMatchesReflection(t *testing.T) {
 }
 
 // TestSnapshotResultsMatchReflection: a snapshot writes its report and
-// each in-flight result as the reflection oracle does, host time kept.
+// each in-flight result as the reflection oracle does.
 func TestSnapshotResultsMatchReflection(t *testing.T) {
 	m := smallLinux(t)
 	app := apps.Nginx()
@@ -144,7 +142,7 @@ func TestSnapshotResultsMatchReflection(t *testing.T) {
 	for _, ev := range s.inflight {
 		if ev != nil {
 			ev.res.DecisionCost = 1234
-			b, err := json.Marshal(reflectForm(ev.res, false))
+			b, err := json.Marshal(reflectForm(ev.res))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +165,7 @@ func TestSnapshotResultsMatchReflection(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	wantReport, err := reflectJSON(s.Report(), false)
+	wantReport, err := reflectJSON(s.Report())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +205,7 @@ func fuzzResultSpace() *configspace.Space {
 // reflection writes for the same result in the same form — strings with
 // control bytes, HTML characters, invalid UTF-8 and U+2028; floats at
 // ±0, subnormal, 1e-7, 1e21 and ±1e308; config_kv nil, empty or
-// arbitrary; Config set or nil; host time kept or zeroed — and NaN and
+// arbitrary; Config set or nil; any in-memory host time — and NaN and
 // ±Inf fail on both sides. kvMode picks the config_kv (0 nil, 1 empty,
 // otherwise {kvKey: kvVal}); cfgSeed 0 leaves Config nil, any other seed
 // draws a random configuration.
@@ -221,23 +219,22 @@ func FuzzResultJSON(f *testing.F) {
 		metric, start  float64
 		crashed, extra bool
 		cost           int64
-		canonical      bool
 	}
 	for _, sd := range []seed{
-		{str: "plain", cfgSeed: 1, metric: 1234.5, start: 10, canonical: true},
+		{str: "plain", cfgSeed: 1, metric: 1234.5, start: 10},
 		{str: "ctl\x00\x1f\x7f", kvMode: 2, kvKey: "k\n", kvVal: "<v>&", metric: 0, start: math.Copysign(0, -1), cost: 99},
 		{str: "<script>&amp;", kvMode: 1, metric: 5e-324, start: 1e-7, crashed: true, extra: true},
 		{str: "bad\xff\xfeutf8", kvMode: 2, kvKey: "\u2028", kvVal: "\u2029", cfgSeed: 7, metric: 1e21, start: 1e308},
-		{str: "\u2028\u2029 sep", cfgSeed: 3, metric: -1e308, start: 123456789.125, cost: -5, canonical: true},
+		{str: "\u2028\u2029 sep", cfgSeed: 3, metric: -1e308, start: 123456789.125, cost: -5},
 		{str: "nan", metric: math.NaN()},
 		{str: "inf", metric: math.Inf(1), start: 1},
 		{str: "-inf", metric: 1, start: math.Inf(-1)},
 		{str: "small", metric: 9.999999e-7, start: 999999999999999999999.0, extra: true},
 	} {
-		f.Add(sd.str, sd.kvMode, sd.kvKey, sd.kvVal, sd.cfgSeed, sd.metric, sd.start, sd.crashed, sd.extra, sd.cost, sd.canonical)
+		f.Add(sd.str, sd.kvMode, sd.kvKey, sd.kvVal, sd.cfgSeed, sd.metric, sd.start, sd.crashed, sd.extra, sd.cost)
 	}
 	f.Fuzz(func(t *testing.T, str string, kvMode uint8, kvKey, kvVal string, cfgSeed uint64,
-		metric, start float64, crashed, extra bool, cost int64, canonical bool) {
+		metric, start float64, crashed, extra bool, cost int64) {
 		res := Result{
 			Iteration:    int(cost % 1000),
 			ConfigString: str,
@@ -263,8 +260,8 @@ func FuzzResultJSON(f *testing.F) {
 		if cfgSeed != 0 {
 			res.Config = space.Random(rng.New(cfgSeed))
 		}
-		want, wantErr := json.Marshal(reflectForm(res, canonical))
-		got, err := res.appendJSON([]byte("x"), canonical)
+		want, wantErr := json.Marshal(reflectForm(res))
+		got, err := res.appendJSON([]byte("x"))
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("error %v, oracle error %v", err, wantErr)
 		}
@@ -275,7 +272,7 @@ func FuzzResultJSON(f *testing.F) {
 }
 
 // linuxReport runs the 60-observation random search over the full Linux
-// profile that BenchmarkCanonicalJSON encodes: about 15 KB of JSON per
+// profile that BenchmarkReportJSON encodes: about 15 KB of JSON per
 // result.
 func linuxReport(tb testing.TB) *Report {
 	tb.Helper()
@@ -289,14 +286,14 @@ func linuxReport(tb testing.TB) *Report {
 	return rep
 }
 
-// TestCanonicalJSONAllocs: encoding a 60-observation Linux report takes
-// at most 10 allocations: the header encoding/json writes, and the one
+// TestReportJSONAllocs: encoding a 60-observation Linux report takes at
+// most 10 allocations: the header encoding/json writes, and the one
 // exact-size copy of the pooled scratch. A race build's pool drops a
 // quarter of what it is given, so there the bound holds for some run.
-func TestCanonicalJSONAllocs(t *testing.T) {
+func TestReportJSONAllocs(t *testing.T) {
 	rep := linuxReport(t)
 	encode := func() {
-		if _, err := rep.CanonicalJSON(); err != nil {
+		if _, err := rep.MarshalJSON(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,21 +303,21 @@ func TestCanonicalJSONAllocs(t *testing.T) {
 		best = min(best, testing.AllocsPerRun(1, encode))
 	}
 	if best > 10 {
-		t.Fatalf("CanonicalJSON of a %d-result report allocated %.0f times, want at most 10", len(rep.History), best)
+		t.Fatalf("MarshalJSON of a %d-result report allocated %.0f times, want at most 10", len(rep.History), best)
 	}
 }
 
-// BenchmarkCanonicalJSON encodes a 60-observation full-Linux report.
-func BenchmarkCanonicalJSON(b *testing.B) {
+// BenchmarkReportJSON encodes a 60-observation full-Linux report.
+func BenchmarkReportJSON(b *testing.B) {
 	rep := linuxReport(b)
-	data, err := rep.CanonicalJSON()
+	data, err := rep.MarshalJSON()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := rep.CanonicalJSON(); err != nil {
+		if _, err := rep.MarshalJSON(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -278,8 +278,11 @@ type Result struct {
 	Worker int `json:"worker"`
 	// Host is the simulated host the evaluating worker belongs to.
 	Host int `json:"host"`
-	// DecisionCost is the real time the searcher spent deciding.
-	DecisionCost time.Duration `json:"decision_cost_ns"`
+	// DecisionCost is the real time the searcher spent deciding. It is
+	// host time, so it lives in memory only: no report, snapshot, event
+	// or journal serializes it. It stays for the decision-cost figure
+	// (Fig 8) and for benchmark harnesses that sum a live report's costs.
+	DecisionCost time.Duration `json:"-"`
 	// Retries is the number of prior faulted attempts this observation
 	// survived (0 in fault-free sessions — the field stays absent, keeping
 	// empty-schedule reports byte-identical to historical ones).
@@ -503,27 +506,12 @@ func (r *Report) SmoothedMetricSeries(alpha float64) []float64 {
 // MarshalJSON serializes the report with every result's canonical
 // config_kv assignment filled in, so a parsed report (or snapshot) can
 // reconstruct the exact configurations via Space.FromKV instead of being
-// left with the lossy display string.
-func (r *Report) MarshalJSON() ([]byte, error) { return r.marshal(false) }
-
-// Canonical returns the result in the form byte-identity is stated over:
-// its one host-time field, DecisionCost (real time the searcher spent
-// deciding), zeroed, and its config_kv assignment filled in as a report
-// serializes it. Everything else — the configuration, the virtual
-// timings, the cache accounting — is the session's deterministic output.
-func (r Result) Canonical() Result {
-	r.DecisionCost = 0
-	if r.Config != nil && r.ConfigKV == nil {
-		r.ConfigKV = r.Config.KV()
-	}
-	return r
+// left with the lossy display string. A report carries no host time, so
+// these are the bytes the golden hashes, the snapshot/resume suites and
+// the daemon's crash-restart guarantee compare.
+func (r *Report) MarshalJSON() ([]byte, error) {
+	return encodeScratch(func(dst []byte) ([]byte, error) { return r.appendJSON(dst) })
 }
-
-// CanonicalJSON marshals the report with every result in Canonical form:
-// the bytes the golden hashes, the snapshot/resume suites and the
-// daemon's crash-restart guarantee compare. The report is left
-// unmodified.
-func (r *Report) CanonicalJSON() ([]byte, error) { return r.marshal(true) }
 
 // noiseSalt decorrelates the engine's measurement-noise stream from other
 // consumers of the session seed.

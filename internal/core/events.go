@@ -1,10 +1,10 @@
 // Typed session events: one shared sink fed from the Session's record
 // path, so the identical observation sequence always emits the identical
-// event sequence — events are as deterministic as the report itself (only
-// the wall-time DecisionCost fields inside carried Results vary between
-// runs). Observers run synchronously on the session goroutine in
-// registration order; the public API layers a channel on top for
-// consumers that want to range over a stream instead.
+// event sequence — events are as deterministic as the report itself (a
+// carried Result's host-time DecisionCost is memory-only, and no
+// encoding writes it). Observers run synchronously on the session
+// goroutine in registration order; the public API layers a channel on
+// top for consumers that want to range over a stream instead.
 package core
 
 import "wayfinder/internal/fault"

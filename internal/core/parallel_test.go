@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"bytes"
 	"testing"
 	"time"
 
@@ -13,11 +13,22 @@ import (
 	"wayfinder/internal/vm"
 )
 
-// canonicalJSON renders rep.CanonicalJSON as a string, failing the test
-// on a marshal error.
-func canonicalJSON(t *testing.T, rep *Report) string {
+// reportJSON renders rep.MarshalJSON as a string, failing the test on a
+// marshal error.
+func reportJSON(t *testing.T, rep *Report) string {
 	t.Helper()
-	data, err := rep.CanonicalJSON()
+	data, err := rep.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// resultJSON renders one result as a report or snapshot encodes it,
+// config_kv included, failing the test on an encode error.
+func resultJSON(t *testing.T, res Result) string {
+	t.Helper()
+	data, err := res.appendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,61 +55,55 @@ func newSearcher(m *simos.Model, kind string, seed uint64) search.Searcher {
 	panic("unknown searcher " + kind)
 }
 
-// TestCanonicalJSONZeroesHostTime pins the canonical form: a report whose
-// every history entry and best carry a non-zero DecisionCost
-// canonicalizes to the bytes of a hand-zeroed copy, and the input is left
-// unmodified.
-func TestCanonicalJSONZeroesHostTime(t *testing.T) {
-	rep := parallelRun(t, "random", 3, Options{Iterations: 8, Seed: 3, Workers: 2})
-	if rep.Best == nil {
-		t.Fatal("no best result to canonicalize")
+// TestHostTimeNotSerialized: DecisionCost is memory-only. A report and a
+// snapshot whose every result — history, best and in flight — carries a
+// non-zero DecisionCost encode to the bytes of their zero-cost twins.
+func TestHostTimeNotSerialized(t *testing.T) {
+	m := smallLinux(t)
+	app := apps.Nginx()
+	eng := NewEngine(m, app, &PerfMetric{App: app}, newSearcher(m, "random", 3), &vm.Clock{}, 3)
+	s, err := eng.NewSession(Options{Iterations: 16, Seed: 3, Workers: 4, Async: true, Staleness: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	s.Step(7)
+	rep := s.Report()
+	var results []*Result
 	for i := range rep.History {
-		rep.History[i].DecisionCost = time.Duration(i+1) * time.Millisecond
+		results = append(results, &rep.History[i])
 	}
-	rep.Best.DecisionCost = 42 * time.Millisecond
-	before, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	zeroed := *rep
-	zeroed.History = append([]Result(nil), rep.History...)
-	for i := range zeroed.History {
-		zeroed.History[i].DecisionCost = 0
-	}
-	best := *rep.Best
-	best.DecisionCost = 0
-	zeroed.Best = &best
-	want, err := json.Marshal(&zeroed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := rep.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("canonical form differs from the hand-zeroed copy:\n got %.200s\nwant %.200s", got, want)
-	}
-	after, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(before) {
-		t.Fatal("CanonicalJSON modified its input")
-	}
-	for i, res := range rep.History {
-		if res.DecisionCost == 0 || res.ConfigKV != nil {
-			t.Fatalf("history[%d] modified: decision cost %v, config_kv %v", i, res.DecisionCost, res.ConfigKV)
+	for _, ev := range s.inflight {
+		if ev != nil {
+			results = append(results, &ev.res)
 		}
+	}
+	if rep.Best == nil || len(results) == len(rep.History) {
+		t.Fatal("want a best result and a result in flight")
+	}
+	results = append(results, rep.Best)
+	encode := func(cost time.Duration) (string, []byte) {
+		for i, res := range results {
+			res.DecisionCost = cost * time.Duration(i+1)
+		}
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reportJSON(t, s.Report()), snap
+	}
+	costlyRep, costlySnap := encode(time.Millisecond)
+	zeroRep, zeroSnap := encode(0)
+	if costlyRep != zeroRep {
+		t.Fatalf("a report's host time reached its encoding:\n got %.300s\nwant %.300s", costlyRep, zeroRep)
+	}
+	if !bytes.Equal(costlySnap, zeroSnap) {
+		t.Fatal("a snapshot's host time reached its encoding")
 	}
 }
 
 // TestBestCarriesDecisionCost: the best result is a copy of its history
-// entry, host-time decision cost included. The canonical form zeroes both,
-// so only a non-canonical report can show the two apart.
+// entry, host-time decision cost included. DecisionCost is memory-only,
+// so only the in-memory report can show the two apart.
 func TestBestCarriesDecisionCost(t *testing.T) {
 	rep := parallelRun(t, "bayesian", 3, Options{Iterations: 12, Seed: 3})
 	if rep.Best == nil {
@@ -141,8 +146,8 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	}
 	for _, c := range cases {
 		opts := Options{Iterations: c.iters, Seed: 7, Workers: 8}
-		a := canonicalJSON(t, parallelRun(t, c.kind, 7, opts))
-		b := canonicalJSON(t, parallelRun(t, c.kind, 7, opts))
+		a := reportJSON(t, parallelRun(t, c.kind, 7, opts))
+		b := reportJSON(t, parallelRun(t, c.kind, 7, opts))
 		if a != b {
 			t.Fatalf("%s: two W=8 runs with the same seed produced different reports", c.kind)
 		}
@@ -236,7 +241,7 @@ func TestParallelScoreMetricDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return canonicalJSON(t, rep)
+		return reportJSON(t, rep)
 	}
 	if run() != run() {
 		t.Fatal("parallel ScoreMetric session is not deterministic")
@@ -265,8 +270,8 @@ func TestParallelDeepTuneSession(t *testing.T) {
 		t.Skip("neural searcher session is slow")
 	}
 	opts := Options{Iterations: 32, Seed: 2, Workers: 4}
-	a := canonicalJSON(t, parallelRun(t, "deeptune", 2, opts))
-	b := canonicalJSON(t, parallelRun(t, "deeptune", 2, opts))
+	a := reportJSON(t, parallelRun(t, "deeptune", 2, opts))
+	b := reportJSON(t, parallelRun(t, "deeptune", 2, opts))
 	if a != b {
 		t.Fatal("parallel DeepTune session is not deterministic")
 	}

@@ -60,178 +60,179 @@ const retryIdleSchedule = "preempt:0@400,preempt:0@700,retry:3/900/2"
 
 // schedGolden holds each case's {report, event stream} digests per
 // searcher, captured from the sequential, round-barrier, and async
-// schedulers before they became one. The one re-pinned case is
+// schedulers before they became one (see reportHash for the one
+// encoding re-pin). The one case whose behaviour was re-pinned is
 // sequential-retry-idle: the sequential loop booked its wait for a retry
 // deadline as compute, the one scheduler books it as idle time
 // (TestRetryIdleHistory pins its unchanged history).
 var schedGolden = map[string]map[string][2]string{
 	"sequential-faults": {
-		"random": {"4723a6a6ef9b7e2005e3ed772cedc6fa90b5210d8538c368e58145ef5701c5de",
-			"da4507756d6431b4de915cbccae7e87c049af93bb03c4b70a45e313970612465"},
-		"bayesian": {"059dc58ced9499882284d2682fd988c380c3e0adcb6df0d15c3cc1b3a153dc8d",
-			"15ae3e142589523248a96bd52029983147dcefdc40f766d28d782c1ffb32bc9d"},
-		"deeptune": {"2ccf171c9a7998b2f4aee034a05db785f872632d3b1ab319076be7633b1a0700",
-			"ef664081bac65459bd16b55dbb311334986ea8d451efca4338409859af031da9"},
+		"random": {"71605dfbb7be3841f931ebb8c69f9748dadb20be75f0f7b02334f4a4c6a15c35",
+			"19a059f6856e2d42803b134c86456afe7971a329f3fda3a1f6c4f8edd722a0bc"},
+		"bayesian": {"a581930272330069d2d437f782969c7cf4ee4b67706cc55cfa70b47b30286b82",
+			"5eb7a67fda2997515fb13bfc12fd48fe44e4c831161d2ca3938010a3787fee1f"},
+		"deeptune": {"c2c40634f086c66c356a3471f45b7ee8648ee1e20e4d8dc7528b621f811ddecd",
+			"d472579fbc1109dd72e49e070cafde2ea0c168c2f724a5fa2b27863bed3d0e42"},
 	},
 	"sequential-clean": {
-		"random": {"2dfece76d1c813fa4cc0eb3d470acf5d770ba011a1bf207b73fdda494883924f",
-			"ac8c96f136c4cb5408778f1564a3927743312775928e8d47faf725da02dc91e1"},
-		"bayesian": {"423cc41d8cb141a0b8892aae6e5b3a6c945734a276a3ed74218094b0223fe760",
-			"8cc970c03be83c55ec739fb3f898fade92a38c66564814088a6ad3c1e4ee4d48"},
-		"deeptune": {"b736cb5948ab1475acb94c1f78526776c9aed4fbdbe702fb010c9fc880b804ae",
-			"076660e3391590a02741027053991ce8200069ffbc339611ac2e6a8495206665"},
+		"random": {"e5d838db652b6086e64ec24b92a9b65fc86b8770c3385dd1d315a9a3344cc0a7",
+			"44c5d4c08d3eb10c1360782caf57896c9d4e6d164eb40e646a37192ca33e317b"},
+		"bayesian": {"897b7c7b441908c9d28a501d8437db48ebc17468c569639da15fcaaac1b49406",
+			"a959cf2c17c5bc4d375fe3d85ef75fa7cf237a456455a25e64069194e6de2b57"},
+		"deeptune": {"d1a1e482f2395259f30fc656ded83ef4d29e4526bc8bb2bb6712f5eee3ff1de2",
+			"69cb6e903581712bceca7d59423d6d25068cc22d6f230ee15196a07b9ad2ae14"},
 	},
 	"round-w8-h4-faults": {
-		"random": {"0d8c4ada9e0775fd710919d78eab757f49105706195e1e6fbb229fb17b4e520b",
-			"9055c6e0ccd77ef773e61b75a34b03494cee0651c51fd369f40cb1c0b6c7e2af"},
-		"bayesian": {"2cc2e97d6bc1c94040604deeeb40bd0f85dd758d2fd7f1f04fa225527ff5b535",
-			"7cf4cd3d905a9f56931fe09d2e7d3dd3a231bf00bf009ecea478044e6db11149"},
-		"deeptune": {"761a8e51e723b751e1d9d991fe293dee959692155d201e441094af6a9aa7fd43",
-			"f92fa2207d95829b4f03f347c0a430e7a850b5865a97d0567e58e92ac4f67ee9"},
+		"random": {"67611e1b0f965bd630cb7686ea19f384e04b0b65e4563c8af764ea3482b9cb81",
+			"34390465bdd2c4e40861d5a548616b59eefbefd859930795c63b26a71a6f2607"},
+		"bayesian": {"adb6d931d9f7d9ba4bfcb69045574e74ca2178f7aa292ea9bf271fbbfe94ea5f",
+			"c10348443fa6526999ba07fcaadbc9abc17e6f40c19edf354b232706b840a866"},
+		"deeptune": {"4b503e4d05f4010a94158c2bb07383dae611cf8851df945a45f6ec3c2594a54c",
+			"082d94ef7133de2f70e1efa6dbe801ed00c1f289d84995ad8fbb534a3365f1dd"},
 	},
 	"round-w8-h4-clean": {
-		"random": {"68ecf3a26b5ccf81b4005c472019da045ea39eb700d1d7b34172a226db939766",
-			"78e222f0e5eef8ccdca276b39c5f16a4e25ec480c98caf68d625378fad90e0a4"},
-		"bayesian": {"092666d03a72517d537f779ae5ac5d3cb179dfec01e62c1c5e662f8eb727af6b",
-			"e531b84e4e2982fd9e46362eabb88d741d6d35f2d3cd6cb3e1ea5ee9f96c2d9d"},
-		"deeptune": {"3a6034e4dc74e53f156be41a8d653b071d2a04a2226686c8d28b96e0b7861ac9",
-			"699969e335e9e36215426c43de6977af15d5d489df00c40d628c532a52e4dcac"},
+		"random": {"28c38f9755b9be3da75acabf0227a5cb63dfc15d23a6b2d4bab36ee6739919c0",
+			"6f136af49e55284e3f89485763a4514234a434425372f412750501adeb66d056"},
+		"bayesian": {"791eca4ae38d9122df4ba1156446872b1fd097cbdc9a12f9a2f1f27f5539add6",
+			"b5320c4445ea4f1f226393b65caa1a05f7c3260566a200a872c97d09319661f2"},
+		"deeptune": {"e5a8e5a826c7c35229aec011aa952a29343a39548c2cc298009eb3a6d59cff2f",
+			"68735b1a5385c5c7c978574d1e6fda788a2c71f5f273f5d25c6fc22e118028ce"},
 	},
 	"async-w8-h4-s3-faults": {
-		"random": {"d65043fab0c26ebc5467df84735270806d04ef995080cfec05b9e148d9187493",
-			"6f335a5991e5d2cfde93bde6f14485af889a48b84095d1b0c6bfaad22a05f2c0"},
-		"bayesian": {"a4df04faa60dd24655108a3496c1444ac480b9f818a1f064251b182931df1bbe",
-			"5dd923f6c53ff245b192d91a749b730074fbd98530a5e7d225c35d7b1269d5e2"},
-		"deeptune": {"dc271874936879fc3d278e2eabc985fb8ed348f56c53531175f358cb7861df01",
-			"32efa1a73f3a01ce3bd763ca25ca15df2099798b39ac78e166d9386f361e86c9"},
+		"random": {"d463cc5bb58ed1da85aa7733777e317e8a270a9b04fa1b277d8547f62ad48069",
+			"e95757b6344e3188cb63786ef38c63b35ef7985e1b385b30130e5b9b95a51166"},
+		"bayesian": {"6c1d2e37ebeabcc8795717d4612033fe1656e34abc264396aff3c3bb86747c22",
+			"2c54fe63c6c53082601b430186be0a2781a5a01b70f321922aa1f6286027cc41"},
+		"deeptune": {"b1209b933ba25f96efc9ee0428ca07f3cbf667b164593cba1da4b64a3380fde5",
+			"a6d8606f214c44e2691f53942ed609172e22b8acf30f93e07175be2b1d059145"},
 	},
 	"async-w8-h4-s3-clean": {
-		"random": {"4036b90d2e36a5756451b2031f195a77bc706726ae1eb9bc42e0e8fee648bad5",
-			"9fa588056b0154e8f00639dc4a01b14a4ff59fc7a86b9ea1af33a5b097ed4ee7"},
-		"bayesian": {"3112a0f838d17a1564931b26d8fc09d254975800c7acea3844345eadb6934270",
-			"97a27ef20ffccd2263c9a8c8a06a6782eb51682a720e390661c018eed61ad59f"},
-		"deeptune": {"9c0a9c1c34dec31f147579f4116deb0f972021dd8d9f4669ef74169a6af07740",
-			"e6af35d16fbed811ff06a22fe3127823cdd1a855286eb06d7a60fded1acdc579"},
+		"random": {"1188e4393de98cf469632ae8f1438a9defff904fad0b809cf223347559024b34",
+			"cbf4ce8f8cc7317b83a570c774ca14df9bc1c06dd6838dac6c24e857c4dfe2b9"},
+		"bayesian": {"9a74d8bcff176511ad34975a7a902eaa46b5ace7e99e44c5e38426bfc14bc30f",
+			"8af859f10d0b648a1a4e633d8788f168fea7215e3f09f18bff245d6520367b62"},
+		"deeptune": {"a172f1f42a0dd85c449480c78dd1fd840048845688dafe04a0e64a24ae09c0b1",
+			"a4ae56a9c674e6018806962c34d56d4a91f7bca2721e2385000a61c0a2260bac"},
 	},
 	"sequential-time": {
-		"random": {"8bcbf5433b1b4c07fd605f595dc8dd48a9fc02b2940d3437b0af831219d572df",
-			"bb132959e1bf35ee4d4f189616fc99bcfeb55a3349af3407d2126be6e360eb61"},
-		"bayesian": {"b7903fb3e9c9ef3e7b218da3ed0a7e4bc618f3ec42db85692fefbb36222abea9",
-			"078725165e3a85670c09854ef496805319f4bc6bbebed2f14cd38848fce06f0f"},
-		"deeptune": {"6309709a86ca7c29e070b1952d6f693d7fdcc318a62e9a1df8ffd34ad2afe272",
-			"2cf451eb0092206c13150e0ecb9033e62decbced8f19abbc64c8c874ee80aa48"},
+		"random": {"abb7597140f2ed3526fa510a89619e293d0071a62ed4b4dc5a921f2e4c25cec4",
+			"5589601186ec4e1552ac5740d45b5e4823024ee34587c39ad59bdf59c4f9d803"},
+		"bayesian": {"80eda090f68e5b26fecb3db8fe47b0b9e5a53497b1113c357d5f3bd81ad42940",
+			"fe4ceea41b4704c03b9469d2ef4489492014f94163066d33917f56f34fedbb44"},
+		"deeptune": {"5f2dadd3d0b75b4b23d39233da3a55618e5c4fff7ec4b260bf15ea411342e13c",
+			"75063fde40fb9ca6f50aa1be85e0362b89c06569b60e2e9bc2c8e426b2dbf022"},
 	},
 	"round-w4-time": {
-		"random": {"bf91edfe2811748c50d0bbcea59bff55cee346eabe63630df719a344743ede09",
-			"48bf0943ae625c1bcc21299367f5684ea713b4a9eae96b40cc0c09aac9ca6014"},
-		"bayesian": {"ee7c4b3a723588aa8f1298eef9fbb3fbf7147e79c2c213ac016820e7e257e94e",
-			"4df357b04095c3085685f9bfb3d0326d6495da93dc28a9cda6ff40d2b1e90eca"},
-		"deeptune": {"a1e17dbee8f2affeb2297b572c3bb28fcd80e5d06e758933c762401514797bbd",
-			"8b51bcef99cbc2af7d1104d98cd196200f4aacfce9070dd1073d83c5f9d3bfc9"},
+		"random": {"f48f0acfe1452028e76892b46e69fcc53f9bee6bdb28bfb045118cedd0078332",
+			"0f429a5ac35c243f6999f5b88cc6cfe14186dc41f27785ca98e031bad928d2ab"},
+		"bayesian": {"3d7d015bdaf2cc1f4c746e61667f75c25eac6a57e339bf838381b8a4ea041c9f",
+			"0ced95f563b2260b387b8b683fa10afdc88efe18abddef304317fcf76bb9cc46"},
+		"deeptune": {"8d05a2ddabd6509d4d4c0142ab839da0f5a7b74ba83133d61013845c15daeb62",
+			"61325b6da8408d706581cb9a02bda2dd289949dfe784fc73ea4c9edf4917c54c"},
 	},
 	"async-w4-s1-time": {
-		"random": {"fb1bb36eac8424243958a42f35ed44850d7d7ff5743e721bd6b65a417e90ab4f",
-			"37c7aae8172e3480b31eeda640ba06b0eb7cd9797057d810f5786b82d5754f3f"},
-		"bayesian": {"54663695e8f951aa7b635740f3322570971f23848ab6ed53be956711e8ca98f8",
-			"1b30076033060f25ea16f75401acb055b18fdc27f5aeac232ca863e022439c11"},
-		"deeptune": {"f10a3b5b95142b8c1f60df13bbfc267299df06915f0630a748187113d689f777",
-			"6817f1bfdb50c9939fffe6176358dc5c6e341846a9a8a2fa58adf516364b0044"},
+		"random": {"4913967d1750b8c35a63c15f4d33b59cc7a093f08407d5ee35dc00158afd7717",
+			"1579293846c2c53e3455f0e01aace0d805f1abdd8d8afb5c3143a5603d218e94"},
+		"bayesian": {"99cb0c20d2369b357bcee290732a599f5ffb8111f364e496494eb43116769b7d",
+			"6a4b507fc7152d5b70d71c41f4c2499641ef51bfccd8e3864eaa337be43aba70"},
+		"deeptune": {"380fa271dd949bbe4611182b1d10b13f1fde5052c6da06bb3ed3ad0fa54d3bb4",
+			"b68cf4a158ca00e37cb7450706e533d67b5a8194b129175dc37479511ae60792"},
 	},
 	"sequential-warm": {
-		"random": {"df27efb744f0750ebec938aefb3e361626bdfb1eeb3647ed6bbe25c9455ea4bb",
-			"4fc139b72f9ea77e946228681ca21d97d7d647796176fb9f64b09b0e9e95c1ca"},
-		"bayesian": {"b652edd971b44751b2380ac792a0719f8a4bcb28ceb6adc05ea2c4a05699a002",
-			"cb15d3152d58f317e4d894cf2e8a12c75bd84008ea5665eb2d7f90d95b3d3a47"},
-		"deeptune": {"2fa1e796bc659cf615b14f88344719a3e9941808252943608b9d983c733517be",
-			"7b4d6130bb9d9a58cb519f30c0296430901ea552ed581034589943eeeea56e7b"},
+		"random": {"6fcb57ed939e57f5fb0ad4955c7579bddf62d2a491a16aa84acd10e9ae8950fe",
+			"67375a2d769c3cd5328ca9f0151c9793970bc1534374abb5eef281b21521965f"},
+		"bayesian": {"3dea2d84740e185ca14be9a70039f824a402806bc48025c468bdedcbccc24d9e",
+			"ba4baa033845de10177ad1a176fa9d4ade6c3aaf0c9a235d5617474f11d0086a"},
+		"deeptune": {"090553853cd7db0c852f233f3282acde6face1523daeb145d05dd8a3d2caa685",
+			"cb80d1216af227356d1236b15a8ad9b1711113dd309b9c66f809d68bbb292751"},
 	},
 	"round-w4-warm": {
-		"random": {"57b445be3da4072e84bf2e5d20139ee32ed36db0f3dab94930ca8cd99276e4f7",
-			"8157c79586441c1e2d36a4fa0f86f98992a7c1b19be72c7ddb64efe824621072"},
-		"bayesian": {"b37f66a587d8df79a84f3ff224745f861b6429650fdd78f195c9938d7db54f5a",
-			"be03824ba918007f39d37b9b373bab024db017521622d334645e636c2e1f9fe3"},
-		"deeptune": {"8bb955f24892b3d532be36adabcdc6d6d3bea1547e0f09dbcd5177ccc27c0045",
-			"0ba625d2354f7d1a4763c98f4d9e2b3b655f03d97b1264a3ddf88e470f91616e"},
+		"random": {"afadaf6a8def01fcc02cd40468d400ba2a32a5cf215dddbc59da82047e9fd845",
+			"886a44fd6c49af3516872bf788df487ca054d2af51be14fb236fbf05ed9af6ae"},
+		"bayesian": {"c4c29ec1db23ae2d9677af75fd57e60db6ace3041b9e8ee2822aa2f3054ed344",
+			"2437f42750036ead13c0349339beef99288f2f9f83fc90a2ea0f6ecc345fc0e9"},
+		"deeptune": {"5f9c2922ce9dafe4b6832423ba290bfd16d521f378a80842af6aaf75efd5812c",
+			"fcae70c017c6ac2ec82781149f42a333c74631ba4f9ed75100d017a1b93791ad"},
 	},
 	"async-w4-warm": {
-		"random": {"b61a67d4afa70bb3cb3cec7d2a5931aec6578fa401648487c6cbd4ca67b55b5d",
-			"4ba80495bd256c7edac7c9f005e3796ed81842184055d555a22db1016ebf758b"},
-		"bayesian": {"965457bcdc72d246a7feb2b309398e7292e962928118b32c857c5d13f5d60d64",
-			"99f5f086df63bc086603f14dc83422a029ad7a37cd8cad57bf34ae53686b8185"},
-		"deeptune": {"ccb143cbdaba94c7cc634c057f3fb7da2c9d55795ae92c1318f148a2859b0730",
-			"f4ff5789f7b1da834cef2f5ca8cbb2c37b5d15bfe9abc7ababa1e5eb6d3983b1"},
+		"random": {"1b2126008b89ea0edc63e2afa5a619fe48df628c30c2bbd170fe955562df8169",
+			"5d163e2edc015d6d28131e61d60103f6d14eb8a5e1aa40adfd231123b052188f"},
+		"bayesian": {"be6ad6d40b7ab29e34fb296b402146f3d2eb7836f5804c4844d7e4b717319d21",
+			"5709580db3b1e78fc9452a7cc72091a477a2639a6927c2c0fc09430a065e28fd"},
+		"deeptune": {"4e17ed78887e16849b916e637aa998e0d4439954a1815ba27a07d01f5688e3ce",
+			"4a24bc150f04b07057111cc2bdf1628e94de21737ec7fca3a106cdbaffc1d956"},
 	},
 	"round-w4-partial": {
-		"random": {"62f938f34e064c48660952e43dee0967825f947a69afe719141aac18ff379d8d",
-			"da999d55c776ca71afc3cf1594d348884815d5529d855daca940a6f53796eba0"},
-		"bayesian": {"6a4c2b06590b7f9134dae370fe851fc33d94da36242c400e952994349064c8ab",
-			"6cb79f2bb0c46a34d94251c763b8763fdc67cc941bd14d2c95cfe8b112b4e929"},
-		"deeptune": {"3a6aa49def4e84e922d4e77a314081c50fbfd5f3f5a09153dbbd88f47ce0ad44",
-			"6d046ebb3e3f8b8ac8c54c0c44c8e2c4474964fb10a181760afe8bf5731bbacc"},
+		"random": {"1c177bb74087b45b3d9bb26ed297fd160623f35249ca60518b711aa736c7d476",
+			"ffad657cd9a4e2daac7c2a26e90d142b2166a6c92154f27edcb800cdc2a42f49"},
+		"bayesian": {"c171b172198ed82a64ee52d2210df4b83521a82a9779e5a4fe6468fc28e244ac",
+			"f4c04add2637ac4ba790870557ddb94184f4b4b25f40d66e7366bf63dec9706f"},
+		"deeptune": {"03071eeaa8b318bd798ac89738acc06806db659d1337362e22b0dc078e0fb9f1",
+			"973426ac30663dcd0cddc13b9b39632a228f31bb6684fbdc6bb6a490cb4dc3eb"},
 	},
 	"round-w8-h4-two-down": {
-		"random": {"9289fa42fd9073f1e6bbbbc9607b4ca48449347673906f4a15d2346f2fcaadfb",
-			"693b6602705542cb9c14fd592974a0b6568a481996aa01c540fee6659461059a"},
-		"bayesian": {"aff5232a2246924277356364961e9384a17ba325608cd6885fed465d6bfe737c",
-			"144fc3a092d724ce34ed1bb6a44125ecdb14ef3a0d69c0b9f7f35ead6e69f073"},
-		"deeptune": {"2be1e51a5f04e7cd2f13e6900f7649a260e58be37592122301330d4fc74e8380",
-			"17aac8e43ca0f11c7a40f80363b940266f12b0a26d69027ea3713bf62ef3d4ab"},
+		"random": {"f0104a0cf18d53a674f4959ca388a9ac4bc37b224d17b66b775be708fae67524",
+			"91af3c0db07d237c6646132161381ea4c459b8c90b29012750f54f9a52b213a4"},
+		"bayesian": {"e98d37cd15ee6cd1c7824026b2705b1158c95f722cfc3654a3fe86a1ba2964ea",
+			"ec7facd78174c85019fc9ef3d436335563b26c46746c0d7f072d7863c2f0937d"},
+		"deeptune": {"5c8ef9346386e9c802bcb0ee838c42866eef3b1188085d9d5323f61e9f930678",
+			"066583fd3bcb7a572498e9cdd15f682cdf417bfc5a00fdf91e8a3e00add9b9e4"},
 	},
 	"async-w8-h4-s2-two-down": {
-		"random": {"c4031a51cba333be1b1571704c9ec397ae16ee6b603f7049757a2daf0aa7b6c9",
-			"9b0b11394d57a4a6c5f655d0c389c09ab2bd66cc8265c41463572eabeda44884"},
-		"bayesian": {"2e33892764bd5efced830f94a3b1495b5e5ea5dbd42440385b3d695dae90a2cf",
-			"df57816a4b483b31189398e1dde44ec2b8d9d772a38964203d7014e6bb99d2b5"},
-		"deeptune": {"e48a25a182bbae3f6c6995be63b03c03313d8c9367a706d1624c962f8c0f6719",
-			"73442399c437d0273ce557b93d701299cf9341a8c3d46d871d392b5f68049ef1"},
+		"random": {"781e0da082f8ebfd4522740569c271a4f14a3a6106b2ff088fca65db03d4a8c5",
+			"3bbc0c4034ce95f0d3c28eeeafaa0af7f9972319c130c41acab9198d2f03bc2b"},
+		"bayesian": {"7c486a5641673e6dfd36ac3a24e4f3a77ca18c5bf81e08f6e634d2576fff17c4",
+			"56155824e7e8b0b111c8279e5facf156193545e889f197083334bf71eec775bd"},
+		"deeptune": {"a439b870815a6b13f189e215f6cf8936bc3bf3e1484ad2acb4c59a096455b59b",
+			"610c90e6ecbe3de5d8460a102afdf25526d9102e593add09c5a868e110d0da8c"},
 	},
 	"round-w4-h2-all-down": {
-		"random": {"00d9a4396034cc0d605913558d51b521850f27bde63417d8651878b37085f00a",
-			"fcb990c631c9c1504c74e7ea1806bfdcf0db456efeed795ddee94070702398bc"},
-		"bayesian": {"69688b64278610785fbb2ba2c358cc152443387674cba9074cd5b67aa60637cd",
-			"7e3c41c4cf419f2ecee4df6bcaf4ec8572c75f809fd8534489ac1f7892a4f652"},
-		"deeptune": {"ad02e893b0ee62ad27518214470140b428dcb96a16cf5d42c6acc29f80b74883",
-			"88d39ef38d4cbfb880a0aad435ee6eae628ada06902af1f84c2546c41b0a210f"},
+		"random": {"23b0300015213741156e4169d8440d6fb9ebdaf4887289139b94bbe5f5beccd5",
+			"5db512d93fc7f2459bc165a77d8672dffb09f5adf65a297111352e616b6c432a"},
+		"bayesian": {"bc4e8230b41a3f954fb5b6b95805244d98d2b461b30a8d1825d2412bb3a76e89",
+			"d5396dbe9b4adc21dcc098278d8daeb9787ea158b3603b56b31eb3c5e1959269"},
+		"deeptune": {"47b6f0e13f68d278782d2a7194f43b96b1d849e922613c1a6d6d1710e7361cd5",
+			"f97a26a1f7d499900973942745225b6d7b53a9faedbe2bcdd21b9e6824ee153f"},
 	},
 	"async-w4-h2-all-down": {
-		"random": {"e0b295e3580aad9e870fb2110428830bc3619273095c0ab2a6cede145adb6808",
-			"9c1244ff7a03a472fb784975ab41278ebdd54ae3ffae029b295ab3b59008c93e"},
-		"bayesian": {"c6008b1e341109514905aa60e23674ab8884abfeda9368242348c64d75e4043c",
-			"4493d2a37bdec3e8793fa94e0726f4a1939f0178fe4334d91e482b8994ebfc8f"},
-		"deeptune": {"19f95c797263168afd44cf39ae4e5ca74619ccacd6e3c7eba3270201f3145b12",
-			"49bf4f005c587187d0b8013b4b1b8049f7ee22c0e5e4e7ece7066b6263549f67"},
+		"random": {"912d195b8e8033c83ddf4ab47ebd38d3b9fa154ce4ee150302f561099eba9c27",
+			"65e44147a4215ea0de5a5db38bcae5862271748be66c6175b48dd4ccf321b6b0"},
+		"bayesian": {"0205dcf3104e16c4e3744481e41191aa89aa0734117dfd5017d9be3088212340",
+			"ccbb9f5712fdf60ae323980160455f946e07d9c3c10c33c87e8b6db50afe2a87"},
+		"deeptune": {"5d7080e759f4f85771a96f353e69b1d41d52d6c38b858a344b8de5c257da9a56",
+			"4d6403ed63edda655471593522f0bc0e214ef54ac10b29ec7a6c193ae92a437f"},
 	},
 	"round-w4-h2-locality": {
-		"random": {"ab182398d21f612db06596e85ecb4bb2c32d2f77cdec297f6ab43cc9e80862fa",
-			"2a5f8e1f1aed10d6b48bd1d0261fd690238620b1376bc80a5da917c6946f4e3a"},
-		"bayesian": {"141a123947aef699d13e19863cd43289e08abbb8638872ebe8d04174bb9b4972",
-			"6a9eb2653db426ab1cccd3313dd0b848eb18ecc5a20bcb3690ea4ec81894204c"},
-		"deeptune": {"9cb45b026c40e9259dfdc96a4421bb74915a19070f8c276ca4c10876cbf55c12",
-			"bd8e1250e42e9c3bfffe973bd456d2a8845ea1b923d2c519b7683de8a41efd53"},
+		"random": {"aed8ed2b60680360f5d190eb1ae1438dfeb634b68abc6aed3ac2e81b5fa6e034",
+			"c5710e03e56fb5c33db7dfe89b7624ac437c0c78ce43e2d66d2faa34320d207b"},
+		"bayesian": {"2bd83fed1527af2e03ac630c01c6a6fc14c8a6361cbe6f892ddd94f3efd25af8",
+			"2a254f09f726f3dc320b46ecfc05a381ee3735f896991872e2daf0b2786aa5d4"},
+		"deeptune": {"4cf428d2e5579e6da1ac194967549e196f5bdd08fc5d9a53b1988963c1e926f4",
+			"ba17a2250d75b67afcef49c484a1ccdcbf5572cdf6f553e5da0ef99da7d2ceef"},
 	},
 	"async-w4-h2-locality": {
-		"random": {"a77f92478e009bfa445eb0e92ae52699fd14ce6ba75e58cc354b27d9511f9a44",
-			"a9fb43dcac45cab33563e2b6615ec02cacf1742a3fa0bdac7805153d070112d0"},
-		"bayesian": {"be07f2de1132afa03ceaa1ce1229b759c4acc4beec059be48d2e76215b607236",
-			"c31316a381a5b83e5442ec71cac6bb8b2250d0bacbb7abf8bd448ed7fee71442"},
-		"deeptune": {"91b9be4b1fcbf19da49bc93796c5a48dba90e721736048808b41c5d786dd01b0",
-			"54ca9e4c8d969156d43421df3e77094d9432c0170e13a952145f90e49f62f5c4"},
+		"random": {"c3cf924eb28df9a3d8d82f0afda3255a18279ae56463890fbbc7ef090c3eabe5",
+			"813d45c6bdcaaa362b18fca6ae01d6f98eade30e44e05bb7b7cd0f9691ddff33"},
+		"bayesian": {"877efce0e0cfeb9ef814113101774dce4ecc2d33233a2d1736f5a471b05fb020",
+			"d87cae3dfa58e012af3b87b0af420a163db59582f97c58b0e8b8bd149104c93a"},
+		"deeptune": {"b21e2c726ee1e6692aef52504a59ed9154827a6251ff0861155c1dd13739e571",
+			"7aa347f00b853d2c9dbdcc3db1d974a5eb6d9d272e94a30dfff2d14e6b0e1267"},
 	},
 	"round-w4-time-faults": {
-		"random": {"dda2a2513543792280a1561e0924962232cf86b3485ee5e0c7c5ab3a3ee52a15",
-			"3ab07a29d9a83892005de4b1d12d6aae3c6d71463a7dc65b852da83db801d270"},
-		"bayesian": {"d82899488eeaf6b1a8d6f7356099f3a16e5ec3d1db884dd17dc754f541c908b3",
-			"71efc01fea9d24648929aeeba93d0a869ebe0e3d0921dbf8bdac00fbd70aac4f"},
-		"deeptune": {"82a43f6ac9675720cb87245d2d0fc61e0484216b24a4d0372b9c3b9202383ac5",
-			"58e373fbab56122e121c170deff91e11c0708f14b315dde2fa4287fd097de553"},
+		"random": {"da1c55e1f2b318c94b07970416ac9046c9e6bb90d334856f1e80b1e8888c27a0",
+			"e70331be4b29bb881e8ab8966b0f9def41d559f35ed40c1f415e067fba28d156"},
+		"bayesian": {"efc8fcaba52183637e72d1daa44e1820fe18121cb717c3a6c75a872128a13cad",
+			"b0277d1d83a18119c590c1442fea565e521ac80230b371346cd71a58a0e81475"},
+		"deeptune": {"2c36fdbc16f693e53dbf28163596cf0840058cfaf5cd0954aa9fe66c2fcf0ca2",
+			"5abde78518f3de3d7dafc2c8d0fdc3242362dffb9c37edc564bc33e77d4585da"},
 	},
 	"sequential-retry-idle": {
-		"random": {"82ab093cad309299dc79788fc9e64143a1d2dcee85560ea4e8ca74ea526156be",
-			"1a1ec4df4de1136ec32765254a06a24f3ffc11b4f63e2a1de410ab23c0d1f700"},
-		"bayesian": {"62565fec7f73f10a54f18bfcc70db474e329c4e668216b6721ce1617c23d7fc2",
-			"58bd73ad9d31d9d8a93da492eded45255ff7b4e510ee5f8b3347abdcb78fac5f"},
-		"deeptune": {"f534708eddfd171553edd88ccbf55dba3c6c633322021ca8d54ffa619529b610",
-			"07b0d1870e6c56b77740e1f65b4ec3bcf09be5a86b36c9cece8164ee9bedf210"},
+		"random": {"11bed95743fbf2194bac31f7d97a067247a9a7e8e707ba8af5685a1439c66da7",
+			"72251aec96d09deb439fb3f5592e28159c1b69430d29813ddbf0776483234d41"},
+		"bayesian": {"bc277edb378691dbe4b07b2c8e7184ddee7bff339dc7c544c96fc93f1c1b7a34",
+			"e7368592662a4a1aaa2452bd3fa01ac6fc7be76a9a8e89cbdcd4d8ddca123f79"},
+		"deeptune": {"1924a33c824269b341e2196312fdd749c794a365d59e35b2124053184f7ee112",
+			"c923b40ce32a58f17dc3a92e57d3e65bab7d25ed3ba0dd1125fc610a08caa14c"},
 	},
 }
 
@@ -290,9 +291,9 @@ func TestSchedulerGolden(t *testing.T) {
 // the wait as idle time, not compute.
 func TestRetryIdleHistory(t *testing.T) {
 	want := map[string]string{
-		"random":   "0d74f11dd0697f4ad17a676cc787a40e6755ebbc94aa5e880a2d0d4fc8c3ed80",
-		"bayesian": "13c48bd433f84747b744aa12a443138889a683eb94906a6defa3f0c7abe3e746",
-		"deeptune": "78d69c176fc646a8290f5e1e621f4dda335174b61cf8f8efde93950afc386e5a",
+		"random":   "774e9c3825d18826fbbf88020489ba61f986197cb64bf3ec321822a1a2cbeb81",
+		"bayesian": "bb782c0b764ad3619735b10a3ce49fc1727e2c287f0de9449ed5f03acf32b0f1",
+		"deeptune": "1d706c17057aba7f753a0a007b0d2b29979a6bd93129bd49b6274baaecfb6bdb",
 	}
 	for _, kind := range []string{"random", "bayesian", "deeptune"} {
 		rep, _ := goldenRun(t, kind, Options{Iterations: 12, Seed: 4}, retryIdleSchedule)

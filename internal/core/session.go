@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wayfinder/internal/configspace"
 	"wayfinder/internal/rng"
@@ -65,10 +64,6 @@ type Session struct {
 	// path remains single-driver.
 	done   atomic.Bool
 	folded float64 // wall-clock advance already folded onto the engine clock
-
-	// decisionNS accumulates the searcher's real decision time across the
-	// session — the third axis of the Usage quantum accounting.
-	decisionNS time.Duration
 
 	// Scheduler state (async.go).
 	staleBound int
@@ -271,7 +266,6 @@ func (s *Session) record(res Result) {
 		Stage:   res.Stage,
 	})
 	res.DecisionCost = s.batcher.DecisionCost()
-	s.decisionNS += res.DecisionCost
 	report.History = append(report.History, res)
 	var prevBest *Result
 	improved := false
@@ -341,18 +335,17 @@ func (s *Session) SetBudget(iterations int, timeBudgetSec float64) error {
 	return nil
 }
 
-// Usage is the session's cumulative quantum accounting: the three axes a
-// multiplexing daemon charges a tenant for — observations recorded,
-// aggregate virtual compute seconds consumed across the session's workers,
-// and the real time its searcher spent deciding. A daemon reads Usage
-// before and after a Step quantum and charges the tenant the difference.
+// Usage is the session's cumulative quantum accounting: the two axes a
+// multiplexing daemon charges a tenant for — observations recorded and
+// aggregate virtual compute seconds consumed across the session's
+// workers. Both are virtual, so the charge is deterministic. A daemon
+// reads Usage before and after a Step quantum and charges the tenant the
+// difference.
 type Usage struct {
 	// Observations is the number of recorded observations (== Observed()).
 	Observations int `json:"observations"`
 	// ComputeSec is the aggregate virtual compute time over all workers.
 	ComputeSec float64 `json:"compute_sec"`
-	// DecisionCost is the cumulative real time spent in the searcher.
-	DecisionCost time.Duration `json:"decision_cost_ns"`
 }
 
 // Sub returns the usage delta u − prev: what one quantum consumed, given
@@ -361,7 +354,6 @@ func (u Usage) Sub(prev Usage) Usage {
 	return Usage{
 		Observations: u.Observations - prev.Observations,
 		ComputeSec:   u.ComputeSec - prev.ComputeSec,
-		DecisionCost: u.DecisionCost - prev.DecisionCost,
 	}
 }
 
@@ -373,7 +365,6 @@ func (s *Session) Usage() Usage {
 	return Usage{
 		Observations: s.observed,
 		ComputeSec:   s.report.ComputeSec,
-		DecisionCost: s.decisionNS,
 	}
 }
 

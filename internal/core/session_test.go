@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"runtime"
@@ -55,7 +56,7 @@ func TestSessionRunMatchesEngineRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if canonicalJSON(t, run) != canonicalJSON(t, rep) {
+		if reportJSON(t, run) != reportJSON(t, rep) {
 			t.Fatalf("%s: Session.Run diverged from Engine.Run", tc.name)
 		}
 	}
@@ -89,7 +90,7 @@ func TestSessionStepEquivalentToRun(t *testing.T) {
 				t.Fatalf("%s/%s: stepped session observed %d, run observed %d",
 					tc.name, kind, sess.Observed(), len(full.History))
 			}
-			if canonicalJSON(t, full) != canonicalJSON(t, sess.Report()) {
+			if reportJSON(t, full) != reportJSON(t, sess.Report()) {
 				t.Fatalf("%s/%s: Step(1)×N diverged from Run", tc.name, kind)
 			}
 		}
@@ -116,7 +117,7 @@ func TestSessionPartialReportValid(t *testing.T) {
 		t.Fatalf("partial history has %d entries", len(rep.History))
 	}
 	for i := range rep.History {
-		if jsonString(t, rep.History[i].Canonical()) != jsonString(t, full.History[i].Canonical()) {
+		if resultJSON(t, rep.History[i]) != resultJSON(t, full.History[i]) {
 			t.Fatalf("partial history[%d] diverged from the uninterrupted run", i)
 		}
 	}
@@ -161,9 +162,61 @@ func TestSessionSnapshotResume(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: resumed run: %v", tc.name, kind, err)
 			}
-			if canonicalJSON(t, full) != canonicalJSON(t, rep) {
+			if reportJSON(t, full) != reportJSON(t, rep) {
 				t.Fatalf("%s/%s: snapshot-at-13 + resume diverged from the uninterrupted run", tc.name, kind)
 			}
+		}
+	}
+}
+
+// TestSnapshotBytesDeterministic: a snapshot is a pure function of the
+// session's inputs and position. Two identically built sessions
+// snapshotted at the same observation write identical bytes, for every
+// Checkpointable searcher and for an async fleet under faults, and a
+// session restored from those bytes snapshots them again unchanged.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	type snapCase struct {
+		name, kind string
+		opts       Options
+		sched      string
+	}
+	var cases []snapCase
+	for _, kind := range []string{"random", "grid", "bayesian", "deeptune", "unicorn"} {
+		cases = append(cases, snapCase{kind, kind, Options{Iterations: 24, Seed: 11, Workers: 4}, ""})
+	}
+	cases = append(cases, snapCase{"async-w8-h4-s2-faults", "random",
+		Options{Iterations: 32, Seed: 8, Workers: 8, Hosts: 4, Async: true, Staleness: 2},
+		"down:1@150,down:2@150,up:1@600,up:2@700,buildfail:5#1,retry:3/20/2"})
+	for _, tc := range cases {
+		if tc.sched != "" {
+			tc.opts.Faults = mustSchedule(t, tc.sched)
+		}
+		snapAt := func() []byte {
+			sess, err := newSessionEngine(t, tc.kind, tc.opts.Seed).NewSession(tc.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			sess.Step(13) // mid-round, mid-flight
+			snap, err := sess.Snapshot()
+			if err != nil {
+				t.Fatalf("%s: snapshot: %v", tc.name, err)
+			}
+			return snap
+		}
+		a, b := snapAt(), snapAt()
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: two identical sessions wrote different snapshots at observation 13", tc.name)
+		}
+		resumed, err := newSessionEngine(t, tc.kind, tc.opts.Seed).RestoreSession(a)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", tc.name, err)
+		}
+		again, err := resumed.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: snapshot after restore: %v", tc.name, err)
+		}
+		if !bytes.Equal(a, again) {
+			t.Fatalf("%s: a restored session's snapshot differs from the one it was restored from", tc.name)
 		}
 	}
 }
@@ -212,7 +265,7 @@ func TestSessionSnapshotResumePendingDedup(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		want := canonicalJSON(t, full)
+		want := reportJSON(t, full)
 		sess, err := build().NewSession(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -231,7 +284,7 @@ func TestSessionSnapshotResumePendingDedup(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: resumed run: %v", kind, err)
 			}
-			return canonicalJSON(t, rep)
+			return reportJSON(t, rep)
 		}
 		if resume(snap) != want {
 			t.Fatalf("%s: snapshot-at-13 + resume diverged from the uninterrupted run", kind)
@@ -317,7 +370,7 @@ func TestSessionSnapshotResumeScoreMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canonicalJSON(t, full) != canonicalJSON(t, rep) {
+	if reportJSON(t, full) != reportJSON(t, rep) {
 		t.Fatal("score-metric snapshot/resume diverged from the uninterrupted run")
 	}
 }
@@ -419,7 +472,7 @@ func TestSessionCancellation(t *testing.T) {
 			t.Fatalf("%s: canceled run recorded %d observations, want 9", tc.name, len(rep.History))
 		}
 		for i := range rep.History {
-			if jsonString(t, rep.History[i].Canonical()) != jsonString(t, full.History[i].Canonical()) {
+			if resultJSON(t, rep.History[i]) != resultJSON(t, full.History[i]) {
 				t.Fatalf("%s: canceled history[%d] diverged", tc.name, i)
 			}
 		}
@@ -438,7 +491,7 @@ func TestSessionCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if canonicalJSON(t, full) != canonicalJSON(t, rep2) {
+		if reportJSON(t, full) != reportJSON(t, rep2) {
 			t.Fatalf("%s: canceled-then-resumed session diverged", tc.name)
 		}
 	}
@@ -490,23 +543,23 @@ func TestSessionEventsDeterministic(t *testing.T) {
 	}
 }
 
-// eventString renders an event canonically (decision costs zeroed).
+// eventString renders an event as the golden event-stream digests hash it.
 func eventString(t *testing.T, ev Event) string {
 	t.Helper()
 	switch e := ev.(type) {
 	case EvalDone:
-		return "eval:" + jsonString(t, e.Result.Canonical())
+		return "eval:" + resultJSON(t, e.Result)
 	case NewBest:
-		return "best:" + jsonString(t, e.Result.Canonical())
+		return "best:" + resultJSON(t, e.Result)
 	case CacheEvent:
-		return "cache:" + e.Source + ":" + jsonString(t, e.Result.Canonical())
+		return "cache:" + e.Source + ":" + resultJSON(t, e.Result)
 	case RoundBarrier:
 		return "barrier:" + jsonString(t, e)
 	case Progress:
-		e.Best = nil // carries a Result with a wall-time DecisionCost
+		e.Best = nil // the stream's NewBest events carry it
 		return "prog:" + jsonString(t, e)
 	case SessionDone:
-		return "done:" + canonicalJSON(t, e.Report)
+		return "done:" + reportJSON(t, e.Report)
 	}
 	t.Fatalf("unknown event %T", ev)
 	return ""

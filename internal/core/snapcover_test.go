@@ -35,8 +35,6 @@ func TestSessionSnapshotCoverage(t *testing.T) {
 			// The batch view's checkpoint is the searcher's, wrapped with
 			// the adapter's pending set when the searcher is adapted.
 			"batcher": "SearcherState",
-			// Recomputed on restore by summing Report.History decision costs.
-			"decisionNS": "Report",
 			// Corpus warm-start state: the unconsumed seed queue and
 			// whether DTM weights were applied travel explicitly, so a
 			// restored session replays the original query answer instead

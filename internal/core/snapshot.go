@@ -93,8 +93,8 @@ type evalSnap struct {
 // appendJSON, as the report's results are. It decodes as a plain Result.
 type snapResult struct{ Result }
 
-// MarshalJSON encodes the result with its host time kept.
-func (r *snapResult) MarshalJSON() ([]byte, error) { return r.appendJSON(nil, false) }
+// MarshalJSON encodes the result as a report's results are encoded.
+func (r *snapResult) MarshalJSON() ([]byte, error) { return r.appendJSON(nil) }
 
 // retrySnap is one queued re-dispatch of a fault-lost iteration.
 type retrySnap struct {
@@ -247,7 +247,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 	}
 	return encodeScratch(func(dst []byte) ([]byte, error) {
 		return splice(dst, head, `,"report":null`, func(dst []byte) ([]byte, error) {
-			return s.report.appendJSON(dst, false)
+			return s.report.appendJSON(dst)
 		})
 	})
 }
@@ -397,11 +397,6 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 			return nil, fmt.Errorf("core: best result: %w", err)
 		}
 	}
-	// The cumulative decision-cost accounting is derivable from the
-	// restored history, so it travels implicitly.
-	for i := range s.report.History {
-		s.decisionNS += s.report.History[i].DecisionCost
-	}
 
 	// Workers: clocks, stall accounting, noise streams, skip digests.
 	for i, ws := range snap.Workers {
@@ -503,7 +498,11 @@ func (e *Engine) RestoreSession(data []byte) (*Session, error) {
 }
 
 // restoreResult reattaches a deserialized result's Config from its
-// canonical KV assignment.
+// canonical KV assignment and drops the decoded map, so the result
+// encodes from Config again, as a live one does. The bytes are the same:
+// the map is what Config.AppendKVJSON wrote, KV → FromKV is the identity
+// (FuzzFromKV), and a restored session snapshots to the bytes it was
+// restored from (TestSnapshotBytesDeterministic).
 func restoreResult(res *Result, space *configspace.Space) error {
 	if res.ConfigKV == nil {
 		return nil
@@ -512,7 +511,7 @@ func restoreResult(res *Result, space *configspace.Space) error {
 	if err != nil {
 		return err
 	}
-	res.Config = cfg
+	res.Config, res.ConfigKV = cfg, nil
 	return nil
 }
 

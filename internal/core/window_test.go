@@ -45,7 +45,7 @@ func TestWindowedSessionSnapshotResume(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: resumed run: %v", tc.name, kind, err)
 			}
-			if canonicalJSON(t, full) != canonicalJSON(t, rep) {
+			if reportJSON(t, full) != reportJSON(t, rep) {
 				t.Fatalf("%s/%s: windowed snapshot-at-13 + resume diverged from the uninterrupted windowed run",
 					tc.name, kind)
 			}

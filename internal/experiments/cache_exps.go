@@ -133,32 +133,31 @@ func newImageSweep(space *configspace.Space, per int, seed uint64) *imageSweep {
 
 func (s *imageSweep) Name() string { return "image-sweep" }
 
-// nextImage draws the next candidate image: three compile parameters
-// resampled off the default assignment. Staying near the incumbent is how
-// compile ladders actually explore — and keeps candidates compiling, so
-// every round yields one shareable artifact.
-func (s *imageSweep) nextImage() {
-	donor := s.space.Random(s.r)
-	img := s.space.Default()
+// offDefaultImage draws a candidate image: three compile parameters
+// resampled off the default assignment, from one space.Random donor and
+// then one r.Perm over the compile parameters. Staying near the
+// incumbent is how compile ladders actually explore — and keeps
+// candidates compiling, so every round yields one shareable artifact.
+func offDefaultImage(space *configspace.Space, r *rng.RNG) *configspace.Config {
+	donor := space.Random(r)
+	img := space.Default()
 	var idx []int
-	for i, p := range s.space.Params() {
+	for i, p := range space.Params() {
 		if p.Class == configspace.CompileTime {
 			idx = append(idx, i)
 		}
 	}
-	perm := s.r.Perm(len(idx))
-	for j := 0; j < 3 && j < len(perm); j++ {
-		i := idx[perm[j]]
-		img.SetIndex(i, donor.Value(i))
+	for _, j := range r.Perm(len(idx))[:min(3, len(idx))] {
+		img.SetIndex(idx[j], donor.Value(idx[j]))
 	}
-	s.image = img
+	return img
 }
 
 // Propose implements search.Searcher: runtime/boot parameters resampled
 // per slot, compile parameters held to the round's image.
 func (s *imageSweep) Propose() *configspace.Config {
 	if s.slot%s.per == 0 {
-		s.nextImage()
+		s.image = offDefaultImage(s.space, s.r)
 	}
 	s.slot++
 	c := s.space.Random(s.r)

@@ -133,22 +133,9 @@ type imageCycle struct {
 
 func newImageCycle(space *configspace.Space, per, k int, seed uint64) *imageCycle {
 	r := rng.New(seed)
-	var idx []int
-	for i, p := range space.Params() {
-		if p.Class == configspace.CompileTime {
-			idx = append(idx, i)
-		}
-	}
 	images := make([]*configspace.Config, k)
 	for n := range images {
-		donor := space.Random(r)
-		img := space.Default()
-		perm := r.Perm(len(idx))
-		for j := 0; j < 3 && j < len(perm); j++ {
-			i := idx[perm[j]]
-			img.SetIndex(i, donor.Value(i))
-		}
-		images[n] = img
+		images[n] = offDefaultImage(space, r)
 	}
 	return &imageCycle{space: space, per: per, images: images, slot: 0}
 }

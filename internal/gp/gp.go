@@ -609,14 +609,5 @@ func (g *GP) LogMarginalLikelihood() (float64, error) {
 	if err := g.sync(); err != nil {
 		return 0, err
 	}
-	n := len(g.xs)
-	ll := 0.0
-	for i := 0; i < n; i++ {
-		ll -= math.Log(g.chol.At(i, i))
-	}
-	for i := 0; i < n; i++ {
-		ll -= 0.5 * (g.ys[i] - g.yMean) * g.alpha[i]
-	}
-	ll -= 0.5 * float64(n) * math.Log(2*math.Pi)
-	return ll, nil
+	return g.lmlFromFactor(), nil
 }

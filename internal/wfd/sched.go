@@ -344,7 +344,7 @@ func (d *Daemon) stepper() {
 // finish completes a job: canonical report to the journal, accounting
 // released, waiters and subscribers notified.
 func (d *Daemon) finish(j *job) {
-	bytes, err := j.sess.Report().CanonicalJSON()
+	bytes, err := j.sess.Report().MarshalJSON()
 	if err != nil {
 		d.terminate(j, stateFailed, fmt.Sprintf("marshal report: %v", err))
 		return

@@ -28,9 +28,8 @@
 // rename). After kill -9, a restarted daemon resumes every in-flight job
 // from its latest snapshot and completes it byte-identically to an
 // uninterrupted run: sessions are pure functions of their spec, so the
-// canonical final report (core.Report.CanonicalJSON, which zeroes the
-// host-time decision-cost fields) is invariant under crashes, restarts, scheduling
-// interleavings, and quantum sizes. Every searcher a spec can name
+// final report's JSON (which carries no host time) is invariant under
+// crashes, restarts, scheduling interleavings, and quantum sizes. Every searcher a spec can name
 // checkpoints; a job whose snapshot failed or is unreadable (a stale
 // format version, say) restarts from scratch — wasted work, same bytes. `make smoke-wfd` pins the guarantee
 // in CI with a real SIGKILL.

@@ -55,10 +55,9 @@ type (
 // Grid, Bayesian, DeepTune, and Unicorn — implements it.
 type Checkpointable = search.Checkpointable
 
-// Usage is a session's cumulative quantum accounting — observations,
-// virtual compute seconds, real searcher decision time — the counters a
-// multiplexing daemon charges tenants by (read before and after a Step
-// quantum; Sub gives the delta).
+// Usage is a session's cumulative quantum accounting — observations and
+// virtual compute seconds — the counters a multiplexing daemon charges
+// tenants by (read before and after a Step quantum; Sub gives the delta).
 type Usage = core.Usage
 
 // CorpusStore is a shared tuning-memory corpus: a persistent,
@@ -403,8 +402,8 @@ func (s *Session) Step(n int) int {
 func (s *Session) Done() bool { return s.core.Done() }
 
 // Usage returns the session's cumulative quantum accounting — the
-// observation, virtual-compute, and decision-time counters a daemon
-// charges a tenant per Step quantum. O(1), valid at any observation
+// observation and virtual-compute counters a daemon charges a tenant per
+// Step quantum. O(1), valid at any observation
 // boundary; call from the driving goroutine only.
 func (s *Session) Usage() Usage { return s.core.Usage() }
 

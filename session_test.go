@@ -8,7 +8,6 @@ package wayfinder
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 
 	"wayfinder/internal/core"
@@ -23,11 +22,11 @@ func testModel() *Model {
 	return m
 }
 
-// reportJSON renders rep.CanonicalJSON as a string, failing the test on a
+// reportJSON renders rep.MarshalJSON as a string, failing the test on a
 // marshal error.
 func reportJSON(t *testing.T, rep *Report) string {
 	t.Helper()
-	data, err := rep.CanonicalJSON()
+	data, err := rep.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,15 +227,9 @@ func TestPublicResume(t *testing.T) {
 	}
 	// The first 20 observations are the original session's exactly.
 	for i := range fullRep.History {
-		aj, err := json.Marshal(fullRep.History[i].Canonical())
-		if err != nil {
-			t.Fatal(err)
-		}
-		bj, err := json.Marshal(extRep.History[i].Canonical())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(aj) != string(bj) {
+		aj := reportJSON(t, &Report{History: fullRep.History[i : i+1]})
+		bj := reportJSON(t, &Report{History: extRep.History[i : i+1]})
+		if aj != bj {
 			t.Fatalf("extended-resume history[%d] diverged", i)
 		}
 	}
